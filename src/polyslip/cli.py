@@ -15,10 +15,10 @@ import math
 import sys
 from fractions import Fraction
 
-from . import geometry, random_textures, shear_square
+from . import shear_square
 from .compat import find_connection, laminate_split, nu_compatible
 from .errors import DomainError, PolyslipError
-from .mat2 import Mat2, Vec2
+from .mat2 import ANGULAR_TOL, Mat2, Vec2
 from .svg import SvgCanvas
 from .taylor import gamma_bounds, in_lambda, is_trivial, normalize, reduce_angles, taylor_M_member, taylor_member
 
@@ -40,7 +40,10 @@ def _parse_unit(text: str) -> Vec2:
     vals = _parse_floats(text)
     if len(vals) != 2:
         raise ValueError("vector needs 2 comma-separated entries")
-    return Vec2(*vals).unit()
+    try:
+        return Vec2(*vals).unit()
+    except ZeroDivisionError:
+        raise ValueError(f"vector {text!r} has zero length") from None
 
 
 def _parse_gamma(text: str):
@@ -49,6 +52,8 @@ def _parse_gamma(text: str):
         return Fraction(text)
     except ValueError:
         return float(text)
+    except ZeroDivisionError:
+        raise ValueError(f"gamma {text!r} has a zero denominator") from None
 
 
 def _angles_arg(text: str, degrees: bool) -> list[float]:
@@ -154,6 +159,8 @@ def _cmd_laminate(args) -> dict:
 
 
 def _cmd_outer(args) -> dict:
+    from . import geometry  # geometry and random_textures load numpy: import on use
+
     pc = geometry.load_polycrystal(args.polycrystal)
     analysis = geometry.analyze_boundary(pc, args.angular_tol)
     bound = geometry.outer_bound_perp(pc, args.angular_tol)
@@ -177,6 +184,8 @@ def _cmd_outer(args) -> dict:
 
 
 def _cmd_mc(args) -> dict:
+    from . import random_textures
+
     cfg = random_textures.McConfig(k=args.k, n_samples=args.n, seed=args.seed)
     res = random_textures.estimate_trivial_probability(cfg)
     return {"k": args.k, "n": args.n, "seed": args.seed,
@@ -209,6 +218,8 @@ def _cmd_shear(args) -> dict:
 
 
 def _cmd_lambda_plot(args) -> dict:
+    if args.grid < 1:
+        raise ValueError(f"--grid must be >= 1, got {args.grid}")
     thetas = _angles_arg(args.thetas, args.degrees)
     svg_text, csv_text, summary = emit_lambda_plot(thetas, args.grid)
     if args.svg:
@@ -268,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", help="optional matrix to test for membership")
     p.add_argument("--samples", type=int, default=720,
                    help="boundary sampling density for the full bound")
-    p.add_argument("--angular-tol", type=float, default=geometry.ANGULAR_TOL)
+    p.add_argument("--angular-tol", type=float, default=ANGULAR_TOL)
     common(p)
     p.set_defaults(func=_cmd_outer)
 

@@ -20,9 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import bracket as _downhill_bracket
-from scipy.optimize import brentq, minimize_scalar
-
 from .errors import NotSL2, ParallelSlips
 from .mat2 import DEFAULT_TOL, Mat2, Vec2, decompose
 from .slip import in_M, in_N
@@ -110,45 +107,6 @@ def find_connection(F: Mat2, s: Vec2, nu: Vec2, tol: float = DEFAULT_TOL):
     # Re-anchor so target - F = a(x)nu holds exactly, not just to roundoff.
     target = F + Mat2.outer(a, nu)
     return RankOneConnection(a=a, nu=nu, target=target)
-
-
-def connector_search(F: Mat2, s: Vec2, nu: Vec2, tol: float = DEFAULT_TOL, span: float = 1.0):
-    """Brute-force rank-one connector, independent of the closed form.
-
-    The volume constraint det(F + a(x)nu) = 1 confines a to the line
-    t * w with w = perp(adj(F)^T nu).  Golden-section minimization of the
-    stretched-norm objective |(F + t w(x)nu) s|^2 along that line decides
-    feasibility; a root bracket then produces an explicit witness with
-    |target s| = 1.  Returns the jump vector a, or None.
-    """
-    w = (F.adjugate().transpose() @ nu).perp()
-    sn = s.dot(nu)
-    fs = F @ s
-
-    def stretch2(t: float) -> float:
-        g = fs + w * (t * sn)
-        return float(g.norm2())
-
-    if abs(sn) <= tol:
-        # a(x)nu cannot change Fs; feasible iff F already qualifies.
-        return Vec2(0.0, 0.0) if fs.norm2() <= (1 + tol) ** 2 else None
-    xa, xb, xc = _downhill_bracket(stretch2, xa=0.0, xb=1.0)[:3]
-    res = minimize_scalar(stretch2, bracket=(xa, xb, xc), method="golden",
-                          options={"xtol": 1e-13})
-    t_star, h_min = float(res.x), float(res.fun)
-    if h_min > (1.0 + tol) ** 2:
-        return None
-    if abs(h_min - 1.0) <= tol:
-        return w * t_star  # vertex already on the set
-    hi = max(abs(t_star), span)
-    for _ in range(200):
-        if stretch2(t_star + hi) > 1.0:
-            break
-        hi *= 2.0
-    else:
-        raise ArithmeticError("stretched norm failed to grow along the jump line")
-    t0 = brentq(lambda t: stretch2(t) - 1.0, t_star, t_star + hi, xtol=1e-14)
-    return w * t0
 
 
 def laminate_split(F: Mat2, s: Vec2, s_prime: Vec2, tol: float = DEFAULT_TOL) -> LaminateSplit:

@@ -31,16 +31,13 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import InvalidPolycrystal, NotSL2
-from .mat2 import DEFAULT_TOL, Mat2, Vec2, decompose
+from .mat2 import ANGULAR_TOL, DEFAULT_TOL, Mat2, Vec2, decompose
 from .slip import slip_direction
 
 TAU = 2.0 * math.pi
 
 #: Positional tolerance for coincidence of points and curves.
 POS_TOL = 1e-9
-
-#: Angular tolerance for normal-direction coverage tests.
-ANGULAR_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------

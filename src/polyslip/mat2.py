@@ -26,6 +26,9 @@ Scalar = Union[int, float, Fraction]
 #: Default tolerance for floating-point predicates.
 DEFAULT_TOL = 1e-9
 
+#: Angular tolerance for normal-direction coverage tests.
+ANGULAR_TOL = 1e-6
+
 
 @dataclass(frozen=True, slots=True)
 class Vec2:

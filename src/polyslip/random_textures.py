@@ -45,7 +45,8 @@ def trivial_probability(k: int) -> float:
     """Closed-form probability 1 - (k+1)/2^k of a trivial Taylor bound."""
     if k < 1:
         raise DomainError(f"k = {k!r} must be >= 1")
-    return 1.0 - (k + 1) / 2.0**k
+    # ldexp underflows to 0 for large k where 2.0**k would overflow
+    return 1.0 - math.ldexp(k + 1, -k)
 
 
 def _trivial_rows(thetas: np.ndarray) -> np.ndarray:

@@ -18,11 +18,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, EmptyInput, NotSL2
 from .mat2 import DEFAULT_TOL, E1, Mat2, decompose, is_SO2
+
+if TYPE_CHECKING:
+    import numpy as np
 
 HALF_PI = math.pi / 2
 
@@ -174,6 +176,7 @@ def taylor_member(F: Mat2, angles: AngleSet, tol: float = DEFAULT_TOL) -> bool:
 
 def taylor_member_batch(F: np.ndarray, angles: AngleSet, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Vectorized ``taylor_member`` over an (n, 2, 2) array of matrices."""
+    import numpy as np  # only the batch path needs numpy; scalar callers skip it
     F = np.asarray(F, dtype=float)
     dets = F[:, 0, 0] * F[:, 1, 1] - F[:, 0, 1] * F[:, 1, 0]
     if np.any(np.abs(dets - 1.0) > tol):

@@ -2,7 +2,9 @@
 
 The oracles here deliberately avoid the library's reduction formulas:
 they evaluate definitions directly (all-angle intersections, stretched
-norms) so agreement is meaningful.
+norms) so agreement is meaningful.  ``connector_search`` decides
+compatibility by numerical search with scipy, which is why scipy is a
+test dependency only.
 """
 
 from __future__ import annotations
@@ -10,8 +12,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.optimize import bracket as _downhill_bracket
+from scipy.optimize import brentq, minimize_scalar
 
-from polyslip.mat2 import E1, Mat2, ShearFrame, Vec2
+from polyslip.mat2 import DEFAULT_TOL, E1, Mat2, ShearFrame, Vec2
 
 
 def rand_sl2(rng, beta_lo=0.3, beta_hi=1.5, gamma_lo=-3.0, gamma_hi=3.0) -> Mat2:
@@ -88,3 +92,42 @@ def scan_trivial(thetas) -> bool:
         if ts[i] <= half <= ts[i + 1] and ts[i + 1] - ts[i] <= half:
             return True
     return False
+
+
+def connector_search(F: Mat2, s: Vec2, nu: Vec2, tol: float = DEFAULT_TOL, span: float = 1.0):
+    """Brute-force rank-one connector, independent of the closed form.
+
+    The volume constraint det(F + a(x)nu) = 1 confines a to the line
+    t * w with w = perp(adj(F)^T nu).  Golden-section minimization of the
+    stretched-norm objective |(F + t w(x)nu) s|^2 along that line decides
+    feasibility; a root bracket then produces an explicit witness with
+    |target s| = 1.  Returns the jump vector a, or None.
+    """
+    w = (F.adjugate().transpose() @ nu).perp()
+    sn = s.dot(nu)
+    fs = F @ s
+
+    def stretch2(t: float) -> float:
+        g = fs + w * (t * sn)
+        return float(g.norm2())
+
+    if abs(sn) <= tol:
+        # a(x)nu cannot change Fs; feasible iff F already qualifies.
+        return Vec2(0.0, 0.0) if fs.norm2() <= (1 + tol) ** 2 else None
+    xa, xb, xc = _downhill_bracket(stretch2, xa=0.0, xb=1.0)[:3]
+    res = minimize_scalar(stretch2, bracket=(xa, xb, xc), method="golden",
+                          options={"xtol": 1e-13})
+    t_star, h_min = float(res.x), float(res.fun)
+    if h_min > (1.0 + tol) ** 2:
+        return None
+    if abs(h_min - 1.0) <= tol:
+        return w * t_star  # vertex already on the set
+    hi = max(abs(t_star), span)
+    for _ in range(200):
+        if stretch2(t_star + hi) > 1.0:
+            break
+        hi *= 2.0
+    else:
+        raise ArithmeticError("stretched norm failed to grow along the jump line")
+    t0 = brentq(lambda t: stretch2(t) - 1.0, t_star, t_star + hi, xtol=1e-14)
+    return w * t0

@@ -12,10 +12,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from helpers import (brute_force_taylor, brute_force_taylor_batch, mat_of,
-                     rand_sl2, rand_sl2_batch, rand_unit, rotations_batch,
+from helpers import (brute_force_taylor, brute_force_taylor_batch, connector_search,
+                     mat_of, rand_sl2, rand_sl2_batch, rand_unit, rotations_batch,
                      scan_trivial)
-from polyslip.compat import connector_search, find_connection, laminate_split, nu_compatible
+from polyslip.compat import find_connection, laminate_split, nu_compatible
 from polyslip.geometry import (analyze_boundary, boundary_samples,
                                halfdisk_bicrystal, outer_bound_full_member,
                                outer_bound_perp, quadrant_disk,

@@ -204,3 +204,16 @@ def test_csv_format(capsys):
     assert code == 0
     assert out.splitlines()[0] == "key,value"
     assert any(line.startswith("trivial,") for line in out.splitlines())
+
+
+@pytest.mark.parametrize("argv", [
+    ["compat", "--matrix", "1,0,0,1", "--slip", "0,0", "--normal", "1,0"],
+    ["shear", "--gamma", "1/0"],
+    ["lambda-plot", "--thetas", "0.5", "--grid", "0"],
+])
+def test_invalid_argument_is_parse_error(capsys, argv):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: ")
+    assert len(captured.err.splitlines()) == 1

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import rand_sl2, rand_unit
-from polyslip.compat import (LaminateSplit, connector_search, find_connection,
-                             laminate_split, nu_compatible)
+from helpers import connector_search, rand_sl2, rand_unit
+from polyslip.compat import LaminateSplit, find_connection, laminate_split, nu_compatible
 from polyslip.errors import NotSL2, ParallelSlips
 from polyslip.mat2 import E1, E2, Mat2, ShearFrame, Vec2, decompose
 from polyslip.slip import in_M, in_N, psi

@@ -1,0 +1,38 @@
+"""Import hygiene: the package loads lazily and the runtime never needs scipy."""
+
+import json
+import os
+import subprocess
+import sys
+
+import polyslip
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def test_taylor_subcommand_loads_neither_scipy_nor_numpy():
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import polyslip.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = cli.run(['taylor', '--angles', '0,1'])\n"
+        "heavy = sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy'))\n"
+        "print(json.dumps({'status': status, 'heavy': heavy}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert json.loads(proc.stdout) == {"status": 0, "heavy": []}
+
+
+def test_every_public_name_resolves():
+    for name in polyslip.__all__:
+        assert getattr(polyslip, name) is not None, name
+    assert "connector_search" not in polyslip.__all__
+    assert polyslip.geometry.ANGULAR_TOL == polyslip.mat2.ANGULAR_TOL
+
+
+def test_star_import():
+    namespace = {}
+    exec("from polyslip import *", namespace)
+    assert set(polyslip.__all__) <= set(namespace)

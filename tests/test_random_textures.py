@@ -21,6 +21,14 @@ def test_closed_form_values():
         trivial_probability(0)
 
 
+def test_closed_form_without_overflow():
+    # same bits as the direct formula where 2.0**k is finite, and no
+    # OverflowError where it is not
+    for k in range(1, 61):
+        assert trivial_probability(k) == 1.0 - (k + 1) / 2.0**k
+    assert trivial_probability(2000) == 1.0
+
+
 def test_probability_increasing_from_two():
     probs = [trivial_probability(k) for k in range(2, 20)]
     assert all(a < b for a, b in zip(probs, probs[1:]))
