@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 from . import shear_square
@@ -20,13 +21,17 @@ from .compat import find_connection, laminate_split, nu_compatible
 from .errors import DomainError, PolyslipError
 from .mat2 import ANGULAR_TOL, Mat2, Vec2
 from .svg import SvgCanvas
-from .taylor import gamma_bounds, in_lambda, is_trivial, normalize, reduce_angles, taylor_M_member, taylor_member
+from .taylor import (gamma_bounds, is_trivial, normalize, reduce_angles, shear_interval,
+                     taylor_M_member, taylor_member)
 
 _PALETTE = ("#4477aa", "#ee6677", "#228833", "#ccbb44", "#66ccee", "#aa3377")
 
 
 def _parse_floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+    vals = [float(tok) for tok in text.split(",") if tok.strip() != ""]
+    if not all(map(math.isfinite, vals)):
+        raise ValueError(f"{text!r} contains a non-finite number")
+    return vals
 
 
 def _parse_matrix(text: str) -> Mat2:
@@ -86,17 +91,19 @@ def emit_lambda_plot(thetas, grid: int):
     filled = []
     db = (bmax - bmin) / grid
     dg = 2.0 * gmax / grid
+    # cell-center shears increase with j, so each row's filled cells are
+    # the contiguous run that bisection finds inside the row's interval
+    gammas = [-gmax + (j + 0.5) * dg for j in range(grid)]
     for k, theta in enumerate(thetas):
         color = _PALETTE[k % len(_PALETTE)]
         count = 0
         for i in range(grid):
-            beta = bmin + (i + 0.5) * db
-            for j in range(grid):
-                gamma = -gmax + (j + 0.5) * dg
-                if in_lambda(theta, beta, gamma):
-                    canvas.rect(-gmax + j * dg, bmin + i * db, dg, db,
-                                fill=color, opacity=0.45)
-                    count += 1
+            lo, hi = shear_interval(theta, bmin + (i + 0.5) * db)
+            run = range(bisect_left(gammas, lo), bisect_right(gammas, hi))
+            for j in run:
+                canvas.rect(-gmax + j * dg, bmin + i * db, dg, db,
+                            fill=color, opacity=0.45)
+            count += len(run)
         filled.append(count)
         st = math.sin(theta)
         for i in range(grid + 1):
@@ -117,7 +124,7 @@ def _cmd_taylor(args) -> dict:
         "shift": aset.shift,
         "kind": bound.kind,
         "reduced": list(bound.angles),
-        "trivial": is_trivial(aset),
+        "trivial": is_trivial(aset, args.tol),
     }
 
 
@@ -163,7 +170,7 @@ def _cmd_outer(args) -> dict:
 
     pc = geometry.load_polycrystal(args.polycrystal)
     analysis = geometry.analyze_boundary(pc, args.angular_tol)
-    bound = geometry.outer_bound_perp(pc, args.angular_tol)
+    bound = geometry.outer_bound_perp(pc, args.angular_tol, analysis=analysis)
     payload = {
         "boundary_grains": list(analysis.boundary_grains),
         "dual_points": [list(p.to_floats()) for p in analysis.dual_points],
@@ -173,13 +180,14 @@ def _cmd_outer(args) -> dict:
         "J_prime": sorted(analysis.J_prime),
         "perp_bound": {"directions": [list(s.to_floats()) for s in bound.slip_directions],
                        "trivial": bound.trivial_flag},
-        "equal_perp_full": geometry.equal_perp_full(pc, args.angular_tol),
+        "equal_perp_full": geometry.equal_perp_full(pc, args.angular_tol, analysis=analysis),
     }
     if args.matrix is not None:
         F = _parse_matrix(args.matrix)
         payload["member_perp"] = bound.member(F, args.tol)
+        samples = geometry.boundary_samples(pc, args.samples, analysis=analysis)
         payload["member_full"] = geometry.outer_bound_full_member(
-            F, pc, n_samples=args.samples, tol=args.tol)
+            F, pc, n_samples=args.samples, tol=args.tol, samples=samples)
     return payload
 
 
@@ -239,74 +247,62 @@ def build_parser() -> argparse.ArgumentParser:
         description="Strain bounds for planar single-slip polycrystals.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, help_text):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("taylor", _cmd_taylor, "reduce a texture and test triviality")
+    p.add_argument("--angles", required=True, help="comma-separated orientation angles")
+
+    p = command("member", _cmd_member, "constant-strain membership of a matrix")
+    p.add_argument("--angles", required=True)
+    p.add_argument("--matrix", required=True, help="a11,a12,a21,a22 row-major")
+    p.add_argument("--space", choices=("N", "M"), default="N",
+                   help="relaxed (N) or unrelaxed (M) strain sets")
+
+    p = command("compat", _cmd_compat, "rank-one interface compatibility")
+    p.add_argument("--matrix", required=True)
+    p.add_argument("--slip", required=True, help="slip direction sx,sy (normalized)")
+    p.add_argument("--normal", required=True, help="interface normal nx,ny (normalized)")
+
+    p = command("laminate", _cmd_laminate, "split a strain into two slip-set strains")
+    p.add_argument("--matrix", required=True)
+    p.add_argument("--slip", required=True)
+    p.add_argument("--slip2", required=True)
+
+    p = command("outer", _cmd_outer, "boundary analysis and outer bounds")
+    p.add_argument("--polycrystal", required=True, help="polycrystal JSON file")
+    p.add_argument("--matrix", help="optional matrix to test for membership")
+    p.add_argument("--samples", type=int, default=720,
+                   help="boundary sampling density for the full bound")
+    p.add_argument("--angular-tol", type=float, default=ANGULAR_TOL)
+
+    p = command("mc", _cmd_mc, "Monte Carlo triviality probability")
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--n", type=int, default=100000)
+    p.add_argument("--seed", type=int, default=0)
+
+    p = command("shear", _cmd_shear, "tilted-square two-slip construction")
+    p.add_argument("--gamma", required=True,
+                   help="shear parameter; fractions like 1/2 stay exact")
+    p.add_argument("--verify", action="store_true", help="run the five checks")
+    p.add_argument("--svg", help="write reference/deformed figure")
+    p.add_argument("--mesh", help="write mesh JSON")
+
+    p = command("lambda-plot", _cmd_lambda_plot, "raster the shear-frame regions")
+    p.add_argument("--thetas", required=True, help="comma-separated angles in (0, pi)")
+    p.add_argument("--grid", type=int, default=200)
+    p.add_argument("--svg", help="output SVG path")
+    p.add_argument("--csv", help="output CSV path for boundary curves")
+
+    for p in sub.choices.values():  # options every subcommand takes, listed last
         p.add_argument("--tol", type=float, default=1e-9,
                        help="floating-point tolerance (default 1e-9)")
         p.add_argument("--degrees", action="store_true",
                        help="interpret input angles as degrees")
         p.add_argument("--format", choices=("json", "csv"), default="json",
                        help="stdout payload format")
-
-    p = sub.add_parser("taylor", help="reduce a texture and test triviality")
-    p.add_argument("--angles", required=True, help="comma-separated orientation angles")
-    common(p)
-    p.set_defaults(func=_cmd_taylor)
-
-    p = sub.add_parser("member", help="constant-strain membership of a matrix")
-    p.add_argument("--angles", required=True)
-    p.add_argument("--matrix", required=True, help="a11,a12,a21,a22 row-major")
-    p.add_argument("--space", choices=("N", "M"), default="N",
-                   help="relaxed (N) or unrelaxed (M) strain sets")
-    common(p)
-    p.set_defaults(func=_cmd_member)
-
-    p = sub.add_parser("compat", help="rank-one interface compatibility")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--slip", required=True, help="slip direction sx,sy (normalized)")
-    p.add_argument("--normal", required=True, help="interface normal nx,ny (normalized)")
-    common(p)
-    p.set_defaults(func=_cmd_compat)
-
-    p = sub.add_parser("laminate", help="split a strain into two slip-set strains")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--slip", required=True)
-    p.add_argument("--slip2", required=True)
-    common(p)
-    p.set_defaults(func=_cmd_laminate)
-
-    p = sub.add_parser("outer", help="boundary analysis and outer bounds")
-    p.add_argument("--polycrystal", required=True, help="polycrystal JSON file")
-    p.add_argument("--matrix", help="optional matrix to test for membership")
-    p.add_argument("--samples", type=int, default=720,
-                   help="boundary sampling density for the full bound")
-    p.add_argument("--angular-tol", type=float, default=ANGULAR_TOL)
-    common(p)
-    p.set_defaults(func=_cmd_outer)
-
-    p = sub.add_parser("mc", help="Monte Carlo triviality probability")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=0)
-    common(p)
-    p.set_defaults(func=_cmd_mc)
-
-    p = sub.add_parser("shear", help="tilted-square two-slip construction")
-    p.add_argument("--gamma", required=True,
-                   help="shear parameter; fractions like 1/2 stay exact")
-    p.add_argument("--verify", action="store_true", help="run the five checks")
-    p.add_argument("--svg", help="write reference/deformed figure")
-    p.add_argument("--mesh", help="write mesh JSON")
-    common(p)
-    p.set_defaults(func=_cmd_shear)
-
-    p = sub.add_parser("lambda-plot", help="raster the shear-frame regions")
-    p.add_argument("--thetas", required=True, help="comma-separated angles in (0, pi)")
-    p.add_argument("--grid", type=int, default=200)
-    p.add_argument("--svg", help="output SVG path")
-    p.add_argument("--csv", help="output CSV path for boundary curves")
-    common(p)
-    p.set_defaults(func=_cmd_lambda_plot)
-
     return parser
 
 
@@ -324,6 +320,8 @@ def run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not 0.0 <= args.tol < math.inf:
+            raise ValueError(f"--tol must be finite and >= 0, got {args.tol!r}")
         payload = args.func(args)
     except PolyslipError as exc:
         print(f"error: {exc}", file=sys.stderr)

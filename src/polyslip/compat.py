@@ -9,6 +9,8 @@ to the slip direction s, to
     ((s.nu_perp / s.nu) * beta + gamma)^2 + 1/beta^2  >=  1
 
 when s.nu != 0, and to plain relaxed-set membership when nu = perp(s).
+``_compatible`` is the one home of this inequality, for ``nu_compatible``,
+``find_connection`` and ``geometry.compatible_with_normals``.
 
 ``laminate_split`` writes any volume-preserving strain as a convex
 combination of two rank-one connected strains, each inside the union of
@@ -20,8 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NotSL2, ParallelSlips
-from .mat2 import DEFAULT_TOL, Mat2, Vec2, decompose
+from .errors import ParallelSlips
+from .mat2 import DEFAULT_TOL, Mat2, Vec2, decompose, require_sl2
 from .slip import in_M, in_N
 
 
@@ -49,9 +51,9 @@ class LaminateSplit:
     t_minus: float
 
 
-def _check_sl2(F: Mat2, tol: float) -> None:
-    if abs(F.det() - 1) > tol:
-        raise NotSL2(f"det F = {float(F.det())!r}, expected 1")
+def _compatible(c, beta, gamma, tol):
+    """The inequality above with c = s.nu_perp / s.nu, elementwise if c is an array."""
+    return (c * beta + gamma) ** 2 + 1.0 / beta**2 >= 1.0 - tol
 
 
 def nu_compatible(F: Mat2, s: Vec2, nu: Vec2, tol: float = DEFAULT_TOL) -> bool:
@@ -60,14 +62,12 @@ def nu_compatible(F: Mat2, s: Vec2, nu: Vec2, tol: float = DEFAULT_TOL) -> bool:
     ``s`` and ``nu`` must be unit vectors; F must be volume preserving.
     The perpendicular case |s.nu| <= tol degenerates to set membership.
     """
-    _check_sl2(F, tol)
+    require_sl2(F, tol)
     sn = s.dot(nu)
     if abs(sn) <= tol:
         return in_N(F, s, tol)
     frame = decompose(F, s, tol)
-    c = s.dot(nu.perp()) / sn
-    lhs = (c * frame.beta + frame.gamma) ** 2 + 1.0 / frame.beta**2
-    return lhs >= 1.0 - tol
+    return _compatible(s.dot(nu.perp()) / sn, frame.beta, frame.gamma, tol)
 
 
 def find_connection(F: Mat2, s: Vec2, nu: Vec2, tol: float = DEFAULT_TOL):
@@ -77,19 +77,17 @@ def find_connection(F: Mat2, s: Vec2, nu: Vec2, tol: float = DEFAULT_TOL):
     (exact membership, not just the relaxed set) whenever s.nu != 0, or
     ``None`` exactly when ``nu_compatible`` is False.
     """
-    _check_sl2(F, tol)
+    require_sl2(F, tol)
     sn = s.dot(nu)
-    if abs(sn) <= tol:
-        if in_N(F, s, tol):
-            return RankOneConnection(a=Vec2(0.0, 0.0), nu=nu, target=F)
+    perpendicular = abs(sn) <= tol
+    if perpendicular and not in_N(F, s, tol):
         return None
-    if in_M(F, s, tol):
+    if perpendicular or in_M(F, s, tol):
         return RankOneConnection(a=Vec2(0.0, 0.0), nu=nu, target=F)
     frame = decompose(F, s, tol)
     c = s.dot(nu.perp()) / sn
     beta, gamma = frame.beta, frame.gamma
-    lhs = (c * beta + gamma) ** 2 + 1.0 / beta**2
-    if lhs < 1.0 - tol:
+    if not _compatible(c, beta, gamma, tol):
         return None
     # Solve xi . n = 1 on the unit circle, n the interface image of F in
     # the (s, perp(s)) frame; |n| >= 1 guarantees a solution.
@@ -122,7 +120,7 @@ def laminate_split(F: Mat2, s: Vec2, s_prime: Vec2, tol: float = DEFAULT_TOL) ->
     lies in either relaxed set, and when Fs . Fs' vanishes within tol
     (possible only alongside membership).
     """
-    _check_sl2(F, tol)
+    require_sl2(F, tol)
     if abs(s.cross(s_prime)) <= tol:
         raise ParallelSlips("slip directions coincide up to sign")
     if in_N(F, s, tol) or in_N(F, s_prime, tol):

@@ -30,14 +30,21 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import InvalidPolycrystal, NotSL2
-from .mat2 import ANGULAR_TOL, DEFAULT_TOL, Mat2, Vec2, decompose
+from .compat import _compatible
+from .errors import InvalidPolycrystal
+from .mat2 import ANGULAR_TOL, DEFAULT_TOL, Mat2, Vec2, decompose, is_sl2, require_sl2
 from .slip import slip_direction
 
 TAU = 2.0 * math.pi
 
 #: Positional tolerance for coincidence of points and curves.
 POS_TOL = 1e-9
+
+
+def _wrap(x: float, period: float) -> float:
+    """x reduced mod period into [0, period]; period itself only by roundoff."""
+    r = math.fmod(x, period)
+    return r + period if r < 0 else r
 
 
 # ---------------------------------------------------------------------------
@@ -96,9 +103,7 @@ class Arc:
 
     def sweep(self) -> float:
         raw = self.to_angle - self.from_angle if self.ccw else self.from_angle - self.to_angle
-        s = math.fmod(raw, TAU)
-        if s < 0:
-            s += TAU
+        s = _wrap(raw, TAU)
         if s == 0.0 and raw != 0.0:
             s = TAU
         return s
@@ -131,9 +136,7 @@ class Arc:
     def covers_angle(self, t: float, tol: float = ANGULAR_TOL) -> bool:
         """Whether direction t (mod 2 pi) lies within the swept range."""
         origin = self.from_angle if self.ccw else self.from_angle - self.sweep()
-        d = math.fmod(t - origin, TAU)
-        if d < 0:
-            d += TAU
+        d = _wrap(t - origin, TAU)
         return d <= self.sweep() + tol or d >= TAU - tol
 
     def rotated(self, phi: float) -> "Arc":
@@ -259,7 +262,8 @@ class Polycrystal:
 
     def __post_init__(self):
         _check_closed(list(self.domain), "domain")
-        if _loop_area(list(self.domain)) <= 0:
+        dom_area = _loop_area(list(self.domain))
+        if dom_area <= 0:
             raise InvalidPolycrystal("domain loop must be counterclockwise")
         if not self.grains:
             raise InvalidPolycrystal("polycrystal needs at least one grain")
@@ -275,7 +279,6 @@ class Polycrystal:
             if not 0.0 <= g.theta < math.pi:
                 raise InvalidPolycrystal(f"grain {g.id}: theta outside [0, pi)")
             total += a
-        dom_area = _loop_area(list(self.domain))
         if abs(total - dom_area) > 1e-6 * dom_area:
             raise InvalidPolycrystal(
                 f"grain areas sum to {total!r}, domain area is {dom_area!r}")
@@ -296,13 +299,10 @@ class Polycrystal:
 
     def rotated(self, phi: float) -> "Polycrystal":
         """The polycrystal rotated rigidly by phi (textures co-rotate)."""
-        def rot_theta(t: float) -> float:
-            r = math.fmod(t + phi, math.pi)
-            return r + math.pi if r < 0 else r
         return Polycrystal(
             domain=tuple(c.rotated(phi) for c in self.domain),
             grains=tuple(Grain(g.id, tuple(c.rotated(phi) for c in g.boundary),
-                               rot_theta(g.theta)) for g in self.grains),
+                               _wrap(g.theta + phi, math.pi)) for g in self.grains),
         )
 
 
@@ -424,9 +424,7 @@ def _normals_cover_circle(curves, angular_tol: float) -> bool:
         if sweep >= math.pi - angular_tol:
             return True
         lo = c.from_angle if c.ccw else c.from_angle - sweep
-        lo = math.fmod(lo, math.pi)
-        if lo < 0:
-            lo += math.pi
+        lo = _wrap(lo, math.pi)
         hi = lo + sweep
         if hi <= math.pi:
             pieces.append((lo, hi))
@@ -459,19 +457,20 @@ class OuterBound:
     trivial_flag: bool
 
     def member(self, F: Mat2, tol: float = DEFAULT_TOL) -> bool:
-        if abs(F.det() - 1) > tol:
-            return False
-        return all((F @ s).norm2() <= (1 + tol) ** 2 for s in self.slip_directions)
+        return is_sl2(F, tol) and all((F @ s).norm2() <= (1 + tol) ** 2
+                                      for s in self.slip_directions)
 
 
-def outer_bound_perp(pc: Polycrystal, angular_tol: float = ANGULAR_TOL) -> OuterBound:
+def outer_bound_perp(pc: Polycrystal, angular_tol: float = ANGULAR_TOL,
+                     analysis: Optional[BoundaryAnalysis] = None) -> OuterBound:
     """Outer bound from perpendicular boundary points only.
 
     Intersects the relaxed sets of the slip directions of grains in J;
     with J empty there is no constraint beyond det = 1 and the bound
-    degenerates to SL(2) (``trivial_flag``).
+    degenerates to SL(2) (``trivial_flag``).  ``analysis`` may be passed in.
     """
-    analysis = analyze_boundary(pc, angular_tol)
+    if analysis is None:
+        analysis = analyze_boundary(pc, angular_tol)
     directions: list[Vec2] = []
     seen: list[float] = []
     for gid in sorted(analysis.J):
@@ -538,11 +537,7 @@ def compatible_with_normals(F: Mat2, theta: float, normals: np.ndarray,
     if np.any(perp_mask) and frame.beta > 1.0 + tol:
         return False
     rest = ~perp_mask
-    if not np.any(rest):
-        return True
-    c = crs[rest] / sn[rest]
-    lhs = (c * frame.beta + frame.gamma) ** 2 + 1.0 / frame.beta**2
-    return bool(np.all(lhs >= 1.0 - tol))
+    return bool(np.all(_compatible(crs[rest] / sn[rest], frame.beta, frame.gamma, tol)))
 
 
 def outer_bound_full_member(F: Mat2, pc: Polycrystal, n_samples: int = 720,
@@ -557,8 +552,7 @@ def outer_bound_full_member(F: Mat2, pc: Polycrystal, n_samples: int = 720,
     sharpen it.  Precomputed ``samples`` may be passed when testing many
     matrices against one polycrystal.
     """
-    if abs(F.det() - 1) > tol:
-        raise NotSL2(f"det F = {float(F.det())!r}, expected 1")
+    require_sl2(F, tol)
     if samples is None:
         samples = boundary_samples(pc, n_samples)
     for gid, normals in samples.normals.items():
@@ -567,12 +561,14 @@ def outer_bound_full_member(F: Mat2, pc: Polycrystal, n_samples: int = 720,
     return True
 
 
-def equal_perp_full(pc: Polycrystal, angular_tol: float = ANGULAR_TOL) -> bool:
+def equal_perp_full(pc: Polycrystal, angular_tol: float = ANGULAR_TOL,
+                    analysis: Optional[BoundaryAnalysis] = None) -> bool:
     """Sufficient condition for the two outer bounds to coincide.
 
     True iff every boundary grain has a perpendicular point.
     """
-    analysis = analyze_boundary(pc, angular_tol)
+    if analysis is None:
+        analysis = analyze_boundary(pc, angular_tol)
     return set(analysis.J) == set(analysis.boundary_grains)
 
 

@@ -103,11 +103,6 @@ class Mat2:
         """Tensor product a(x)b."""
         return Mat2(a.x * b.x, a.x * b.y, a.y * b.x, a.y * b.y)
 
-    @staticmethod
-    def from_rows(rows) -> "Mat2":
-        (r1, r2) = rows
-        return Mat2(r1[0], r1[1], r2[0], r2[1])
-
     def __add__(self, other: "Mat2") -> "Mat2":
         return Mat2(self.a11 + other.a11, self.a12 + other.a12,
                     self.a21 + other.a21, self.a22 + other.a22)
@@ -163,10 +158,27 @@ def rotation(theta: float) -> Mat2:
     return Mat2.rotation(theta)
 
 
+def det_is_one(d, tol: float = DEFAULT_TOL):
+    """|d - 1| <= tol, elementwise on arrays: the SL(2) test, False for NaN."""
+    return abs(d - 1) <= tol
+
+
+def is_sl2(F: Mat2, tol: float = DEFAULT_TOL) -> bool:
+    """True iff det F = 1 within tol."""
+    return det_is_one(F.det(), tol)
+
+
+def require_sl2(F: Mat2, tol: float = DEFAULT_TOL) -> None:
+    """Raise ``NotSL2`` unless det F = 1 within tol."""
+    d = F.det()
+    if not det_is_one(d, tol):
+        raise NotSL2(f"det F = {float(d)!r}, expected 1")
+
+
 def is_SO2(F: Mat2, tol: float = DEFAULT_TOL) -> bool:
     """True iff F^T F = Id and det F = 1, entrywise within tol."""
     g = F.transpose() @ F - Mat2.identity()
-    return g.max_abs() <= tol and abs(F.det() - 1) <= tol
+    return g.max_abs() <= tol and is_sl2(F, tol)
 
 
 @dataclass(frozen=True, slots=True)
@@ -192,33 +204,14 @@ class ShearFrame:
 
 
 def decompose(F: Mat2, s: Vec2, tol: float = DEFAULT_TOL) -> ShearFrame:
-    """Split F in SL(2) into rotation, stretch and shear relative to s.
+    """Split F in SL(2) into rotation, stretch and shear relative to the unit vector s.
 
-    Parameters
-    ----------
-    F : Mat2
-        Matrix with det F = 1 within tol.
-    s : Vec2
-        Unit slip direction.
-    tol : float
-        Tolerance for the determinant check.
-
-    Returns
-    -------
-    ShearFrame
-        Frame with beta = |Fs| > 0 and R(rho) s = Fs / beta; satisfies
-        ``frame.reconstruct() == F`` up to roundoff.
-
-    Raises
-    ------
-    NotSL2
-        If |det F - 1| > tol.
-    DegenerateBeta
-        If |Fs| < tol.
+    The frame has beta = |Fs| > 0 and R(rho) s = Fs / beta, and
+    ``frame.reconstruct()`` equals F up to roundoff.  Raises ``NotSL2``
+    unless det F = 1 within tol (see ``require_sl2``) and
+    ``DegenerateBeta`` if |Fs| < tol.
     """
-    d = F.det()
-    if abs(d - 1) > tol:
-        raise NotSL2(f"det F = {float(d)!r}, expected 1")
+    require_sl2(F, tol)
     fs = F @ s
     beta = fs.norm()
     if beta < tol:

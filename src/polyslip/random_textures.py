@@ -16,7 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .taylor import HALF_PI
+from .taylor import HALF_PI, _straddles
+
+#: Angles per Monte Carlo block: bounded memory, 64 KiB arrays that stay in cache.
+_BLOCK_ANGLES = 1 << 13
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,14 +55,11 @@ def trivial_probability(k: int) -> float:
 def _trivial_rows(thetas: np.ndarray) -> np.ndarray:
     """Row-wise triviality of angle tuples in (0, pi), 0 prepended.
 
-    Vectorized twin of ``taylor.is_trivial``: sort each row and look for a
-    consecutive pair straddling pi/2 at distance <= pi/2.
+    ``taylor._straddles`` with tol = 0: drawn angles carry no roundoff.
     """
     n = thetas.shape[0]
     full = np.sort(np.concatenate([np.zeros((n, 1)), thetas], axis=1), axis=1)
-    left, right = full[:, :-1], full[:, 1:]
-    hit = (left <= HALF_PI) & (right >= HALF_PI) & (right - left <= HALF_PI)
-    return hit.any(axis=1)
+    return _straddles(full[:, :-1], full[:, 1:], 0.0).any(axis=1)
 
 
 def estimate_trivial_probability(cfg: McConfig) -> McResult:
@@ -68,12 +68,16 @@ def estimate_trivial_probability(cfg: McConfig) -> McResult:
     Draws ``n_samples`` i.i.d. tuples of ``k`` angles uniform on (0, pi),
     prepends the orientation 0, and counts trivial Taylor bounds.  The
     generator is seeded PCG64, so identical configs give identical
-    results; the standard error is the binomial one.
+    results; the standard error is the binomial one.  PCG64 fills rows
+    in order, so drawing in blocks of rows gives the same angles.
     """
     rng = np.random.default_rng(cfg.seed)
-    thetas = rng.uniform(0.0, math.pi, size=(cfg.n_samples, cfg.k))
-    trivial = _trivial_rows(thetas)
-    est = float(trivial.mean())
+    rows = max(1, _BLOCK_ANGLES // cfg.k)
+    hits = 0
+    for start in range(0, cfg.n_samples, rows):
+        block = rng.uniform(0.0, math.pi, size=(min(rows, cfg.n_samples - start), cfg.k))
+        hits += int(np.count_nonzero(_trivial_rows(block)))
+    est = hits / cfg.n_samples
     se = math.sqrt(est * (1.0 - est) / cfg.n_samples)
     return McResult(estimate=est, std_error=se, analytic=trivial_probability(cfg.k))
 

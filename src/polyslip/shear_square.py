@@ -122,11 +122,15 @@ class ShearSquareBuild:
         return not isinstance(self.gamma, float)
 
 
-def _gamma_in_range(gamma) -> bool:
+def _checked_gamma(gamma):
+    """gamma with integral floats made int; GammaOutOfRange beyond sqrt(3) - 1."""
+    if isinstance(gamma, float) and gamma.is_integer():
+        gamma = int(gamma)
     g = abs(gamma)
-    if isinstance(gamma, float):
-        return (1.0 + g) ** 2 <= 3.0 * (1.0 + 1e-12)
-    return (1 + g) ** 2 <= 3
+    slack = 1e-12 if isinstance(gamma, float) else 0
+    if not (1 + g) ** 2 <= 3 * (1 + slack):
+        raise GammaOutOfRange(f"|gamma| = {float(g)!r} exceeds sqrt(3) - 1")
+    return gamma
 
 
 def _gradients(gamma) -> dict[str, Mat2]:
@@ -158,17 +162,10 @@ def build(gamma, pre_rotation: Optional[Mat2] = None) -> ShearSquareBuild:
     ``gamma`` may be a float, int or ``Fraction``; exact inputs give an
     exactly verifiable build.  ``pre_rotation`` left-multiplies every
     cell gradient by a rotation, which rotates the boundary strain the
-    same way.
-
-    Raises
-    ------
-    GammaOutOfRange
-        If |gamma| > sqrt(3) - 1, where a cell would leave its strain set.
+    same way.  Raises ``GammaOutOfRange`` if |gamma| > sqrt(3) - 1, where
+    a cell would leave its strain set.
     """
-    if isinstance(gamma, float) and gamma.is_integer():
-        gamma = int(gamma)
-    if not _gamma_in_range(gamma):
-        raise GammaOutOfRange(f"|gamma| = {abs(float(gamma))!r} exceeds sqrt(3) - 1")
+    gamma = _checked_gamma(gamma)
     grads = _gradients(gamma)
     f_gamma = boundary_matrix(gamma)
     if pre_rotation is not None:
@@ -196,15 +193,16 @@ def build(gamma, pre_rotation: Optional[Mat2] = None) -> ShearSquareBuild:
             if nxt not in b:
                 b[nxt] = (grads[cur] @ pt + b[cur]) - grads[nxt] @ pt
                 queue.append(nxt)
-    origin = Vec2(0 * grads["S"].a11, 0 * grads["S"].a11)
-    anchor_cell = "T1"
-    v00 = grads[anchor_cell] @ origin + b[anchor_cell]
+    v00 = grads["T1"] @ zero + b["T1"]
     b = {name: bb - v00 for name, bb in b.items()}
 
     cells = tuple(Cell(name=name, vertices=verts[name], A=grads[name], b=b[name])
                   for name in names)
     return ShearSquareBuild(gamma=gamma, map=PwAffineMap(cells=cells),
                             F_gamma=f_gamma, grain_assignment=dict(GRAIN_OF_CELL))
+
+
+_CHECKS = ("continuity", "determinant", "membership", "boundary_trace", "rank_one_jumps")
 
 
 @dataclass(frozen=True, slots=True)
@@ -220,18 +218,10 @@ class VerificationReport:
 
     @property
     def all_passed(self) -> bool:
-        return (self.continuity and self.determinant and self.membership
-                and self.boundary_trace and self.rank_one_jumps)
+        return all(getattr(self, name) for name in _CHECKS)
 
     def as_dict(self) -> dict:
-        return {
-            "continuity": self.continuity,
-            "determinant": self.determinant,
-            "membership": self.membership,
-            "boundary_trace": self.boundary_trace,
-            "rank_one_jumps": self.rank_one_jumps,
-            "all_passed": self.all_passed,
-        }
+        return {**{name: getattr(self, name) for name in _CHECKS}, "all_passed": self.all_passed}
 
 
 def verify(build_: ShearSquareBuild, tol: Optional[float] = None) -> VerificationReport:
@@ -339,10 +329,7 @@ def grain_components(build_: ShearSquareBuild) -> list[tuple[str, frozenset]]:
 
 def conclusion(gamma) -> dict:
     """Summary flags: trivial bound, rotation boundary value, separation."""
-    if isinstance(gamma, float) and gamma.is_integer():
-        gamma = int(gamma)
-    if not _gamma_in_range(gamma):
-        raise GammaOutOfRange(f"|gamma| = {abs(float(gamma))!r} exceeds sqrt(3) - 1")
+    gamma = _checked_gamma(gamma)
     taylor_trivial = is_trivial(normalize([0.0, math.pi / 2]))
     if isinstance(gamma, float):
         f_in_so2 = is_SO2(boundary_matrix(gamma), 1e-12)

@@ -41,12 +41,6 @@ class SvgCanvas:
             f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" height="{_fmt(h)}" '
             f'fill="{fill}" fill-opacity="{_fmt(opacity)}" stroke="none"/>')
 
-    def text(self, x: float, y: float, content: str, size: float = 0.12) -> None:
-        # text is drawn un-flipped so glyphs stay upright
-        self._body.append(
-            f'<text x="{_fmt(x)}" y="{_fmt(-y)}" font-size="{_fmt(size)}" '
-            f'font-family="sans-serif" transform="scale(1,-1)">{content}</text>')
-
     def render(self) -> str:
         vb = (f"{_fmt(self.xmin)} {_fmt(-self.ymax)} "
               f"{_fmt(self.xmax - self.xmin)} {_fmt(self.ymax - self.ymin)}")

@@ -11,6 +11,9 @@ intersection is a (beta, gamma) region bounded by the curves
 for beta in [sin(theta), 1].  All angle sets are normalized to [0, pi)
 with first element 0; the applied shift is recorded so callers can rotate
 results back.
+
+``_window`` is the one home of gamma_pm and ``_straddles`` the one home
+of the triviality test; both run on floats and on numpy arrays.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, EmptyInput, NotSL2
-from .mat2 import DEFAULT_TOL, E1, Mat2, decompose, is_SO2
+from .mat2 import DEFAULT_TOL, E1, Mat2, decompose, det_is_one
 
 if TYPE_CHECKING:
     import numpy as np
@@ -93,6 +96,14 @@ def normalize(angles, tol: float = DEFAULT_TOL) -> AngleSet:
     return AngleSet(thetas=shifted, shift=shift)
 
 
+def _window(theta: float, beta, sqrt=math.sqrt, maximum=max):
+    """(center, root) with gamma_pm = center -+ root; for an array beta pass numpy's ufuncs."""
+    st = math.sin(theta)
+    root = sqrt(maximum(0.0, 1.0 / (st * st) - 1.0 / (beta * beta)))
+    center = -beta * math.cos(theta) / st
+    return center, root
+
+
 def gamma_bounds(theta: float, beta: float, tol: float = DEFAULT_TOL) -> tuple[float, float]:
     """Admissible shear interval [gamma_-, gamma_+] at stretch beta.
 
@@ -105,41 +116,47 @@ def gamma_bounds(theta: float, beta: float, tol: float = DEFAULT_TOL) -> tuple[f
     st = math.sin(theta)
     if beta < st - tol or beta > 1 + tol:
         raise DomainError(f"beta = {beta!r} outside [sin(theta), 1] = [{st!r}, 1]")
-    disc = max(0.0, 1.0 / (st * st) - 1.0 / (beta * beta))
-    root = math.sqrt(disc)
-    center = -beta * math.cos(theta) / st
+    center, root = _window(theta, beta)
     return (center - root, center + root)
+
+
+def shear_interval(theta: float, beta: float, tol: float = DEFAULT_TOL) -> tuple[float, float]:
+    """Shears [lo, hi] in the region of theta at stretch beta, widened by tol.
+
+    Empty (lo > hi) when beta lies outside [sin(theta), 1] up to tol.
+    """
+    if beta <= 0.0 or beta < math.sin(theta) - tol or beta > 1.0 + tol:
+        return math.inf, -math.inf
+    center, root = _window(theta, beta)
+    return center - root - tol, center + root + tol
 
 
 def in_lambda(theta: float, beta: float, gamma: float, tol: float = DEFAULT_TOL) -> bool:
     """Membership of (beta, gamma) in the shear-frame region of theta."""
     if not 0.0 < theta < math.pi:
         raise DomainError(f"theta = {theta!r} outside (0, pi)")
-    st = math.sin(theta)
-    if beta <= 0.0 or beta < st - tol or beta > 1.0 + tol:
-        return False
-    disc = max(0.0, 1.0 / (st * st) - 1.0 / (beta * beta))
-    root = math.sqrt(disc)
-    center = -beta * math.cos(theta) / st
-    return center - root - tol <= gamma <= center + root + tol
+    lo, hi = shear_interval(theta, beta, tol)
+    return lo <= gamma <= hi
 
 
 @dataclass(frozen=True, slots=True)
 class TaylorBound:
-    """The at-most-three orientations that determine the Taylor bound."""
+    """The at-most-three orientations that determine the Taylor bound, 0 first."""
 
     kind: str
     angles: tuple[float, ...]
 
     def member(self, F: Mat2, tol: float = DEFAULT_TOL) -> bool:
-        if any(a == HALF_PI for a in self.angles):
-            # an orientation orthogonal to 0 pins the bound to rotations
-            return is_SO2(F, tol)
         frame = decompose(F, E1, tol)
+        if _trivial(self.angles, tol):  # rotations only, as in taylor_member_batch
+            return abs(frame.beta - 1.0) <= tol and abs(frame.gamma) <= tol
         if frame.beta > 1.0 + tol:
             return False
-        return all(in_lambda(a, frame.beta, frame.gamma, tol)
-                   for a in self.angles if a > 0.0)
+        for a in self.angles[1:]:
+            lo, hi = shear_interval(a, frame.beta, tol)
+            if not lo <= frame.gamma <= hi:
+                return False
+        return True
 
 
 def reduce_angles(angles: AngleSet) -> TaylorBound:
@@ -179,37 +196,48 @@ def taylor_member_batch(F: np.ndarray, angles: AngleSet, tol: float = DEFAULT_TO
     import numpy as np  # only the batch path needs numpy; scalar callers skip it
     F = np.asarray(F, dtype=float)
     dets = F[:, 0, 0] * F[:, 1, 1] - F[:, 0, 1] * F[:, 1, 0]
-    if np.any(np.abs(dets - 1.0) > tol):
+    if not np.all(det_is_one(dets, tol)):
         raise NotSL2("batch contains matrices with det != 1")
     beta = np.hypot(F[:, 0, 0], F[:, 1, 0])
     gamma = (F[:, 0, 1] * F[:, 0, 0] + F[:, 1, 1] * F[:, 1, 0]) / beta
     bound = reduce_angles(angles)
-    if any(a == HALF_PI for a in bound.angles):
+    if _trivial(bound.angles, tol):
         return (np.abs(beta - 1.0) <= tol) & (np.abs(gamma) <= tol)
     ok = beta <= 1.0 + tol
-    for a in bound.angles:
-        if a == 0.0:
-            continue
-        st = math.sin(a)
+    for a in bound.angles[1:]:
         with np.errstate(divide="ignore"):
-            disc = np.clip(1.0 / (st * st) - 1.0 / (beta * beta), 0.0, None)
-        root = np.sqrt(disc)
-        center = -beta * math.cos(a) / st
-        ok &= (beta >= st - tol) & (gamma >= center - root - tol) & (gamma <= center + root + tol)
+            center, root = _window(a, beta, np.sqrt, np.maximum)
+        ok &= ((beta >= math.sin(a) - tol) & (gamma >= center - root - tol)
+               & (gamma <= center + root + tol))
     return ok
 
 
-def is_trivial(angles: AngleSet) -> bool:
+def _straddles(a, b, tol):
+    """Consecutive angles a <= b straddle pi/2 at most pi/2 apart, each within tol."""
+    return (a <= HALF_PI + tol) & (b >= HALF_PI - tol) & (b - a <= HALF_PI + tol)
+
+
+def _trivial(thetas, tol: float) -> bool:
+    """Some consecutive pair of the sorted angles straddles pi/2 (``_straddles``).
+
+    Bisection skips the pairs below pi/2 - tol; the scan stops once the
+    lower angle passes pi/2 + tol, where no later pair can straddle.
+    """
+    j = max(1, bisect_left(thetas, HALF_PI - tol))
+    while j < len(thetas) and thetas[j - 1] <= HALF_PI + tol:
+        if _straddles(thetas[j - 1], thetas[j], tol):
+            return True
+        j += 1
+    return False
+
+
+def is_trivial(angles: AngleSet, tol: float = DEFAULT_TOL) -> bool:
     """True iff the Taylor bound of the texture is exactly the rotations.
 
     Holds iff some consecutive pair of angles straddles pi/2 while being
-    at most pi/2 apart.
+    at most pi/2 apart, each comparison within tol.
     """
-    thetas = angles.thetas
-    for a, b in zip(thetas, thetas[1:]):
-        if a <= HALF_PI <= b and b - a <= HALF_PI:
-            return True
-    return False
+    return _trivial(angles.thetas, tol)
 
 
 def taylor_M_member(F: Mat2, angles: AngleSet, tol: float = DEFAULT_TOL) -> bool:

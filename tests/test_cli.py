@@ -217,3 +217,45 @@ def test_invalid_argument_is_parse_error(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("parse error: ")
     assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["laminate", "--matrix", "nan,0,0,1", "--slip", "1,0", "--slip2", "1,1"],
+    ["member", "--angles", "nan", "--matrix", "1,0,0,1"],
+    ["member", "--angles", "0,1", "--matrix", "1,inf,0,1"],
+    ["compat", "--matrix", "1,0,0,1", "--slip", "1,0", "--normal", "inf,1"],
+    ["lambda-plot", "--thetas", "0.5,nan"],
+    ["taylor", "--angles", "0,1", "--tol", "nan"],
+    ["taylor", "--angles", "0,1", "--tol", "inf"],
+    ["member", "--angles", "0,1", "--matrix", "1,0,0,1", "--tol", "-1"],
+])
+def test_non_finite_input_is_parse_error(capsys, argv):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: ")
+
+
+def test_nan_determinant_is_domain_error(capsys):
+    # finite entries whose determinant overflows to inf - inf = nan
+    argv = ["laminate", "--matrix", "1e200,1e200,1e200,1e200", "--slip", "1,0", "--slip2", "1,1"]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: det F = nan, expected 1\n"
+
+
+def test_taylor_triviality_uses_tol(capsys):
+    # 0.7 + pi/2 normalizes to 2e-16 past pi/2; the default tol absorbs it
+    for angles in ("0.7,2.2707963267948966", "0.3,1.8707963267948966"):
+        payload, _ = _run_json(capsys, ["taylor", "--angles", angles])
+        assert payload["trivial"] is True
+    payload, _ = _run_json(capsys, ["taylor", "--angles", "0.7,2.2707963267948966", "--tol", "0"])
+    assert payload["trivial"] is False
+
+
+def test_member_rotated_orthogonal_texture(capsys):
+    for angles in ("0.7,2.2707963267948966", "0.3,1.8707963267948966"):
+        payload, _ = _run_json(capsys, ["member", "--angles", angles,
+                                        "--matrix", "1.0000000009,3e-5,0,0.9999999991"])
+        assert payload["member"] is False

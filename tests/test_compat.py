@@ -111,6 +111,16 @@ def test_compat_requires_sl2():
         nu_compatible(Mat2(2, 0, 0, 1), E1, E2)
 
 
+@pytest.mark.parametrize("entries", [(float("nan"), 0.0, 0.0, 1.0),
+                                     (1e200, 1e200, 1e200, 1e200)])
+def test_nan_determinant_rejected(entries):
+    F = Mat2(*entries)
+    for call in (lambda: nu_compatible(F, E1, E2), lambda: find_connection(F, E1, E2),
+                 lambda: laminate_split(F, E1, E2)):
+        with pytest.raises(NotSL2):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # laminate splitting
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from polyslip.errors import DegenerateBeta, NotSL2
-from polyslip.mat2 import E1, Mat2, ShearFrame, Vec2, decompose, det, is_SO2, rotation
+from polyslip.mat2 import (E1, Mat2, ShearFrame, Vec2, decompose, det, det_is_one, is_SO2,
+                           is_sl2, require_sl2, rotation)
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -113,3 +114,25 @@ def test_matmul_and_outer():
     assert Mat2.outer(a, b) @ b == a * b.norm2()
     R = rotation(0.4)
     assert (R @ R.transpose() - Mat2.identity()).max_abs() < 1e-15
+
+
+def test_sl2_check_rejects_nan_determinant():
+    nan = float("nan")
+    F = Mat2(nan, 0.0, 0.0, 1.0)
+    assert not is_sl2(F)
+    assert not is_SO2(F)
+    with pytest.raises(NotSL2):
+        require_sl2(F)
+    with pytest.raises(NotSL2):
+        decompose(F, E1)
+    # finite entries whose determinant is inf - inf
+    with pytest.raises(NotSL2):
+        require_sl2(Mat2(1e200, 1e200, 1e200, 1e200))
+    assert det_is_one(np.array([1.0, nan, 1.0 + 1e-12])).tolist() == [True, False, True]
+
+
+def test_sl2_check_exact_for_fractions():
+    third = Fraction(1, 3)
+    assert is_sl2(Mat2(3 * third, third, 0, 1), tol=0)
+    assert not is_sl2(Mat2(1 + Fraction(1, 10**30), 0, 0, 1), tol=0)
+    require_sl2(Mat2(Fraction(2), Fraction(0), Fraction(0), Fraction(1, 2)), tol=0)

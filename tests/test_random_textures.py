@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,28 @@ def test_vectorized_triviality_matches_scalar():
         rows = _trivial_rows(thetas)
         for row, got in zip(thetas, rows):
             assert got == is_trivial(normalize([0.0] + list(row)))
+
+
+@pytest.mark.parametrize("k, n, seed, estimate, std_error", [
+    (3, 200_000, 0, 0.50142, 0.0011180294799333333),
+    (2, 300_001, 4, 0.24875250415831948, 0.0007892487417785522),
+])
+def test_estimate_pinned(k, n, seed, estimate, std_error):
+    # values of the single-draw implementation; drawing in blocks of rows
+    # must reproduce them bit for bit
+    res = estimate_trivial_probability(McConfig(k=k, n_samples=n, seed=seed))
+    assert (res.estimate, res.std_error) == (estimate, std_error)
+
+
+def test_estimate_memory_bounded():
+    # 2e6 angles: 16 MB per array if drawn at once
+    tracemalloc.start()
+    try:
+        estimate_trivial_probability(McConfig(k=500, n_samples=4000, seed=3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_estimate_deterministic():

@@ -282,6 +282,63 @@ def test_triviality_iff_only_rotations():
     assert found_trivial > 50 and found_open > 50
 
 
+def test_normalize_leaves_roundoff_on_rotated_orthogonal_pair():
+    # the shift is subtracted in floating point, so a rotated orthogonal
+    # pair need not come back as exactly pi/2
+    assert 0.7 + PI / 2 == 2.2707963267948966
+    assert normalize([0.7, 0.7 + PI / 2]).thetas == (0.0, 1.5707963267948968)
+    assert normalize([0.3, 0.3 + PI / 2]).thetas == (0.0, PI / 2)
+
+
+@pytest.mark.parametrize("shift", [0.3, 0.7])
+def test_rotated_orthogonal_pair_is_trivial_within_tol(shift):
+    aset = normalize([shift, shift + PI / 2])
+    assert is_trivial(aset)
+    assert reduce_angles(aset).angles == aset.thetas
+
+
+def test_triviality_tol_zero_is_exact():
+    aset = normalize([0.7, 0.7 + PI / 2])
+    assert not is_trivial(aset, tol=0.0)
+    assert is_trivial(aset, tol=1e-15)
+    assert is_trivial(normalize([0.0, PI / 2]), tol=0.0)
+
+
+# a shear of 3e-5 at unit stretch: not a rotation, but inside the region
+# of an angle 2e-16 past pi/2 once the tolerance widens it
+NEAR_ROTATION = Mat2(1.0000000009, 3e-5, 0.0, 0.9999999991)
+
+
+@pytest.mark.parametrize("shift", [0.3, 0.7])
+def test_rotated_orthogonal_pair_pins_to_rotations(shift):
+    aset = normalize([shift, shift + PI / 2])
+    assert not taylor_member(NEAR_ROTATION, aset)
+    assert taylor_member(rotation(0.2), aset)
+
+
+@pytest.mark.parametrize("shift", [0.3, 0.7])
+def test_rotated_orthogonal_pair_pins_to_rotations_batch(shift):
+    aset = normalize([shift, shift + PI / 2])
+    R = rotation(0.2)
+    F = np.array([[[1.0000000009, 3e-5], [0.0, 0.9999999991]],
+                  [[R.a11, R.a12], [R.a21, R.a22]]])
+    assert taylor_member_batch(F, aset).tolist() == [False, True]
+
+
+def test_trivial_texture_scalar_matches_batch_at_tol_edge():
+    # a stretch within tol of 1: both paths take the same rotations-only
+    # test, whichever pair makes the texture trivial
+    b = 1.0 + 0.9e-9
+    for aset in (normalize([0.0, 1.2, 2.0]), normalize([0.0, PI / 2])):
+        assert taylor_member(Mat2(b, 0.0, 0.0, 1.0 / b), aset)
+        assert taylor_member_batch(np.array([[[b, 0.0], [0.0, 1.0 / b]]]), aset).all()
+
+
+def test_trivial_texture_requires_sl2():
+    with pytest.raises(NotSL2):
+        taylor_member(Mat2(2, 0, 0, 1), normalize([0.0, PI / 2]))
+
+
 # ---------------------------------------------------------------------------
 # structural properties
 # ---------------------------------------------------------------------------
