@@ -45,10 +45,14 @@ def _parse_unit(text: str) -> Vec2:
     vals = _parse_floats(text)
     if len(vals) != 2:
         raise ValueError("vector needs 2 comma-separated entries")
-    try:
-        return Vec2(*vals).unit()
-    except ZeroDivisionError:
-        raise ValueError(f"vector {text!r} has zero length") from None
+    v = Vec2(*vals)
+    if not sys.float_info.min <= v.norm2() < math.inf:
+        # the squared norm under- or overflows: rescale by the largest entry first
+        m = max(map(abs, vals))
+        if m == 0.0:
+            raise ValueError(f"vector {text!r} has zero length")
+        v = Vec2(vals[0] / m, vals[1] / m)
+    return v.unit()
 
 
 def _parse_gamma(text: str):
@@ -69,12 +73,12 @@ def _angles_arg(text: str, degrees: bool) -> list[float]:
 
 
 def emit_lambda_plot(thetas, grid: int):
-    """Raster the shear-frame regions and trace their boundary curves.
+    """Draw the shear-frame regions and list their boundary curves.
 
-    Returns ``(svg_text, csv_text, summary)``.  The raster walks a
-    (beta, gamma) grid and fills every cell whose center lies in the
-    region of some angle; the CSV lists the exact boundary curves with
-    columns ``theta,beta,gamma_minus,gamma_plus``.
+    Returns ``(svg_text, csv_text, summary)``.  Each angle's region is one
+    filled polygon whose vertices are the CSV rows of its exact boundary
+    curves (columns ``theta,beta,gamma_minus,gamma_plus``); ``cells_filled``
+    counts the cells of a grid x grid raster whose centers lie in it.
     """
     for t in thetas:
         if not 0.0 < t < math.pi:
@@ -95,21 +99,18 @@ def emit_lambda_plot(thetas, grid: int):
     # the contiguous run that bisection finds inside the row's interval
     gammas = [-gmax + (j + 0.5) * dg for j in range(grid)]
     for k, theta in enumerate(thetas):
-        color = _PALETTE[k % len(_PALETTE)]
         count = 0
         for i in range(grid):
             lo, hi = shear_interval(theta, bmin + (i + 0.5) * db)
-            run = range(bisect_left(gammas, lo), bisect_right(gammas, hi))
-            for j in run:
-                canvas.rect(-gmax + j * dg, bmin + i * db, dg, db,
-                            fill=color, opacity=0.45)
-            count += len(run)
+            count += max(0, bisect_right(gammas, hi) - bisect_left(gammas, lo))
         filled.append(count)
         st = math.sin(theta)
-        for i in range(grid + 1):
-            beta = st + (1.0 - st) * i / grid
-            lo, hi = gamma_bounds(theta, min(beta, 1.0))
-            csv_lines.append(f"{theta!r},{beta!r},{lo!r},{hi!r}")
+        betas = [st + (1.0 - st) * i / grid for i in range(grid + 1)]
+        rows = [(b, *gamma_bounds(theta, min(b, 1.0))) for b in betas]
+        csv_lines += [f"{theta!r},{b!r},{lo!r},{hi!r}" for b, lo, hi in rows]
+        # up the gamma_- curve, back down the gamma_+ curve
+        canvas.polygon([(lo, b) for b, lo, _ in rows] + [(hi, b) for b, _, hi in rows[::-1]],
+                       fill=_PALETTE[k % len(_PALETTE)], stroke="none", opacity=0.45)
     canvas.polyline([(-gmax, 0), (gmax, 0)], stroke="#888888", stroke_width=0.004)
     canvas.polyline([(0, bmin), (0, bmax)], stroke="#888888", stroke_width=0.004)
     summary = {"thetas": list(thetas), "grid": grid, "cells_filled": filled}
@@ -168,6 +169,10 @@ def _cmd_laminate(args) -> dict:
 def _cmd_outer(args) -> dict:
     from . import geometry  # geometry and random_textures load numpy: import on use
 
+    if not 0.0 <= args.angular_tol < math.inf:
+        raise ValueError(f"--angular-tol must be finite and >= 0, got {args.angular_tol!r}")
+    if args.samples < 1:
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
     pc = geometry.load_polycrystal(args.polycrystal)
     analysis = geometry.analyze_boundary(pc, args.angular_tol)
     bound = geometry.outer_bound_perp(pc, args.angular_tol, analysis=analysis)
@@ -290,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg", help="write reference/deformed figure")
     p.add_argument("--mesh", help="write mesh JSON")
 
-    p = command("lambda-plot", _cmd_lambda_plot, "raster the shear-frame regions")
+    p = command("lambda-plot", _cmd_lambda_plot,
+                "draw the shear-frame regions, one filled polygon per angle")
     p.add_argument("--thetas", required=True, help="comma-separated angles in (0, pi)")
     p.add_argument("--grid", type=int, default=200)
     p.add_argument("--svg", help="output SVG path")

@@ -77,18 +77,14 @@ def find_connection(F: Mat2, s: Vec2, nu: Vec2, tol: float = DEFAULT_TOL):
     (exact membership, not just the relaxed set) whenever s.nu != 0, or
     ``None`` exactly when ``nu_compatible`` is False.
     """
-    require_sl2(F, tol)
-    sn = s.dot(nu)
-    perpendicular = abs(sn) <= tol
-    if perpendicular and not in_N(F, s, tol):
+    if not nu_compatible(F, s, nu, tol):
         return None
-    if perpendicular or in_M(F, s, tol):
+    sn = s.dot(nu)
+    if abs(sn) <= tol or in_M(F, s, tol):
         return RankOneConnection(a=Vec2(0.0, 0.0), nu=nu, target=F)
     frame = decompose(F, s, tol)
     c = s.dot(nu.perp()) / sn
     beta, gamma = frame.beta, frame.gamma
-    if not _compatible(c, beta, gamma, tol):
-        return None
     # Solve xi . n = 1 on the unit circle, n the interface image of F in
     # the (s, perp(s)) frame; |n| >= 1 guarantees a solution.
     n = s * (c * beta + gamma) + s.perp() * (1.0 / beta)

@@ -584,14 +584,40 @@ def _curve_to_dict(c: Curve) -> dict:
             "ccw": bool(c.ccw)}
 
 
-def _curve_from_dict(d: dict) -> Curve:
-    kind = d["kind"]
+def _number(v, what: str) -> float:
+    try:
+        ok = isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:  # an integer too large for a float
+        ok = False
+    if not ok:
+        raise InvalidPolycrystal(f"{what} must be a finite number")
+    return float(v)
+
+
+def _expect(v, kind: type, what: str):
+    if not isinstance(v, kind):
+        raise InvalidPolycrystal(f"{what} must be {'an object' if kind is dict else 'a list'}")
+    return v
+
+
+def _point(v, what: str) -> Vec2:
+    if len(_expect(v, list, what)) != 2:
+        raise InvalidPolycrystal(f"{what} must hold 2 numbers")
+    return Vec2(_number(v[0], what), _number(v[1], what))
+
+
+def _curve_from_dict(d, what: str) -> Curve:
+    kind = _expect(d, dict, what).get("kind")
     if kind == "segment":
-        return Segment(Vec2(*map(float, d["p"])), Vec2(*map(float, d["q"])))
+        return Segment(_point(d.get("p"), f"{what}.p"), _point(d.get("q"), f"{what}.q"))
     if kind == "arc":
-        return Arc(Vec2(*map(float, d["center"])), float(d["radius"]),
-                   float(d["from_angle"]), float(d["to_angle"]), bool(d.get("ccw", True)))
-    raise ValueError(f"unknown curve kind {kind!r}")
+        ccw = d.get("ccw", True)
+        if not isinstance(ccw, bool):
+            raise InvalidPolycrystal(f"{what}.ccw must be true or false")
+        radius, a0, a1 = (_number(d.get(k), f"{what}.{k}")
+                          for k in ("radius", "from_angle", "to_angle"))
+        return Arc(_point(d.get("center"), f"{what}.center"), radius, a0, a1, ccw)
+    raise InvalidPolycrystal(f"{what}: unknown curve kind {kind!r}")
 
 
 def polycrystal_to_dict(pc: Polycrystal) -> dict:
@@ -602,19 +628,34 @@ def polycrystal_to_dict(pc: Polycrystal) -> dict:
     }
 
 
-def polycrystal_from_dict(d: dict) -> Polycrystal:
+def _grain_from_dict(g, what: str) -> Grain:
+    gid = _number(_expect(g, dict, what).get("id"), f"{what}.id")
+    if not gid.is_integer():
+        raise InvalidPolycrystal(f"{what}.id must be an integer")
+    boundary = _expect(g.get("boundary"), list, f"{what}.boundary")
+    return Grain(id=int(gid),
+                 boundary=tuple(_curve_from_dict(c, f"{what}.boundary[{j}]")
+                                for j, c in enumerate(boundary)),
+                 theta=_number(g.get("theta"), f"{what}.theta"))
+
+
+def polycrystal_from_dict(d) -> Polycrystal:
+    """Inverse of ``polycrystal_to_dict``; a malformed structure raises ``InvalidPolycrystal``."""
+    d = _expect(d, dict, "polycrystal")
+    domain = _expect(d.get("domain"), list, "domain")
+    grains = _expect(d.get("grains"), list, "grains")
     return Polycrystal(
-        domain=tuple(_curve_from_dict(c) for c in d["domain"]),
-        grains=tuple(Grain(id=int(g["id"]),
-                           boundary=tuple(_curve_from_dict(c) for c in g["boundary"]),
-                           theta=float(g["theta"]))
-                     for g in d["grains"]),
-    )
+        domain=tuple(_curve_from_dict(c, f"domain[{j}]") for j, c in enumerate(domain)),
+        grains=tuple(_grain_from_dict(g, f"grains[{i}]") for i, g in enumerate(grains)))
 
 
 def load_polycrystal(path) -> Polycrystal:
     with open(path, "r", encoding="utf-8") as fh:
-        return polycrystal_from_dict(json.load(fh))
+        try:
+            d = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+    return polycrystal_from_dict(d)
 
 
 # ---------------------------------------------------------------------------
@@ -716,19 +757,22 @@ def sheared_square_polycrystal() -> Polycrystal:
 
 def random_chord_disk(rng: np.random.Generator, n_grains: int,
                       min_gap: float = 0.2, min_angle_gap: float = 0.05) -> Polycrystal:
-    """Random chord-sliced disk with adjacent-distinct textures."""
-    if not 2 <= n_grains <= 8:
-        raise InvalidPolycrystal("n_grains must be between 2 and 8")
-    while True:
-        hs = np.sort(rng.uniform(-0.8, 0.8, size=n_grains - 1))
-        if n_grains == 2 or np.min(np.diff(hs)) > min_gap:
-            break
+    """Random chord-sliced disk with adjacent-distinct textures, drawn directly.
+
+    Chord heights are uniform on the increasing sequences in (-0.8, 0.8)
+    spaced at least ``min_gap`` apart; the first texture is uniform on
+    [0, pi), each next one on the angles more than ``min_angle_gap`` from it
+    mod pi.  Needs n_grains >= 2, min_gap >= 0 with (n_grains - 2) * min_gap
+    < 1.6, and 0 <= min_angle_gap < pi/2; raises ``InvalidPolycrystal`` otherwise.
+    """
+    if n_grains < 2 or not (min_gap >= 0.0 and (n_grains - 2) * min_gap < 1.6):
+        raise InvalidPolycrystal(f"{n_grains} grains with chord gap {min_gap!r} do not fit")
+    if not 0.0 <= min_angle_gap < math.pi / 2:
+        raise InvalidPolycrystal(f"min_angle_gap {min_angle_gap!r} outside [0, pi/2)")
+    u = rng.uniform(-0.8, 0.8 - (n_grains - 2) * min_gap, size=n_grains - 1)
+    hs = np.sort(u) + min_gap * np.arange(n_grains - 1)
     thetas = [float(rng.uniform(0.0, math.pi))]
     for _ in range(n_grains - 1):
-        while True:
-            t = float(rng.uniform(0.0, math.pi))
-            d = abs(t - thetas[-1])
-            if min(d, math.pi - d) > min_angle_gap:
-                thetas.append(t)
-                break
+        step = float(rng.uniform(min_angle_gap, math.pi - min_angle_gap))
+        thetas.append(math.fmod(thetas[-1] + step, math.pi))  # exact and < pi: both terms >= 0
     return chord_disk([float(h) for h in hs], thetas)

@@ -35,12 +35,6 @@ class SvgCanvas:
             f'<polyline points="{pts}" fill="none" stroke="{stroke}" '
             f'stroke-width="{_fmt(stroke_width)}"/>')
 
-    def rect(self, x: float, y: float, w: float, h: float, fill: str,
-             opacity: float = 1.0) -> None:
-        self._body.append(
-            f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" height="{_fmt(h)}" '
-            f'fill="{fill}" fill-opacity="{_fmt(opacity)}" stroke="none"/>')
-
     def render(self) -> str:
         vb = (f"{_fmt(self.xmin)} {_fmt(-self.ymax)} "
               f"{_fmt(self.xmax - self.xmin)} {_fmt(self.ymax - self.ymin)}")

@@ -3,9 +3,10 @@ import math
 
 import pytest
 
-from polyslip.cli import emit_lambda_plot, run
+from polyslip.cli import _parse_unit, emit_lambda_plot, run
 from polyslip.errors import DomainError
 from polyslip.geometry import polycrystal_to_dict, quadrant_disk, sheared_square_polycrystal
+from polyslip.mat2 import Vec2
 
 PI = math.pi
 
@@ -187,6 +188,13 @@ def test_exit_code_bad_json(capsys, tmp_path):
     assert run(["outer", "--polycrystal", str(bad)]) == 2
 
 
+def test_exit_code_json_nested_too_deeply(capsys, tmp_path):
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 100000 + "]" * 100000)
+    assert run(["outer", "--polycrystal", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("parse error: ")
+
+
 def test_exit_code_invalid_polycrystal(capsys, tmp_path):
     # well-formed JSON describing a structurally invalid polycrystal is a
     # domain error, not a parse error
@@ -259,3 +267,100 @@ def test_member_rotated_orthogonal_texture(capsys):
         payload, _ = _run_json(capsys, ["member", "--angles", angles,
                                         "--matrix", "1.0000000009,3e-5,0,0.9999999991"])
         assert payload["member"] is False
+
+
+def test_compat_connection_only_when_compatible(capsys):
+    # |F e1| = 1 within tol (so F is in M), yet the inequality fails at tol
+    payload, _ = _run_json(capsys, ["compat", "--matrix", "1.0000000009,0,0,0.9999999991",
+                                    "--slip", "1,0", "--normal", "1,0"])
+    assert payload == {"compatible": False, "connection": None}
+
+
+@pytest.mark.parametrize("scaled, plain", [
+    ("1e200,1e200", "1,1"),
+    ("-1.7e308,1.7e308", "-1,1"),
+    ("1e-200,0", "1,0"),
+    ("0,-5e-324", "0,-1"),
+    ("3e-170,-3e-170", "1,-1"),
+])
+def test_unit_vectors_rescale_instead_of_overflowing(capsys, scaled, plain):
+    base = ["compat", "--matrix", "0.8,0.3,-0.2,1.175"]
+    for option, other in (("--slip", "--normal=0,1"), ("--normal", "--slip=0.6,0.8")):
+        _, out_scaled = _run_json(capsys, base + [f"{option}={scaled}", other])
+        _, out_plain = _run_json(capsys, base + [f"{option}={plain}", other])
+        assert out_scaled == out_plain
+
+
+def test_unit_vectors_keep_their_bits():
+    for x, y in ((0.6, 0.8), (1.0, 3.0), (-2.5e100, 1e99), (1e-100, -7e-101)):
+        assert _parse_unit(f"{x!r},{y!r}") == Vec2(x, y).unit()
+
+
+@pytest.mark.parametrize("option", [
+    "--angular-tol=nan", "--angular-tol=inf", "--angular-tol=-1e-6",
+    "--samples=0", "--samples=-5",
+])
+def test_outer_option_range_is_parse_error(capsys, tmp_path, option):
+    path = tmp_path / "quadrant.json"
+    path.write_text(json.dumps(polycrystal_to_dict(quadrant_disk())))
+    assert run(["outer", "--polycrystal", str(path), "--matrix", "1,0,0,1", option]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: ")
+    assert len(captured.err.splitlines()) == 1
+
+
+def _quadrant_with(edit):
+    d = polycrystal_to_dict(quadrant_disk())
+    edit(d)
+    return d
+
+
+def _curve(g, i, **changes):
+    return lambda d: d["grains"][g]["boundary"][i].update(changes)
+
+
+@pytest.mark.parametrize("content", [
+    [],
+    "disk",
+    {"grains": []},
+    {"domain": {}, "grains": []},
+    _quadrant_with(_curve(0, 0, p=5)),
+    _quadrant_with(_curve(0, 0, q=[1, 2, 3])),
+    _quadrant_with(_curve(0, 0, kind="spline")),
+    _quadrant_with(_curve(0, 1, radius="1")),
+    _quadrant_with(lambda d: d["grains"][0]["boundary"][1].pop("to_angle")),
+    _quadrant_with(lambda d: d["domain"][0].update(ccw="yes")),
+    _quadrant_with(lambda d: d["domain"][0].update(radius=10**400)),
+    _quadrant_with(lambda d: d["grains"][1].update(id="2")),
+    _quadrant_with(lambda d: d["grains"][1].update(id=2.5)),
+    _quadrant_with(lambda d: d["grains"][1].update(theta=None)),
+    _quadrant_with(lambda d: d["grains"][1].update(theta=True)),
+    _quadrant_with(lambda d: d["grains"][1].update(boundary={})),
+    _quadrant_with(lambda d: d["grains"].__setitem__(2, [1])),
+], ids=["top-list", "top-string", "no-domain", "domain-object", "p-number", "q-three",
+        "kind-unknown", "radius-string", "to_angle-missing", "ccw-string", "radius-huge-int",
+        "id-string", "id-fraction", "theta-null", "theta-bool", "boundary-object",
+        "grain-list"])
+def test_malformed_polycrystal_is_domain_error(capsys, tmp_path, content):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(content))
+    assert run(["outer", "--polycrystal", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_lambda_plot_draws_one_polygon_per_angle():
+    svg, csv, summary = emit_lambda_plot([0.6, 2.3], 400)
+    assert summary["cells_filled"] == [23268, 7794]
+    assert "<rect" not in svg
+    assert svg.count("<polygon") == 2
+    # each polygon runs up the gamma_- column of its CSV rows and back down gamma_+
+    rows = [line.split(",") for line in csv.splitlines()[1:]]
+    first = svg.split('<polygon points="')[1].split('"')[0].split()
+    own_rows = rows[:401]
+    expected = ([f"{float(r[2]):.6g},{float(r[1]):.6g}" for r in own_rows]
+                + [f"{float(r[3]):.6g},{float(r[1]):.6g}" for r in reversed(own_rows)])
+    assert first == expected

@@ -4,7 +4,10 @@
 exact stdout and the sha256 of every file the command writes, together
 with the polycrystal inputs the ``outer`` cases read.  It was recorded
 before the closed forms were merged into one kernel each, so any change
-in these bytes is a behaviour change, not a refactor.
+in these bytes is a behaviour change, not a refactor.  The two
+lambda-plot SVG digests (``r.svg``, ``d.svg``) were re-recorded when the
+regions changed from one rectangle per raster cell to one polygon per
+angle; the CSV digests and stdout of those cases did not change.
 """
 
 import hashlib

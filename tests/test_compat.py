@@ -51,6 +51,20 @@ def test_connection_large_shear():
     assert ((conn.target - F) @ NU45.perp()).norm() < 1e-9
 
 
+def test_connection_exists_exactly_when_compatible_at_tol_edge():
+    # |F e1| = 1 within tol puts F in M, but the inequality fails at tol
+    F = Mat2(1.0000000009, 0.0, 0.0, 0.9999999991)
+    assert in_M(F, E1, 1e-9)
+    assert not nu_compatible(F, E1, E1)
+    assert find_connection(F, E1, E1) is None
+    rng = np.random.default_rng(32)
+    for _ in range(500):
+        eps = float(rng.uniform(-3e-9, 3e-9))
+        G = Mat2(1.0 + eps, float(rng.uniform(-2e-9, 2e-9)), 0.0, 1.0 / (1.0 + eps))
+        for nu in (E1, E2, NU45, rand_unit(rng)):
+            assert (find_connection(G, E1, nu) is None) == (not nu_compatible(G, E1, nu))
+
+
 def test_connection_postconditions_random():
     rng = np.random.default_rng(31)
     produced = 0

@@ -12,7 +12,7 @@ from polyslip.geometry import (Arc, Grain, Polycrystal, Segment,
                                compatible_with_normals, curve_overlap_length,
                                equal_perp_full, halfdisk_bicrystal,
                                outer_bound_full_member, outer_bound_perp,
-                               polycrystal_to_dict,
+                               polycrystal_from_dict, polycrystal_to_dict,
                                quadrant_disk, random_chord_disk,
                                sheared_square_polycrystal)
 from polyslip.mat2 import E1, E2, Mat2, Vec2, is_SO2, rotation
@@ -326,3 +326,66 @@ def test_random_generator_produces_valid_polycrystals():
     for _ in range(30):
         pc = random_chord_disk(rng, int(rng.integers(2, 6)))
         assert abs(sum(g.area() for g in pc.grains) - PI) < 1e-6 * PI
+
+
+def test_polycrystal_from_dict_rejects_what_the_schema_rejects():
+    # the schema cases above, checked without jsonschema
+    for bad in (
+        {"domain": [], "grains": []},
+        {"domain": [{"kind": "arc", "center": [0, 0], "radius": -1.0,
+                     "from_angle": 0.0, "to_angle": 6.28}],
+         "grains": [{"id": 1, "boundary": [], "theta": 0.0}]},
+        {"domain": [{"kind": "segment", "p": [0, 0]}],
+         "grains": [{"id": 1, "boundary": [], "theta": 0.0}]},
+        [],
+        {"domain": [{"kind": "segment", "p": 5, "q": [1, 0]}], "grains": []},
+    ):
+        with pytest.raises(InvalidPolycrystal):
+            polycrystal_from_dict(bad)
+
+
+class _CountingRng:
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def uniform(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.uniform(*args, **kwargs)
+
+
+def _chord_heights(pc):
+    return sorted({float(c.p.y) for g in pc.grains for c in g.boundary if isinstance(c, Segment)})
+
+
+@pytest.mark.parametrize("min_gap, min_angle_gap, n_max", [
+    (0.2, 0.05, 9), (0.3, 1.5, 7), (0.1, 0.0, 17), (0.55, 0.5, 4),
+])
+def test_random_chord_disk_meets_its_gaps(min_gap, min_angle_gap, n_max):
+    for seed in range(200):
+        for n in range(2, n_max + 1):
+            rng = _CountingRng(seed)
+            pc = random_chord_disk(rng, n, min_gap=min_gap, min_angle_gap=min_angle_gap)
+            assert rng.calls == 1 + n  # one call for the heights, one per texture
+            hs = _chord_heights(pc)
+            assert len(hs) == n - 1
+            assert -0.8 < hs[0] and hs[-1] < 0.8
+            assert all(b - a >= min_gap for a, b in zip(hs, hs[1:]))
+            thetas = pc.texture_angles()
+            assert all(0.0 <= t < PI for t in thetas)
+            for a, b in zip(thetas, thetas[1:]):
+                d = abs(a - b)
+                assert min(d, PI - d) > min_angle_gap
+    # one more grain does not fit
+    with pytest.raises(InvalidPolycrystal):
+        random_chord_disk(np.random.default_rng(0), n_max + 1, min_gap, min_angle_gap)
+
+
+@pytest.mark.parametrize("n, kwargs", [
+    (1, {}), (0, {}), (10, {}), (8, {"min_gap": 0.3}), (3, {"min_gap": -0.1}),
+    (3, {"min_gap": math.nan}), (3, {"min_angle_gap": 1.6}), (3, {"min_angle_gap": PI / 2}),
+    (3, {"min_angle_gap": -0.01}), (3, {"min_angle_gap": math.nan}),
+])
+def test_random_chord_disk_rejects_infeasible_gaps(n, kwargs):
+    with pytest.raises(InvalidPolycrystal):
+        random_chord_disk(np.random.default_rng(0), n, **kwargs)
