@@ -26,6 +26,11 @@ from .taylor import (gamma_bounds, is_trivial, normalize, reduce_angles, shear_i
 
 _PALETTE = ("#4477aa", "#ee6677", "#228833", "#ccbb44", "#66ccee", "#aa3377")
 
+# Largest accepted --samples and --grid: the work and memory grow linearly
+# in them, and a count too large for a float would overflow mid-run.
+_MAX_SAMPLES = 10 ** 6
+_MAX_GRID = 10 ** 4
+
 
 def _parse_floats(text: str) -> list[float]:
     vals = [float(tok) for tok in text.split(",") if tok.strip() != ""]
@@ -171,8 +176,8 @@ def _cmd_outer(args) -> dict:
 
     if not 0.0 <= args.angular_tol < math.inf:
         raise ValueError(f"--angular-tol must be finite and >= 0, got {args.angular_tol!r}")
-    if args.samples < 1:
-        raise ValueError(f"--samples must be >= 1, got {args.samples}")
+    if not 1 <= args.samples <= _MAX_SAMPLES:
+        raise ValueError(f"--samples must be in [1, {_MAX_SAMPLES}], got {args.samples}")
     pc = geometry.load_polycrystal(args.polycrystal)
     analysis = geometry.analyze_boundary(pc, args.angular_tol)
     bound = geometry.outer_bound_perp(pc, args.angular_tol, analysis=analysis)
@@ -231,8 +236,8 @@ def _cmd_shear(args) -> dict:
 
 
 def _cmd_lambda_plot(args) -> dict:
-    if args.grid < 1:
-        raise ValueError(f"--grid must be >= 1, got {args.grid}")
+    if not 1 <= args.grid <= _MAX_GRID:
+        raise ValueError(f"--grid must be in [1, {_MAX_GRID}], got {args.grid}")
     thetas = _angles_arg(args.thetas, args.degrees)
     svg_text, csv_text, summary = emit_lambda_plot(thetas, args.grid)
     if args.svg:

@@ -259,40 +259,43 @@ class Polycrystal:
 
     domain: tuple[Curve, ...]
     grains: tuple[Grain, ...]
+    _by_id: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_closed(list(self.domain), "domain")
         dom_area = _loop_area(list(self.domain))
+        if not math.isfinite(dom_area):
+            raise InvalidPolycrystal(f"domain area {dom_area!r} is not finite")
         if dom_area <= 0:
             raise InvalidPolycrystal("domain loop must be counterclockwise")
         if not self.grains:
             raise InvalidPolycrystal("polycrystal needs at least one grain")
-        ids = [g.id for g in self.grains]
-        if len(set(ids)) != len(ids):
+        by_id = {g.id: g for g in self.grains}
+        if len(by_id) != len(self.grains):
             raise InvalidPolycrystal("grain ids must be unique")
+        object.__setattr__(self, "_by_id", by_id)
         total = 0.0
         for g in self.grains:
             _check_closed(list(g.boundary), f"grain {g.id}")
             a = g.area()
+            if not math.isfinite(a):
+                raise InvalidPolycrystal(f"grain {g.id}: area {a!r} is not finite")
             if a <= 0:
                 raise InvalidPolycrystal(f"grain {g.id}: loop must be counterclockwise")
             if not 0.0 <= g.theta < math.pi:
                 raise InvalidPolycrystal(f"grain {g.id}: theta outside [0, pi)")
             total += a
-        if abs(total - dom_area) > 1e-6 * dom_area:
+        if not abs(total - dom_area) <= 1e-6 * dom_area:  # also when the sum overflows
             raise InvalidPolycrystal(
                 f"grain areas sum to {total!r}, domain area is {dom_area!r}")
-        for i, g in enumerate(self.grains):
-            for h in self.grains[i + 1:]:
-                if _textures_equal(g.theta, h.theta) and _grains_adjacent(g, h):
-                    raise InvalidPolycrystal(
-                        f"adjacent grains {g.id} and {h.id} share texture angle")
+        for i, j in _equal_texture_pairs(self.texture_angles()):
+            g, h = self.grains[i], self.grains[j]
+            if _grains_adjacent(g, h):
+                raise InvalidPolycrystal(
+                    f"adjacent grains {g.id} and {h.id} share texture angle")
 
     def grain_by_id(self, gid: int) -> Grain:
-        for g in self.grains:
-            if g.id == gid:
-                return g
-        raise KeyError(gid)
+        return self._by_id[gid]
 
     def texture_angles(self) -> list[float]:
         return [g.theta for g in self.grains]
@@ -309,6 +312,28 @@ class Polycrystal:
 def _textures_equal(a: float, b: float, tol: float = DEFAULT_TOL) -> bool:
     d = abs(a - b)
     return d <= tol or abs(d - math.pi) <= tol
+
+
+def _equal_texture_pairs(thetas, tol: float = DEFAULT_TOL) -> list[tuple[int, int]]:
+    """Sorted index pairs (i, j), i < j, of angles in [0, pi) that ``_textures_equal``.
+
+    In ascending order the partners of an angle are a run of its successors
+    (difference <= tol) and a run down from the largest angle (difference
+    near pi, the wrap); float subtraction is monotone, so each run ends at
+    its first miss and the cost is O(n log n + pairs).
+    """
+    order = sorted(range(len(thetas)), key=thetas.__getitem__)
+    n = len(order)
+    pairs = set()
+    for a in range(n):
+        i = order[a]
+        for run in (range(a + 1, n), range(n - 1, a, -1)):
+            for b in run:
+                j = order[b]
+                if not _textures_equal(thetas[i], thetas[j], tol):
+                    break
+                pairs.add((min(i, j), max(i, j)))
+    return sorted(pairs)
 
 
 def _grains_adjacent(g: Grain, h: Grain) -> bool:
@@ -350,6 +375,41 @@ def _near(p: Vec2, q: Vec2, tol: float = POS_TOL) -> bool:
     return (p - q).norm() <= tol
 
 
+def _cell(v) -> float:
+    # floor(v / (2 POS_TOL)); a quotient that overflows stays +-inf
+    q = float(v) / (2.0 * POS_TOL)
+    return math.floor(q) if math.isfinite(q) else q
+
+
+class _PointIndex:
+    """Tagged points bucketed by grid cells of side 2 * POS_TOL.
+
+    Two points within POS_TOL lie in the same or neighbouring cells even
+    after rounding, so ``near`` only scans the 3 x 3 cells around a point;
+    ``_near`` stays the exact test.
+    """
+
+    def __init__(self, tagged=()):
+        self._cells: dict[tuple, list] = {}
+        for p, tag in tagged:
+            self.add(p, tag)
+
+    def add(self, p: Vec2, tag=None) -> None:
+        self._cells.setdefault((_cell(p.x), _cell(p.y)), []).append((p, tag))
+
+    def near(self, p: Vec2):
+        """Tags of the indexed points within POS_TOL of p."""
+        kx, ky = _cell(p.x), _cell(p.y)
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                for q, tag in self._cells.get((kx + dx, ky + dy), ()):
+                    if _near(p, q):
+                        yield tag
+
+    def has_near(self, p: Vec2) -> bool:
+        return any(True for _ in self.near(p))
+
+
 def analyze_boundary(pc: Polycrystal, angular_tol: float = ANGULAR_TOL) -> BoundaryAnalysis:
     """Classify the domain boundary: grains, dual points, perpendicular points.
 
@@ -360,6 +420,11 @@ def analyze_boundary(pc: Polycrystal, angular_tol: float = ANGULAR_TOL) -> Bound
     collects the grains possessing one.  ``J_prime`` collects grains
     whose outer boundary normals (up to sign) cover every direction,
     tested by interval arithmetic at ``angular_tol``.
+
+    Curve endpoints, dual points and accepted perpendicular points are
+    looked up in grid-cell indexes (``_PointIndex``), so the cost is linear
+    in the number of boundary curves, not quadratic; dual points keep the
+    order in which the endpoints first meet them.
     """
     outer: dict[int, list[Curve]] = {}
     for g in pc.grains:
@@ -368,20 +433,18 @@ def analyze_boundary(pc: Polycrystal, angular_tol: float = ANGULAR_TOL) -> Bound
             outer[g.id] = curves
     boundary_grains = tuple(sorted(outer))
 
-    endpoints: list[tuple[Vec2, int]] = []
-    for gid, curves in outer.items():
-        for c in curves:
-            endpoints.append((c.start, gid))
-            endpoints.append((c.end, gid))
+    endpoints = [(p, gid) for gid, curves in outer.items()
+                 for c in curves for p in (c.start, c.end)]
+    owners = _PointIndex(endpoints)
     dual: list[Vec2] = []
-    for p, gid in endpoints:
-        if any(_near(p, q) for q in dual):
-            continue
-        owners = {h for q, h in endpoints if _near(p, q)}
-        if len(owners) >= 2:
+    duals = _PointIndex()
+    for p, _ in endpoints:
+        if not duals.has_near(p) and len(set(owners.near(p))) >= 2:
             dual.append(p)
+            duals.add(p)
 
     perp: list[tuple[Vec2, int]] = []
+    perps = _PointIndex()
     for gid in boundary_grains:
         s = pc.grain_by_id(gid).slip()
         s_angle = math.atan2(float(s.y), float(s.x))
@@ -389,15 +452,16 @@ def analyze_boundary(pc: Polycrystal, angular_tol: float = ANGULAR_TOL) -> Bound
             if isinstance(c, Segment):
                 if abs(float(c.normal_at(0.5).dot(s))) <= angular_tol:
                     mid = c.point_at(0.5)
-                    if not any(_near(mid, q) for q in dual):
+                    if not duals.has_near(mid):
                         perp.append((mid, gid))
+                        perps.add(mid, gid)
             else:
                 for t in (s_angle + math.pi / 2, s_angle - math.pi / 2):
                     if c.covers_angle(t, angular_tol):
                         pt = c.center + Vec2(math.cos(t), math.sin(t)) * c.radius
-                        if not any(_near(pt, q) for q in dual):
-                            if not any(gid == h and _near(pt, q) for q, h in perp):
-                                perp.append((pt, gid))
+                        if not duals.has_near(pt) and gid not in perps.near(pt):
+                            perp.append((pt, gid))
+                            perps.add(pt, gid)
 
     j = frozenset(gid for _, gid in perp)
     j_prime = frozenset(gid for gid in boundary_grains
@@ -471,14 +535,12 @@ def outer_bound_perp(pc: Polycrystal, angular_tol: float = ANGULAR_TOL,
     """
     if analysis is None:
         analysis = analyze_boundary(pc, angular_tol)
-    directions: list[Vec2] = []
-    seen: list[float] = []
-    for gid in sorted(analysis.J):
-        theta = pc.grain_by_id(gid).theta
-        if any(_textures_equal(theta, t) for t in seen):
-            continue
-        seen.append(theta)
-        directions.append(slip_direction(theta))
+    thetas = [pc.grain_by_id(gid).theta for gid in sorted(analysis.J)]
+    dropped = set()
+    for i, j in _equal_texture_pairs(thetas):  # in (i, j) order: i's fate is settled
+        if i not in dropped:
+            dropped.add(j)  # an earlier kept texture equals it
+    directions = [slip_direction(t) for k, t in enumerate(thetas) if k not in dropped]
     return OuterBound(slip_directions=tuple(directions),
                       trivial_flag=len(directions) == 0)
 

@@ -21,6 +21,7 @@ jump conditions with zero arithmetic error.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -129,7 +130,8 @@ def _checked_gamma(gamma):
     g = abs(gamma)
     slack = 1e-12 if isinstance(gamma, float) else 0
     if not (1 + g) ** 2 <= 3 * (1 + slack):
-        raise GammaOutOfRange(f"|gamma| = {float(g)!r} exceeds sqrt(3) - 1")
+        size = float(g) if g <= sys.float_info.max else math.inf
+        raise GammaOutOfRange(f"|gamma| = {size!r} exceeds sqrt(3) - 1")
     return gamma
 
 

@@ -4,7 +4,8 @@ The oracles here deliberately avoid the library's reduction formulas:
 they evaluate definitions directly (all-angle intersections, stretched
 norms) so agreement is meaningful.  ``connector_search`` decides
 compatibility by numerical search with scipy, which is why scipy is a
-test dependency only.
+test dependency only.  ``brute_force_boundary_analysis`` compares every
+boundary point with every other, where the library uses grid-cell indexes.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ import numpy as np
 from scipy.optimize import bracket as _downhill_bracket
 from scipy.optimize import brentq, minimize_scalar
 
-from polyslip.mat2 import DEFAULT_TOL, E1, Mat2, ShearFrame, Vec2
+from polyslip.geometry import (BoundaryAnalysis, Segment, _near, _normals_cover_circle,
+                               _outer_curves_of)
+from polyslip.mat2 import ANGULAR_TOL, DEFAULT_TOL, E1, Mat2, ShearFrame, Vec2
 
 
 def rand_sl2(rng, beta_lo=0.3, beta_hi=1.5, gamma_lo=-3.0, gamma_hi=3.0) -> Mat2:
@@ -131,3 +134,55 @@ def connector_search(F: Mat2, s: Vec2, nu: Vec2, tol: float = DEFAULT_TOL, span:
         raise ArithmeticError("stretched norm failed to grow along the jump line")
     t0 = brentq(lambda t: stretch2(t) - 1.0, t_star, t_star + hi, xtol=1e-14)
     return w * t0
+
+
+def brute_force_boundary_analysis(pc, angular_tol: float = ANGULAR_TOL) -> BoundaryAnalysis:
+    """All-pairs boundary classification: every endpoint against every other.
+
+    Quadratic in the number of boundary curves; ``analyze_boundary`` must
+    return an identical ``BoundaryAnalysis`` (point order included).
+    """
+    outer = {}
+    for g in pc.grains:
+        curves = _outer_curves_of(pc, g)
+        if curves:
+            outer[g.id] = curves
+    boundary_grains = tuple(sorted(outer))
+
+    endpoints = []
+    for gid, curves in outer.items():
+        for c in curves:
+            endpoints.append((c.start, gid))
+            endpoints.append((c.end, gid))
+    dual = []
+    for p, gid in endpoints:
+        if any(_near(p, q) for q in dual):
+            continue
+        owners = {h for q, h in endpoints if _near(p, q)}
+        if len(owners) >= 2:
+            dual.append(p)
+
+    perp = []
+    for gid in boundary_grains:
+        s = next(g for g in pc.grains if g.id == gid).slip()
+        s_angle = math.atan2(float(s.y), float(s.x))
+        for c in outer[gid]:
+            if isinstance(c, Segment):
+                if abs(float(c.normal_at(0.5).dot(s))) <= angular_tol:
+                    mid = c.point_at(0.5)
+                    if not any(_near(mid, q) for q in dual):
+                        perp.append((mid, gid))
+            else:
+                for t in (s_angle + math.pi / 2, s_angle - math.pi / 2):
+                    if c.covers_angle(t, angular_tol):
+                        pt = c.center + Vec2(math.cos(t), math.sin(t)) * c.radius
+                        if not any(_near(pt, q) for q in dual):
+                            if not any(gid == h and _near(pt, q) for q, h in perp):
+                                perp.append((pt, gid))
+
+    return BoundaryAnalysis(
+        boundary_grains=boundary_grains, dual_points=tuple(dual), perp_points=tuple(perp),
+        J=frozenset(gid for _, gid in perp),
+        J_prime=frozenset(gid for gid in boundary_grains
+                          if _normals_cover_circle(outer[gid], angular_tol)),
+        outer_curves=outer)

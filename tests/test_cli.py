@@ -206,6 +206,25 @@ def test_exit_code_invalid_polycrystal(capsys, tmp_path):
     assert "error" in capsys.readouterr().err
 
 
+def _triangle_polycrystal(*vertices):
+    sides = [{"kind": "segment", "p": list(a), "q": list(b)}
+             for a, b in zip(vertices, vertices[1:] + vertices[:1])]
+    return {"domain": sides, "grains": [{"id": 1, "boundary": sides, "theta": 0.0}]}
+
+
+@pytest.mark.parametrize("vertices", [
+    ((0, 0), (1e308, 0), (0, 1e308)),  # area overflows to inf; inf - inf = nan in the sum
+    ((0, 0), (1e308, 1e308), (1.5e308, 1.5e308), (0, 1e308)),  # a cross product is inf - inf
+], ids=["inf-area", "nan-area"])
+def test_overflowing_area_is_domain_error(capsys, tmp_path, vertices):
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(_triangle_polycrystal(*vertices)))
+    assert run(["outer", "--polycrystal", str(bad), "--matrix", "1,0,0,1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_csv_format(capsys):
     code = run(["taylor", "--angles", "0,1.0", "--format", "csv"])
     out = capsys.readouterr().out
@@ -218,6 +237,8 @@ def test_csv_format(capsys):
     ["compat", "--matrix", "1,0,0,1", "--slip", "0,0", "--normal", "1,0"],
     ["shear", "--gamma", "1/0"],
     ["lambda-plot", "--thetas", "0.5", "--grid", "0"],
+    ["lambda-plot", "--thetas", "0.5", "--grid", "10001"],
+    ["lambda-plot", "--thetas", "", "--grid", str(10 ** 400)],
 ])
 def test_invalid_argument_is_parse_error(capsys, argv):
     assert run(argv) == 2
@@ -242,6 +263,15 @@ def test_non_finite_input_is_parse_error(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("parse error: ")
+
+
+@pytest.mark.parametrize("gamma", [str(10 ** 400), f"{10 ** 400}/3", f"-{10 ** 400}"],
+                         ids=["int", "fraction", "negative"])
+def test_gamma_too_large_for_a_float_is_domain_error(capsys, gamma):
+    assert run(["shear", f"--gamma={gamma}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: |gamma| = inf exceeds sqrt(3) - 1\n"
 
 
 def test_nan_determinant_is_domain_error(capsys):
@@ -298,7 +328,8 @@ def test_unit_vectors_keep_their_bits():
 
 @pytest.mark.parametrize("option", [
     "--angular-tol=nan", "--angular-tol=inf", "--angular-tol=-1e-6",
-    "--samples=0", "--samples=-5",
+    "--samples=0", "--samples=-5", "--samples=1000001",
+    pytest.param(f"--samples={10 ** 400}", id="--samples=10**400"),
 ])
 def test_outer_option_range_is_parse_error(capsys, tmp_path, option):
     path = tmp_path / "quadrant.json"

@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from helpers import mat_of, rand_sl2, rotations_batch
+from helpers import brute_force_boundary_analysis, mat_of, rand_sl2, rotations_batch
+from polyslip import geometry
 from polyslip.compat import nu_compatible
 from polyslip.errors import InvalidPolycrystal, NotSL2
-from polyslip.geometry import (Arc, Grain, Polycrystal, Segment,
-                               analyze_boundary, boundary_samples, chord_disk,
+from polyslip.geometry import (POS_TOL, Arc, Grain, Polycrystal, Segment, _equal_texture_pairs,
+                               _textures_equal, analyze_boundary, boundary_samples, chord_disk,
                                compatible_with_normals, curve_overlap_length,
                                equal_perp_full, halfdisk_bicrystal,
                                outer_bound_full_member, outer_bound_perp,
@@ -185,6 +186,166 @@ def test_single_grain_full_circle_in_J():
     assert an.J == frozenset({1})
     assert an.J_prime == frozenset({1})
     assert equal_perp_full(pc)
+
+
+# ---------------------------------------------------------------------------
+# indexed boundary analysis against the all-pairs oracle
+# ---------------------------------------------------------------------------
+
+def _rect(x0, y0, x1, y1, turn=False):
+    pts = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+    pts = [Vec2(-y, x) if turn else Vec2(x, y) for x, y in pts]  # turn: exactly 90 degrees
+    return tuple(Segment(a, b) for a, b in zip(pts, pts[1:] + pts[:1]))
+
+
+def _tiling(domain, cells, thetas, turn=False):
+    """Polycrystal of axis-parallel rectangles given as (x0, y0, x1, y1)."""
+    return Polycrystal(domain=_rect(*domain, turn),
+                       grains=tuple(Grain(k + 1, _rect(*c, turn), t)
+                                    for k, (c, t) in enumerate(zip(cells, thetas))))
+
+
+def _chord_inputs(rng, bands, thetas=None):
+    heights = np.sort(rng.uniform(-0.95, 0.95, bands - 1)).tolist()
+    if thetas is None:
+        thetas = [float(rng.uniform(0.0, PI))]
+        for step in rng.uniform(0.1, PI - 0.1, bands - 1):
+            thetas.append(float((thetas[-1] + step) % PI))
+    return heights, thetas
+
+
+def _oracle_cases():
+    stock = [quadrant_disk(), BICRYSTAL, sheared_square_polycrystal(),
+             halfdisk_bicrystal(PI / 5, 5 * PI / 6), halfdisk_bicrystal(0.0, PI / 2),
+             chord_disk([-0.5, 0.5], [0.0, PI / 2, 0.0])]
+    cases = [(f"stock{k}", pc) for k, pc in enumerate(stock)]
+    cases += [(f"stock{k}-rot{phi}", pc.rotated(phi)) for k, pc in enumerate(stock)
+              for phi in (0.37, PI / 2, 2.0, -1.1)]
+    rng = np.random.default_rng(50)
+    for bands in (2, 3, 5, 8, 13, 21, 40):
+        for rep in range(3):
+            cases.append((f"chord{bands}-{rep}", chord_disk(*_chord_inputs(rng, bands))))
+        alternating = [0.0 if k % 2 == 0 else PI / 2 for k in range(bands)]
+        cases.append((f"alternating{bands}",
+                      chord_disk(*_chord_inputs(rng, bands, alternating))))
+    cases += [(f"random{seed}", random_chord_disk(np.random.default_rng(seed), n))
+              for seed in range(20) for n in (2, 5, 9)]
+    # shared endpoints straddling a cell edge: around 0 exactly POS_TOL apart
+    # (2 * fl(5e-10) == fl(1e-9)) and one ulp more, elsewhere about as far
+    h = 5e-10
+    for at in (0.0, 0.25, -0.1, 1e-9):
+        for half in (h, math.nextafter(h, 1.0), 0.5 * h):
+            for turn in (False, True):
+                pc = _tiling((-1.0, 0.0, 1.0, 1.0),
+                             [(-1.0, 0.0, at - half, 1.0), (at + half, 0.0, 1.0, 1.0)],
+                             [0.0, 1.0], turn)
+                cases.append((f"straddle{at!r}{half:+.17g}-{turn}", pc))
+    cases.append(("strip-chain", _tiling((0.0, 0.0, 5.0, 1.0),
+                                         [(k, 0.0, k + 1.0, 1.0) for k in range(5)],
+                                         [0.0, 1.0, 0.6e-9, 1.0, 1.2e-9])))
+    # x / (2 POS_TOL) overflows: cell keys are infinite
+    cases.append(("huge-x", _tiling((1e300, 0.0, 3e300, 2.0),
+                                    [(1e300, 0.0, 3e300, 1.0), (1e300, 1.0, 3e300, 2.0)],
+                                    [0.0, 1.0])))
+    # two arcs of one grain meeting at its perpendicular direction
+    o = Vec2(0.0, 0.0)
+    top = Grain(1, (Arc(o, 1.0, 0.0, PI / 2), Arc(o, 1.0, PI / 2, PI),
+                    Segment(Vec2(-1.0, 0.0), Vec2(1.0, 0.0))), 0.0)
+    bottom = Grain(2, (Arc(o, 1.0, PI, 2 * PI), Segment(Vec2(1.0, 0.0), Vec2(-1.0, 0.0))), PI / 2)
+    cases.append(("split-arc", Polycrystal((Arc(o, 1.0, 0.0, 2 * PI),), (top, bottom))))
+    return cases
+
+
+_ORACLE_CASES = _oracle_cases()
+
+
+@pytest.mark.parametrize("pc", [pc for _, pc in _ORACLE_CASES],
+                         ids=[name for name, _ in _ORACLE_CASES])
+def test_analysis_matches_all_pairs_oracle(pc):
+    for angular_tol in (geometry.ANGULAR_TOL, 1e-3, 0.0):
+        got = analyze_boundary(pc, angular_tol)
+        want = brute_force_boundary_analysis(pc, angular_tol)
+        assert got == want
+        assert got.outer_curves == want.outer_curves
+
+
+def test_straddling_endpoints_follow_pos_tol():
+    h = 5e-10
+    assert 2 * h == POS_TOL
+    for half, duals in ((h, 2), (math.nextafter(h, 1.0), 0)):  # bottom and top, or none
+        for turn in (False, True):
+            pc = _tiling((-1.0, 0.0, 1.0, 1.0), [(-1.0, 0.0, -half, 1.0), (half, 0.0, 1.0, 1.0)],
+                         [0.0, 1.0], turn)
+            assert len(analyze_boundary(pc).dual_points) == duals
+
+
+def test_huge_coordinates_share_infinite_cells():
+    an = analyze_boundary(dict(_ORACLE_CASES)["huge-x"])
+    assert [p.to_floats() for p in an.dual_points] == [(3e300, 1.0), (1e300, 1.0)]
+
+
+def test_split_arc_perp_point_counted_once():
+    an = analyze_boundary(dict(_ORACLE_CASES)["split-arc"])
+    assert [gid for _, gid in an.perp_points] == [1]
+    assert len(an.dual_points) == 2
+
+
+def test_equal_texture_pairs_match_all_pairs():
+    tol = geometry.DEFAULT_TOL
+    near_zero = [0.0, 1e-10, 4e-10, tol, 1.5e-9, 2.5e-9]
+    near_pi = [math.nextafter(PI, 0.0), PI - 1e-10, PI - 6e-10, PI - tol, PI - 2e-9]
+    pool = near_zero + near_pi + [0.5, 0.5 + 0.9e-9, 0.5 + 1.8e-9, PI / 2, 2.0]
+    rng = np.random.default_rng(51)
+    for _ in range(300):
+        thetas = [pool[k] for k in rng.integers(len(pool), size=int(rng.integers(1, 12)))]
+        want = [(i, j) for i in range(len(thetas)) for j in range(i + 1, len(thetas))
+                if _textures_equal(thetas[i], thetas[j])]
+        assert _equal_texture_pairs(thetas) == want
+
+
+def test_perp_bound_keeps_greedy_texture_order():
+    # textures 0, 0.6e-9 and 1.2e-9 on the bottom edge: the middle one equals
+    # both others, which differ; the first kept texture drops the middle one
+    bound = outer_bound_perp(dict(_ORACLE_CASES)["strip-chain"])
+    assert bound.slip_directions == (slip_direction(0.0), slip_direction(1.2e-9))
+
+
+@pytest.mark.parametrize("heights, thetas, pair", [
+    ([-0.5, 0.0, 0.5], [0.9, 0.9 + 1e-10, 0.1, 0.1], (1, 2)),
+    ([-0.5, 0.0, 0.5], [PI - 1e-10, 0.5, 0.5, 0.0], (2, 3)),
+    ([-0.5, 0.0, 0.5], [0.3, 1e-10, PI - 1e-10, 0.3], (2, 3)),
+    ([-0.6, -0.2, 0.2, 0.6], [2.0, 0.7, 2.0, 1.0, 1.0], (4, 5)),
+])
+def test_equal_texture_error_names_first_adjacent_pair(heights, thetas, pair):
+    with pytest.raises(InvalidPolycrystal,
+                       match=f"^adjacent grains {pair[0]} and {pair[1]} share texture angle$"):
+        chord_disk(heights, thetas)
+
+
+def test_near_calls_grow_linearly(monkeypatch):
+    calls = [0]
+    near = geometry._near
+
+    def counted(p, q, tol=POS_TOL):
+        calls[0] += 1
+        return near(p, q, tol)
+
+    monkeypatch.setattr(geometry, "_near", counted)
+    counts = []
+    for bands in (100, 400):
+        rng = np.random.default_rng(bands)
+        pc = chord_disk(*_chord_inputs(rng, bands))
+        calls[0] = 0
+        analyze_boundary(pc)
+        counts.append(calls[0])
+    assert counts[1] <= 6 * counts[0]  # linear is 4x; all pairs is about 16x
+
+
+def test_thousand_band_disk_builds_and_analyzes():
+    pc = chord_disk(*_chord_inputs(np.random.default_rng(52), 1000))
+    an = analyze_boundary(pc)
+    assert an.boundary_grains == tuple(range(1, 1001))
+    assert len(an.dual_points) == 2 * 999
 
 
 # ---------------------------------------------------------------------------
