@@ -26,8 +26,9 @@ from .taylor import (gamma_bounds, is_trivial, normalize, reduce_angles, shear_i
 
 _PALETTE = ("#4477aa", "#ee6677", "#228833", "#ccbb44", "#66ccee", "#aa3377")
 
-# Largest accepted --samples and --grid: the work and memory grow linearly
-# in them, and a count too large for a float would overflow mid-run.
+# Largest accepted --grid: the work and memory grow linearly in it, and a
+# count too large for a float would overflow mid-run.  --samples is only
+# range-checked, so scripts that pass it keep working; nothing reads it.
 _MAX_SAMPLES = 10 ** 6
 _MAX_GRID = 10 ** 4
 
@@ -50,14 +51,9 @@ def _parse_unit(text: str) -> Vec2:
     vals = _parse_floats(text)
     if len(vals) != 2:
         raise ValueError("vector needs 2 comma-separated entries")
-    v = Vec2(*vals)
-    if not sys.float_info.min <= v.norm2() < math.inf:
-        # the squared norm under- or overflows: rescale by the largest entry first
-        m = max(map(abs, vals))
-        if m == 0.0:
-            raise ValueError(f"vector {text!r} has zero length")
-        v = Vec2(vals[0] / m, vals[1] / m)
-    return v.unit()
+    if vals[0] == vals[1] == 0.0:
+        raise ValueError(f"vector {text!r} has zero length")
+    return Vec2(*vals).unit()
 
 
 def _parse_gamma(text: str):
@@ -172,7 +168,7 @@ def _cmd_laminate(args) -> dict:
 
 
 def _cmd_outer(args) -> dict:
-    from . import geometry  # geometry and random_textures load numpy: import on use
+    from . import geometry  # import on use: only outer needs it
 
     if not 0.0 <= args.angular_tol < math.inf:
         raise ValueError(f"--angular-tol must be finite and >= 0, got {args.angular_tol!r}")
@@ -195,9 +191,8 @@ def _cmd_outer(args) -> dict:
     if args.matrix is not None:
         F = _parse_matrix(args.matrix)
         payload["member_perp"] = bound.member(F, args.tol)
-        samples = geometry.boundary_samples(pc, args.samples, analysis=analysis)
         payload["member_full"] = geometry.outer_bound_full_member(
-            F, pc, n_samples=args.samples, tol=args.tol, samples=samples)
+            F, pc, args.tol, analysis=analysis)
     return payload
 
 
@@ -285,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--polycrystal", required=True, help="polycrystal JSON file")
     p.add_argument("--matrix", help="optional matrix to test for membership")
     p.add_argument("--samples", type=int, default=720,
-                   help="boundary sampling density for the full bound")
+                   help="range-checked but unused: the full bound is decided exactly")
     p.add_argument("--angular-tol", type=float, default=ANGULAR_TOL)
 
     p = command("mc", _cmd_mc, "Monte Carlo triviality probability")

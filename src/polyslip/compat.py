@@ -10,7 +10,10 @@ to the slip direction s, to
 
 when s.nu != 0, and to plain relaxed-set membership when nu = perp(s).
 ``_compatible`` is the one home of this inequality, for ``nu_compatible``,
-``find_connection`` and ``geometry.compatible_with_normals``.
+``find_connection`` and ``geometry.compatible_with_normals``.  Solved for
+the normal, it fails exactly on one open window of normal angles mod pi
+(``_forbidden_window``), which lets ``geometry.outer_bound_full_member``
+decide compatibility along whole boundary curves at once.
 
 ``laminate_split`` writes any volume-preserving strain as a convex
 combination of two rank-one connected strains, each inside the union of
@@ -54,6 +57,23 @@ class LaminateSplit:
 def _compatible(c, beta, gamma, tol):
     """The inequality above with c = s.nu_perp / s.nu, elementwise if c is an array."""
     return (c * beta + gamma) ** 2 + 1.0 / beta**2 >= 1.0 - tol
+
+
+def _forbidden_window(beta: float, gamma: float, tol: float):
+    """Open angle window of the normals where ``_compatible`` fails, or None.
+
+    With psi the angle from s to nu, c = -tan(psi), so the inequality fails
+    exactly when |c beta + gamma| < w, w = sqrt(1 - tol - 1/beta^2) real and
+    positive, i.e. when tan(psi) lies in ((gamma - w)/beta, (gamma + w)/beta).
+    Returns that interval of psi mod pi as ``(lo, hi)`` inside (-pi/2, pi/2);
+    it depends only on the line of nu.  Perpendicular normals (psi = pi/2)
+    are never inside: they reduce to set membership, beta <= 1 + tol.
+    """
+    w2 = 1.0 - tol - 1.0 / beta**2
+    if not w2 > 0.0:
+        return None
+    w = math.sqrt(w2)
+    return math.atan((gamma - w) / beta), math.atan((gamma + w) / beta)
 
 
 def nu_compatible(F: Mat2, s: Vec2, nu: Vec2, tol: float = DEFAULT_TOL) -> bool:

@@ -10,12 +10,17 @@ radii).
 Two outer bounds on the attainable affine boundary strains are computed
 from rank-one compatibility along the domain boundary:
 
-* the full bound samples compatibility at many boundary points
-  (``outer_bound_full_member``),
+* the full bound asks for compatibility at every non-dual boundary point
+  (``outer_bound_full_member``); it is decided exactly, per boundary curve,
+  by testing the curve's outward-normal angles against the closed-form
+  window of ``compat._forbidden_window``,
 * the perpendicular-point bound only uses points where the outward
   normal is orthogonal to the local slip direction; there compatibility
   degenerates to plain strain-set membership, so the bound is a finite
   intersection of relaxed sets (``outer_bound_perp``).
+
+``boundary_samples`` and ``compatible_with_normals`` test compatibility at
+sampled normals instead; they are the only users of numpy here.
 
 Grain boundary curves must be split wherever they transition between the
 domain boundary and the interior; each curve is classified as a whole.
@@ -26,14 +31,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
-import numpy as np
-
-from .compat import _compatible
+from .compat import _compatible, _forbidden_window
 from .errors import InvalidPolycrystal
-from .mat2 import ANGULAR_TOL, DEFAULT_TOL, Mat2, Vec2, decompose, is_sl2, require_sl2
+from .mat2 import (ANGULAR_TOL, DEFAULT_TOL, Mat2, Vec2, decompose, is_sl2, require_sl2,
+                   stretch_shear)
 from .slip import slip_direction
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TAU = 2.0 * math.pi
 
@@ -104,8 +111,8 @@ class Arc:
     def sweep(self) -> float:
         raw = self.to_angle - self.from_angle if self.ccw else self.from_angle - self.to_angle
         s = _wrap(raw, TAU)
-        if s == 0.0 and raw != 0.0:
-            s = TAU
+        if abs(raw) > math.pi and s <= 4.0 * math.ulp(abs(self.from_angle) + abs(self.to_angle)):
+            s = TAU  # a full turn, also when its end angle rounded past it (phi, phi + 2 pi)
         return s
 
     def length(self) -> float:
@@ -360,6 +367,10 @@ class BoundaryAnalysis:
     J: frozenset
     J_prime: frozenset
     outer_curves: dict = field(default_factory=dict, compare=False)
+    #: gid -> ((start, sweep), ...), one pair per outer curve: the angles of
+    #: its outward normals, measured from the grain's slip direction, run
+    #: from ``start`` in [-pi/2, pi/2] over ``sweep`` (0 for a segment).
+    normal_spans: dict = field(default_factory=dict, compare=False)
 
 
 def _outer_curves_of(pc: Polycrystal, g: Grain) -> list[Curve]:
@@ -445,9 +456,12 @@ def analyze_boundary(pc: Polycrystal, angular_tol: float = ANGULAR_TOL) -> Bound
 
     perp: list[tuple[Vec2, int]] = []
     perps = _PointIndex()
+    spans: dict[int, tuple[tuple[float, float], ...]] = {}
     for gid in boundary_grains:
-        s = pc.grain_by_id(gid).slip()
+        g = pc.grain_by_id(gid)
+        s = g.slip()
         s_angle = math.atan2(float(s.y), float(s.x))
+        spans[gid] = tuple(_normal_span(c, g.theta) for c in outer[gid])
         for c in outer[gid]:
             if isinstance(c, Segment):
                 if abs(float(c.normal_at(0.5).dot(s))) <= angular_tol:
@@ -470,7 +484,23 @@ def analyze_boundary(pc: Polycrystal, angular_tol: float = ANGULAR_TOL) -> Bound
                             dual_points=tuple(dual),
                             perp_points=tuple(perp),
                             J=j, J_prime=j_prime,
-                            outer_curves=outer)
+                            outer_curves=outer, normal_spans=spans)
+
+
+def _normal_span(c: Curve, theta: float) -> tuple[float, float]:
+    """``(start, sweep)`` of the outward-normal angles of c, from the slip angle theta.
+
+    Compatibility sees only the line of a normal, so start is reduced mod
+    pi, and a clockwise arc, whose outward normals are its negated radii,
+    spans the same lines as its radii.
+    """
+    if isinstance(c, Segment):
+        n = c.normal_at(0.5)
+        start, sweep = math.atan2(float(n.y), float(n.x)), 0.0
+    else:
+        sweep = c.sweep()
+        start = c.from_angle if c.ccw else c.from_angle - sweep
+    return _wrap(start - theta + math.pi / 2, math.pi) - math.pi / 2, sweep
 
 
 def _normals_cover_circle(curves, angular_tol: float) -> bool:
@@ -551,6 +581,7 @@ class _BoundarySamples:
 
     grain_theta: dict
     normals: dict  # gid -> (m, 2) float array
+    analysis: BoundaryAnalysis
 
 
 def boundary_samples(pc: Polycrystal, n_samples: int = 720,
@@ -561,6 +592,8 @@ def boundary_samples(pc: Polycrystal, n_samples: int = 720,
     endpoints) are never hit; detected perpendicular points are always
     appended so the sharpest constraints are retained at any density.
     """
+    import numpy as np
+
     if analysis is None:
         analysis = analyze_boundary(pc)
     lengths = {gid: sum(c.length() for c in curves)
@@ -581,6 +614,7 @@ def boundary_samples(pc: Polycrystal, n_samples: int = 720,
     return _BoundarySamples(
         grain_theta={gid: pc.grain_by_id(gid).theta for gid in normals},
         normals={gid: np.asarray(rows, dtype=float) for gid, rows in normals.items()},
+        analysis=analysis,
     )
 
 
@@ -591,6 +625,8 @@ def compatible_with_normals(F: Mat2, theta: float, normals: np.ndarray,
     Same decision as ``compat.nu_compatible`` with slip direction at angle
     theta, evaluated for every row of ``normals`` at once.
     """
+    import numpy as np
+
     s = slip_direction(theta)
     frame = decompose(F, s, tol)
     sn = normals[:, 0] * float(s.x) + normals[:, 1] * float(s.y)
@@ -602,24 +638,46 @@ def compatible_with_normals(F: Mat2, theta: float, normals: np.ndarray,
     return bool(np.all(_compatible(crs[rest] / sn[rest], frame.beta, frame.gamma, tol)))
 
 
-def outer_bound_full_member(F: Mat2, pc: Polycrystal, n_samples: int = 720,
-                            tol: float = DEFAULT_TOL,
+def outer_bound_full_member(F: Mat2, pc: Polycrystal, tol: float = DEFAULT_TOL,
+                            analysis: Optional[BoundaryAnalysis] = None,
                             samples: Optional[_BoundarySamples] = None) -> bool:
-    """Sampled membership in the full boundary-compatibility bound.
+    """Exact membership in the full boundary-compatibility bound.
 
-    Tests rank-one compatibility of F with the local slip system at
-    ``n_samples`` boundary points (dual points excluded, perpendicular
-    points always included); returns False at the first failing point.
-    The sampled test over-approximates the bound; raise ``n_samples`` to
-    sharpen it.  Precomputed ``samples`` may be passed when testing many
-    matrices against one polycrystal.
+    F must be rank-one compatible with the slip system of the boundary grain
+    at every non-dual boundary point.  Per boundary grain, with (beta,
+    gamma) the shear frame of F along its slip direction:
+
+    * a grain in J fails when beta > 1 + tol (its perpendicular points);
+    * any other normal fails exactly when its angle lies in the open window
+      of ``compat._forbidden_window``, so a segment fails when its one
+      normal lies in it and an arc when its open interval of normals meets
+      it (the arc's endpoints are dual points or shared with the next
+      curve).
+
+    That is O(outer curves) float operations per matrix, with no sampling.
+    The boundary analysis is read from ``analysis``, else from ``samples``
+    (a ``boundary_samples`` result), else computed; pass one when testing
+    many matrices against one polycrystal.
     """
     require_sl2(F, tol)
-    if samples is None:
-        samples = boundary_samples(pc, n_samples)
-    for gid, normals in samples.normals.items():
-        if not compatible_with_normals(F, samples.grain_theta[gid], normals, tol):
+    if analysis is None:
+        analysis = samples.analysis if samples is not None else analyze_boundary(pc)
+    for gid, spans in analysis.normal_spans.items():
+        theta = pc.grain_by_id(gid).theta
+        beta, gamma, _, _ = stretch_shear(F, math.cos(theta), math.sin(theta), tol)
+        if beta > 1.0 + tol and gid in analysis.J:
             return False
+        window = _forbidden_window(beta, gamma, tol)
+        if window is None:
+            continue
+        lo, hi = window
+        for start, sweep in spans:
+            # a segment's one normal (sweep 0) or an arc's open interval of
+            # normals meets the window; start >= -pi/2 and sweep <= 2 pi, so
+            # only the window's copies at shifts 0 and pi can be met
+            end = start + sweep
+            if (start < hi and lo < end) or (start < hi + math.pi and lo + math.pi < end):
+                return False
     return True
 
 
@@ -832,9 +890,9 @@ def random_chord_disk(rng: np.random.Generator, n_grains: int,
     if not 0.0 <= min_angle_gap < math.pi / 2:
         raise InvalidPolycrystal(f"min_angle_gap {min_angle_gap!r} outside [0, pi/2)")
     u = rng.uniform(-0.8, 0.8 - (n_grains - 2) * min_gap, size=n_grains - 1)
-    hs = np.sort(u) + min_gap * np.arange(n_grains - 1)
+    hs = [h + i * min_gap for i, h in enumerate(sorted(map(float, u)))]
     thetas = [float(rng.uniform(0.0, math.pi))]
     for _ in range(n_grains - 1):
         step = float(rng.uniform(min_angle_gap, math.pi - min_angle_gap))
         thetas.append(math.fmod(thetas[-1] + step, math.pi))  # exact and < pi: both terms >= 0
-    return chord_disk([float(h) for h in hs], thetas)
+    return chord_disk(hs, thetas)

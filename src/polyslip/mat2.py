@@ -15,6 +15,7 @@ when called with ``tol=0``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -69,8 +70,17 @@ class Vec2:
         return math.sqrt(float(self.norm2()))
 
     def unit(self) -> "Vec2":
-        n = self.norm()
-        return Vec2(self.x / n, self.y / n)
+        """self / |self|; ``ZeroDivisionError`` for the zero vector.
+
+        Where the squared norm under- or overflows, the vector is first
+        rescaled by its largest entry, so tiny and huge vectors normalize too.
+        """
+        v = self
+        if not sys.float_info.min <= v.norm2() < math.inf:
+            m = max(abs(self.x), abs(self.y))
+            v = Vec2(self.x / m, self.y / m)
+        n = v.norm()
+        return Vec2(v.x / n, v.y / n)
 
     def to_floats(self) -> tuple[float, float]:
         return (float(self.x), float(self.y))
@@ -212,13 +222,27 @@ def decompose(F: Mat2, s: Vec2, tol: float = DEFAULT_TOL) -> ShearFrame:
     ``DegenerateBeta`` if |Fs| < tol.
     """
     require_sl2(F, tol)
-    fs = F @ s
-    beta = fs.norm()
-    if beta < tol:
-        raise DegenerateBeta(f"|Fs| = {beta!r} below tolerance")
-    rs = Vec2(fs.x / beta, fs.y / beta)
+    beta, gamma, rx, ry = stretch_shear(F, s.x, s.y, tol)
+    rs = Vec2(rx, ry)
     rho = math.atan2(s.cross(rs), s.dot(rs))
     if rho < 0.0:
         rho += 2.0 * math.pi
-    gamma = (F @ s.perp()).dot(rs)
     return ShearFrame(rho=rho, beta=beta, gamma=gamma, s=s)
+
+
+def stretch_shear(F: Mat2, sx, sy, tol: float = DEFAULT_TOL):
+    """``(beta, gamma, rx, ry)`` of ``decompose(F, (sx, sy))`` as plain scalars.
+
+    (rx, ry) = Fs / beta is the rotated slip direction.  Builds no objects
+    and skips the SL(2) check, for callers that test many slip directions
+    against one checked matrix; raises ``DegenerateBeta`` if |Fs| < tol.
+    """
+    fx = F.a11 * sx + F.a12 * sy
+    fy = F.a21 * sx + F.a22 * sy
+    beta = math.sqrt(float(fx * fx + fy * fy))
+    if beta < tol:
+        raise DegenerateBeta(f"|Fs| = {beta!r} below tolerance")
+    rx, ry = fx / beta, fy / beta
+    # F perp(s) . Fs / beta, perp(s) = (-sy, sx)
+    gamma = (F.a11 * -sy + F.a12 * sx) * rx + (F.a21 * -sy + F.a22 * sx) * ry
+    return beta, gamma, rx, ry

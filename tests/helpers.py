@@ -6,6 +6,9 @@ norms) so agreement is meaningful.  ``connector_search`` decides
 compatibility by numerical search with scipy, which is why scipy is a
 test dependency only.  ``brute_force_boundary_analysis`` compares every
 boundary point with every other, where the library uses grid-cell indexes.
+``sampled_full_member`` tests the full outer bound only at sampled boundary
+normals, where the library decides it exactly per curve: every exact member
+must pass it, at any density.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from scipy.optimize import bracket as _downhill_bracket
 from scipy.optimize import brentq, minimize_scalar
 
 from polyslip.geometry import (BoundaryAnalysis, Segment, _near, _normals_cover_circle,
-                               _outer_curves_of)
+                               _outer_curves_of, boundary_samples, compatible_with_normals)
 from polyslip.mat2 import ANGULAR_TOL, DEFAULT_TOL, E1, Mat2, ShearFrame, Vec2
 
 
@@ -186,3 +189,71 @@ def brute_force_boundary_analysis(pc, angular_tol: float = ANGULAR_TOL) -> Bound
         J_prime=frozenset(gid for gid in boundary_grains
                           if _normals_cover_circle(outer[gid], angular_tol)),
         outer_curves=outer)
+
+
+def sampled_full_member(F: Mat2, pc, n_samples: int = 720, tol: float = DEFAULT_TOL,
+                        samples=None) -> bool:
+    """The full outer bound tested at ``boundary_samples`` normals only.
+
+    Over-approximates the bound: a matrix can fail between the samples.
+    ``samples`` may be passed when testing many matrices.
+    """
+    if samples is None:
+        samples = boundary_samples(pc, n_samples)
+    return all(compatible_with_normals(F, samples.grain_theta[gid], normals, tol)
+               for gid, normals in samples.normals.items())
+
+
+def dense_full_member(F: Mat2, pc, analysis: BoundaryAnalysis, per_curve: int,
+                      tol: float = DEFAULT_TOL) -> bool:
+    """Sampled full bound at ``per_curve`` midpoint-rule normals on every outer curve.
+
+    Perpendicular points are added as in ``boundary_samples``; each grain's
+    normals are built and tested in turn, so memory stays one grain's worth.
+    """
+    u = (np.arange(per_curve) + 0.5) / per_curve
+    for gid, curves in analysis.outer_curves.items():
+        rows = []
+        for c in curves:
+            if isinstance(c, Segment):
+                n = c.normal_at(0.5)
+                rows.append(np.tile([float(n.x), float(n.y)], (per_curve, 1)))
+            else:
+                sign = 1.0 if c.ccw else -1.0  # a clockwise arc's outward normals are -radial
+                t = c.from_angle + sign * c.sweep() * u
+                rows.append(sign * np.column_stack([np.cos(t), np.sin(t)]))
+        theta = pc.grain_by_id(gid).theta
+        if gid in analysis.J:
+            s = (math.cos(theta), math.sin(theta))
+            rows.append(np.array([[-s[1], s[0]], [s[1], -s[0]]]))
+        if not compatible_with_normals(F, theta, np.vstack(rows), tol):
+            return False
+    return True
+
+
+# Sampled members at the default 720 normals that fail between the samples,
+# as (chord heights, textures, matrix entries) for ``chord_disk``.  Found by
+# drawing, with ``numpy.random.default_rng(1)``, 40 polycrystals
+# ``random_chord_disk(rng, rng.integers(3, 9))`` and after each 500 matrices
+# ``rand_sl2(rng, 0.9, 1.1, -0.3, 0.3)``: 944 sampled members, of which these
+# 4 also fail at 200,001 normals per curve.
+_EIGHT_BANDS = (
+    [-0.7793335153958048, -0.5491389999346368, -0.3359157494517747, -0.11180346894198834,
+     0.09171236595048826, 0.30390994038620034, 0.7889005227086657],
+    [0.6459723046978489, 2.150413224524951, 0.7266142231741508, 0.9509472876630929,
+     3.068911586750244, 0.43211752769297673, 0.033438088538928934, 0.2932204585087945])
+FALSE_SAMPLED_MEMBERS = [
+    (*_EIGHT_BANDS,
+     [0.8868679090449422, 0.2636307162787967, -0.20830154730839132, 1.0656438284015244]),
+    (*_EIGHT_BANDS,
+     [0.8846346234491413, 0.30824659148782974, -0.25008410543089565, 1.0432696194020294]),
+    ([-0.736486605285825, -0.33481626886539234, -0.10967859193818907, 0.16609927453627976,
+      0.41902466069216626, 0.7013308454403002],
+     [0.5478628893464428, 0.32453321741780794, 1.7229575963134587, 2.485173937062062,
+      2.142906064518354, 0.697728648557236, 1.371456371044602],
+     [1.084309631167189, -0.21125796826130083, 0.08266621864805229, 0.9061397910363775]),
+    ([-0.488982805234883, -0.20761222791293515, 0.3009203711654982, 0.5067856870383753],
+     [1.0271228444219076, 0.42300251261786936, 1.937667838328515, 0.11382953612321955,
+      1.3144428626264575],
+     [0.21986843873298711, -0.9484817357487638, 1.0432657313312435, 0.047671727511868295]),
+]

@@ -16,8 +16,7 @@ from helpers import (brute_force_taylor, brute_force_taylor_batch, connector_sea
                      mat_of, rand_sl2, rand_sl2_batch, rand_unit, rotations_batch,
                      scan_trivial)
 from polyslip.compat import find_connection, laminate_split, nu_compatible
-from polyslip.geometry import (analyze_boundary, boundary_samples,
-                               halfdisk_bicrystal, outer_bound_full_member,
+from polyslip.geometry import (analyze_boundary, halfdisk_bicrystal, outer_bound_full_member,
                                outer_bound_perp, quadrant_disk,
                                random_chord_disk, sheared_square_polycrystal)
 from polyslip.mat2 import E1, E2, Mat2, ShearFrame, is_SO2, rotation
@@ -222,11 +221,11 @@ def test_criterion_09_outer_bounds_on_stock_examples():
     assert an.perp_points == ()
     assert outer_bound_perp(square).trivial_flag
 
-    # (iii) bicrystal: sampled full bound == the two closed-form constraints
+    # (iii) bicrystal: exact full bound == the two closed-form constraints
     bi = halfdisk_bicrystal(theta_top=PI / 2, theta_bottom=PI / 6)
     s_top = E2
     s_bottom = slip_direction(PI / 6)
-    samples = boundary_samples(bi, 36_000)
+    bi_analysis = analyze_boundary(bi)
     disagreements = 0
     compared = 0
     rot = rotations_batch(rng, 200)
@@ -234,8 +233,8 @@ def test_criterion_09_outer_bounds_on_stock_examples():
         F = mat_of(rot[i])
         closed = ((F @ s_top).norm() <= 1.0 + 1e-12
                   and (F @ s_bottom).norm() <= 1.0 + 1e-12)
-        sampled = outer_bound_full_member(F, bi, samples=samples, tol=TOL)
-        assert sampled and closed
+        full = outer_bound_full_member(F, bi, TOL, analysis=bi_analysis)
+        assert full and closed
         compared += 1
     while compared < 1000:
         F = rand_sl2(rng, 0.7, 1.15, -1.2, 1.2)
@@ -243,8 +242,8 @@ def test_criterion_09_outer_bounds_on_stock_examples():
         if abs(margin) < 1e-6:
             continue  # undecidable at the stated boundary margin
         closed = margin < 0.0
-        sampled = outer_bound_full_member(F, bi, samples=samples, tol=TOL)
-        if sampled != closed:
+        full = outer_bound_full_member(F, bi, TOL, analysis=bi_analysis)
+        if full != closed:
             disagreements += 1
         compared += 1
     assert disagreements == 0
@@ -258,12 +257,12 @@ def test_criterion_10_taylor_inside_sampled_outer_bound():
         pc = random_chord_disk(rng, int(rng.integers(2, 6)))
         aset = normalize(pc.texture_angles())
         shift = rotation(aset.shift)
-        samples = boundary_samples(pc, 240)
+        analysis = analyze_boundary(pc)
         candidates = [mat_of(R) for R in rotations_batch(rng, 6)]
         candidates += [rand_sl2(rng, 0.6, 1.05, -1.0, 1.0) for _ in range(12)]
         for F in candidates:
             if taylor_member(F @ shift, aset, TOL):
                 positives += 1
-                assert outer_bound_full_member(F, pc, samples=samples, tol=1e-6)
+                assert outer_bound_full_member(F, pc, 1e-6, analysis=analysis)
     assert positives >= 6000  # rotations always qualify
     _report(10, f"{positives} constant-strain members all pass the boundary bound")

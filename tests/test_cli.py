@@ -3,9 +3,11 @@ import math
 
 import pytest
 
+from helpers import FALSE_SAMPLED_MEMBERS
 from polyslip.cli import _parse_unit, emit_lambda_plot, run
 from polyslip.errors import DomainError
-from polyslip.geometry import polycrystal_to_dict, quadrant_disk, sheared_square_polycrystal
+from polyslip.geometry import (chord_disk, polycrystal_to_dict, quadrant_disk,
+                               sheared_square_polycrystal)
 from polyslip.mat2 import Vec2
 
 PI = math.pi
@@ -193,6 +195,39 @@ def test_exit_code_json_nested_too_deeply(capsys, tmp_path):
     bad.write_text("[" * 100000 + "]" * 100000)
     assert run(["outer", "--polycrystal", str(bad)]) == 2
     assert capsys.readouterr().err.startswith("parse error: ")
+
+
+def test_outer_full_member_is_exact(capsys, tmp_path):
+    # passes at the 720 sampled normals that --samples used to set, fails between them
+    heights, thetas, entries = FALSE_SAMPLED_MEMBERS[0]
+    path = tmp_path / "chords.json"
+    path.write_text(json.dumps(polycrystal_to_dict(chord_disk(heights, thetas))))
+    argv = ["outer", "--polycrystal", str(path), "--matrix", ",".join(map(repr, entries))]
+    for samples in ("720", "1000000"):
+        payload, _ = _run_json(capsys, argv + ["--samples", samples])
+        assert payload["member_full"] is False
+
+
+def test_outer_on_a_sliver_keeps_the_contract(capsys, tmp_path):
+    # a 1 x 1e-300 rectangle split in two: the squared length of its short
+    # sides underflows to 0, which once divided the segment normal by zero
+    def rect(x0, x1):
+        pts = [(x0, 0.0), (x1, 0.0), (x1, 1e-300), (x0, 1e-300)]
+        return [{"kind": "segment", "p": list(p), "q": list(q)}
+                for p, q in zip(pts, pts[1:] + pts[:1])]
+
+    path = tmp_path / "sliver.json"
+    path.write_text(json.dumps({"domain": rect(0.0, 1.0), "grains": [
+        {"id": 1, "boundary": rect(0.0, 0.5), "theta": 0.0},
+        {"id": 2, "boundary": rect(0.5, 1.0), "theta": 1.0}]}))
+    code = run(["outer", "--polycrystal", str(path), "--matrix", "1,0,0,1"])
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2)
+    if code == 0:
+        payload = json.loads(captured.out, parse_constant=lambda c: pytest.fail(c))
+        assert payload["member_full"] is True
+    else:
+        assert captured.out == ""
 
 
 def test_exit_code_invalid_polycrystal(capsys, tmp_path):

@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers import brute_force_boundary_analysis, mat_of, rand_sl2, rotations_batch
+from helpers import (FALSE_SAMPLED_MEMBERS, brute_force_boundary_analysis, dense_full_member,
+                     mat_of, rand_sl2, rotations_batch, sampled_full_member)
 from polyslip import geometry
 from polyslip.compat import nu_compatible
 from polyslip.errors import InvalidPolycrystal, NotSL2
-from polyslip.geometry import (POS_TOL, Arc, Grain, Polycrystal, Segment, _equal_texture_pairs,
+from polyslip.geometry import (POS_TOL, TAU, Arc, Grain, Polycrystal, Segment,
+                               _equal_texture_pairs,
                                _textures_equal, analyze_boundary, boundary_samples, chord_disk,
                                compatible_with_normals, curve_overlap_length,
                                equal_perp_full, halfdisk_bicrystal,
@@ -51,6 +53,23 @@ def test_full_circle_sweep():
     circle = Arc(Vec2(0.0, 0.0), 1.0, 0.0, 2 * PI, True)
     assert circle.sweep() == pytest.approx(2 * PI)
     assert circle.covers_angle(5.0)
+
+
+def test_rotated_full_circle_keeps_its_sweep():
+    # phi + 2 pi - phi rounds to 2 pi + 1 ulp here, which must still read as a full turn
+    phi = 4.569589314312426
+    assert (phi + TAU) - phi != TAU
+    assert Arc(Vec2(0.0, 0.0), 1.0, 0.0, TAU).rotated(phi).sweep() == TAU
+    assert Arc(Vec2(0.0, 0.0), 1.0, phi + TAU, phi, False).sweep() == TAU
+    assert quadrant_disk().rotated(phi).domain[0].sweep() == TAU
+    assert Arc(Vec2(0.0, 0.0), 1.0, 0.0, 1e-16).sweep() == 1e-16  # a tiny arc stays tiny
+
+
+def test_segment_normal_of_a_tiny_segment():
+    # the squared length underflows to 0 below about 1e-154
+    for d in (1e-300, 5e-324):
+        assert Segment(Vec2(0.0, 0.0), Vec2(d, 0.0)).normal_at(0.5) == Vec2(0.0, -1.0)
+        assert Segment(Vec2(1.0, d), Vec2(1.0, 0.0)).normal_at(0.5) == Vec2(-1.0, 0.0)
 
 
 def test_curve_overlap():
@@ -154,7 +173,7 @@ def test_bicrystal_full_bound_is_two_set_intersection():
     from polyslip.slip import in_N
     closed_form = in_N(F, E2) and in_N(F, slip_direction(PI / 6))
     assert not closed_form
-    assert outer_bound_full_member(F, BICRYSTAL, n_samples=2000) == closed_form
+    assert outer_bound_full_member(F, BICRYSTAL) == closed_form
     assert outer_bound_perp(BICRYSTAL).member(F)  # the looser bound accepts it
     # a non-rotation inside both sets passes the sampled bound
     from polyslip.taylor import gamma_bounds
@@ -162,7 +181,7 @@ def test_bicrystal_full_bound_is_two_set_intersection():
     G = psi(0.95, 0.5 * (lo + hi)) @ rotation(-PI / 6)
     assert in_N(G, E2) and in_N(G, slip_direction(PI / 6))
     assert not is_SO2(G)
-    assert outer_bound_full_member(G, BICRYSTAL, n_samples=2000)
+    assert outer_bound_full_member(G, BICRYSTAL)
 
 
 def test_generic_bicrystal_perp_bound_intersects_both_sets():
@@ -214,10 +233,14 @@ def _chord_inputs(rng, bands, thetas=None):
     return heights, thetas
 
 
+def _stock():
+    return [quadrant_disk(), BICRYSTAL, sheared_square_polycrystal(),
+            halfdisk_bicrystal(PI / 5, 5 * PI / 6), halfdisk_bicrystal(0.0, PI / 2),
+            chord_disk([-0.5, 0.5], [0.0, PI / 2, 0.0])]
+
+
 def _oracle_cases():
-    stock = [quadrant_disk(), BICRYSTAL, sheared_square_polycrystal(),
-             halfdisk_bicrystal(PI / 5, 5 * PI / 6), halfdisk_bicrystal(0.0, PI / 2),
-             chord_disk([-0.5, 0.5], [0.0, PI / 2, 0.0])]
+    stock = _stock()
     cases = [(f"stock{k}", pc) for k, pc in enumerate(stock)]
     cases += [(f"stock{k}-rot{phi}", pc.rotated(phi)) for k, pc in enumerate(stock)
               for phi in (0.37, PI / 2, 2.0, -1.1)]
@@ -349,7 +372,7 @@ def test_thousand_band_disk_builds_and_analyzes():
 
 
 # ---------------------------------------------------------------------------
-# sampled full bound
+# full bound
 # ---------------------------------------------------------------------------
 
 def test_rotations_pass_full_bound():
@@ -447,6 +470,80 @@ def test_quadrant_disk_full_bound_equals_rotations():
         assert outer_bound_full_member(F, pc, samples=samples) == frame_ok
     for R in rotations_batch(rng, 50):
         assert outer_bound_full_member(mat_of(R), pc, samples=samples)
+
+
+def test_exact_members_are_sampled_members():
+    # one direction only: sampling misses the failures between its normals
+    rng = np.random.default_rng(60)
+    pcs = _stock() + [random_chord_disk(rng, int(rng.integers(2, 9))) for _ in range(24)]
+    members = rejected = 0
+    for pc in pcs:
+        analysis = analyze_boundary(pc)
+        samples = [boundary_samples(pc, n, analysis) for n in (90, 720, 20_000)]
+        candidates = [rand_sl2(rng, 0.8, 1.2, -0.4, 0.4) for _ in range(40)]
+        candidates += [mat_of(R) for R in rotations_batch(rng, 3)]
+        for F in candidates:
+            if outer_bound_full_member(F, pc, analysis=analysis):
+                members += 1
+                for smp in samples:
+                    assert sampled_full_member(F, pc, samples=smp)
+            else:
+                rejected += 1
+    assert members >= 200 and rejected >= 200
+
+
+def test_segment_boundaries_match_sampling_both_ways():
+    # a segment has one normal, which every sampling density hits
+    rng = np.random.default_rng(61)
+    tiling = _tiling((0.0, 0.0, 3.0, 1.0), [(0.0, 0.0, 1.0, 1.0), (1.0, 0.0, 3.0, 1.0)],
+                     [0.3, 2.0], turn=True)
+    for pc in (sheared_square_polycrystal(), sheared_square_polycrystal().rotated(0.7), tiling):
+        analysis = analyze_boundary(pc)
+        samples = boundary_samples(pc, 90, analysis)
+        seen = set()
+        for _ in range(300):
+            F = rand_sl2(rng, 0.5, 2.0, -4.0, 4.0)
+            exact = outer_bound_full_member(F, pc, analysis=analysis)
+            assert exact == sampled_full_member(F, pc, samples=samples)
+            seen.add(exact)
+        assert seen == {True, False}
+    # a shear whose window holds the square's one normal angle, atan(3)
+    assert not outer_bound_full_member(Mat2(1.5, 4.5, 0.0, 2 / 3), sheared_square_polycrystal())
+
+
+@pytest.mark.parametrize("heights, thetas, entries", FALSE_SAMPLED_MEMBERS)
+def test_pinned_false_sampled_members_are_rejected(heights, thetas, entries):
+    pc = chord_disk(heights, thetas)
+    F = Mat2(*entries)
+    analysis = analyze_boundary(pc)
+    assert sampled_full_member(F, pc, 720)
+    assert not outer_bound_full_member(F, pc, analysis=analysis)
+    assert not dense_full_member(F, pc, analysis, 200_001)
+
+
+def _rotation_cases():
+    rng = np.random.default_rng(62)
+    chords = [chord_disk(*_chord_inputs(rng, bands)) for bands in (2, 3, 5, 8, 13)]
+    return [(f"stock{k}", pc) for k, pc in enumerate(_stock())] + [
+        (f"chord{k}", pc) for k, pc in enumerate(chords)]
+
+
+@pytest.mark.parametrize("pc", [pc for _, pc in _rotation_cases()],
+                         ids=[name for name, _ in _rotation_cases()])
+def test_exact_membership_is_rotation_equivariant(pc):
+    rng = np.random.default_rng(63)
+    candidates = [rand_sl2(rng, 0.8, 1.2, -0.4, 0.4) for _ in range(40)]
+    candidates += [mat_of(R) for R in rotations_batch(rng, 4)]
+    # stretches that fail somewhere on every case, the tilted square included
+    candidates += [Mat2(2.0, 0.0, 0.0, 0.5), Mat2(0.5, 0.0, 0.0, 2.0), Mat2(1.5, 4.5, 0.0, 2 / 3)]
+    want = [outer_bound_full_member(F, pc) for F in candidates]
+    assert True in want and False in want
+    for phi in (0.37, PI / 2, 2.0, -1.1, 4.569589314312426, 11.0):
+        rotated = pc.rotated(phi)
+        analysis = analyze_boundary(rotated)
+        R = rotation(phi)
+        assert [outer_bound_full_member(R @ F @ R.transpose(), rotated, analysis=analysis)
+                for F in candidates] == want
 
 
 # ---------------------------------------------------------------------------

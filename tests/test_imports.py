@@ -6,23 +6,36 @@ import subprocess
 import sys
 
 import polyslip
+from polyslip.geometry import polycrystal_to_dict, quadrant_disk
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def test_taylor_subcommand_loads_neither_scipy_nor_numpy():
+def _run_fresh(argv) -> dict:
+    """``cli.run(argv)`` in a fresh interpreter: its status and the scipy/numpy modules loaded."""
     code = (
         "import contextlib, io, json, sys\n"
         "import polyslip.cli as cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    status = cli.run(['taylor', '--angles', '0,1'])\n"
+        f"    status = cli.run({argv!r})\n"
         "heavy = sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy'))\n"
         "print(json.dumps({'status': status, 'heavy': heavy}))\n"
     )
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
-    assert json.loads(proc.stdout) == {"status": 0, "heavy": []}
+    return json.loads(proc.stdout)
+
+
+def test_taylor_subcommand_loads_neither_scipy_nor_numpy():
+    assert _run_fresh(["taylor", "--angles", "0,1"]) == {"status": 0, "heavy": []}
+
+
+def test_outer_subcommand_loads_neither_scipy_nor_numpy(tmp_path):
+    path = tmp_path / "quadrant.json"
+    path.write_text(json.dumps(polycrystal_to_dict(quadrant_disk())))
+    argv = ["outer", "--polycrystal", str(path), "--matrix", "1,0,0,1"]
+    assert _run_fresh(argv) == {"status": 0, "heavy": []}
 
 
 def test_every_public_name_resolves():
