@@ -23,7 +23,10 @@ from rank-one compatibility along the domain boundary:
 sampled normals instead; they are the only users of numpy here.
 
 Grain boundary curves must be split wherever they transition between the
-domain boundary and the interior; each curve is classified as a whole.
+domain boundary and the interior; each curve is classified as a whole: it
+lies on the domain boundary when it is longer than POS_TOL and shares all of
+its length but POS_TOL with the domain curves (``curve_overlap_length``,
+which is 0 between a segment and an arc, however flat the arc).
 """
 
 from __future__ import annotations
@@ -35,9 +38,9 @@ from typing import TYPE_CHECKING, Optional, Union
 
 from .compat import _compatible, _forbidden_window
 from .errors import InvalidPolycrystal
-from .mat2 import (ANGULAR_TOL, DEFAULT_TOL, Mat2, Vec2, decompose, is_sl2, require_sl2,
-                   stretch_shear)
-from .slip import slip_direction
+from .mat2 import (ANGULAR_TOL, DEFAULT_TOL, Mat2, Vec2, decompose, is_sl2, mod_pi,
+                   require_sl2, stretch_shear)
+from .slip import in_N, slip_direction
 
 if TYPE_CHECKING:
     import numpy as np
@@ -140,11 +143,16 @@ class Arc:
         n = Vec2(math.cos(t), math.sin(t))
         return n if self.ccw else -n
 
+    def ccw_span(self) -> tuple[float, float]:
+        """``(start, sweep)``: the swept angles read counterclockwise from start."""
+        sweep = self.sweep()
+        return (self.from_angle if self.ccw else self.from_angle - sweep), sweep
+
     def covers_angle(self, t: float, tol: float = ANGULAR_TOL) -> bool:
         """Whether direction t (mod 2 pi) lies within the swept range."""
-        origin = self.from_angle if self.ccw else self.from_angle - self.sweep()
-        d = _wrap(t - origin, TAU)
-        return d <= self.sweep() + tol or d >= TAU - tol
+        start, sweep = self.ccw_span()
+        d = _wrap(t - start, TAU)
+        return d <= sweep + tol or d >= TAU - tol
 
     def rotated(self, phi: float) -> "Arc":
         return Arc(Mat2.rotation(phi) @ self.center, self.radius,
@@ -180,7 +188,7 @@ def _check_closed(curves, what: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# overlap and membership predicates
+# shared length of two curves
 # ---------------------------------------------------------------------------
 
 def _segment_overlap_length(a: Segment, b: Segment) -> float:
@@ -202,17 +210,14 @@ def _segment_overlap_length(a: Segment, b: Segment) -> float:
 def _arc_overlap_length(a: Arc, b: Arc) -> float:
     if (a.center - b.center).norm() > POS_TOL or abs(a.radius - b.radius) > POS_TOL:
         return 0.0
-    lo_a = a.from_angle if a.ccw else a.from_angle - a.sweep()
-    lo_b = b.from_angle if b.ccw else b.from_angle - b.sweep()
-    # circular interval intersection, measured in radians
-    lo_b = lo_a + math.fmod(lo_b - lo_a, TAU)
-    if lo_b < lo_a:
-        lo_b += TAU
+    lo_a, sweep_a = a.ccw_span()
+    lo_b, sweep_b = b.ccw_span()
+    # circular interval intersection in radians, counted from a's start:
+    # b starts at d in [0, 2 pi], and its copy one turn back may meet a too
+    d = _wrap(lo_b - lo_a, TAU)
     overlap = 0.0
-    for shift in (0.0, -TAU):
-        s = max(lo_a, lo_b + shift)
-        e = min(lo_a + a.sweep(), lo_b + shift + b.sweep())
-        overlap += max(0.0, e - s)
+    for start in (d, d - TAU):
+        overlap += max(0.0, min(sweep_a, start + sweep_b) - max(0.0, start))
     return overlap * a.radius
 
 
@@ -223,22 +228,6 @@ def curve_overlap_length(a: Curve, b: Curve) -> float:
     if isinstance(a, Arc) and isinstance(b, Arc):
         return _arc_overlap_length(a, b)
     return 0.0
-
-
-def point_on_curve(p: Vec2, c: Curve, tol: float = POS_TOL) -> bool:
-    if isinstance(c, Segment):
-        d = c.q - c.p
-        l2 = float(d.norm2())
-        if l2 == 0.0:
-            return (p - c.p).norm() <= tol
-        u = float((p - c.p).dot(d)) / l2
-        u = min(1.0, max(0.0, u))
-        return (p - c.point_at(u)).norm() <= tol
-    r = (p - c.center).norm()
-    if abs(r - c.radius) > tol:
-        return False
-    t = math.atan2(float(p.y - c.center.y), float(p.x - c.center.x))
-    return c.covers_angle(t, tol / c.radius)
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +278,8 @@ class Polycrystal:
                 raise InvalidPolycrystal(f"grain {g.id}: area {a!r} is not finite")
             if a <= 0:
                 raise InvalidPolycrystal(f"grain {g.id}: loop must be counterclockwise")
+            if a <= math.ulp(dom_area):  # a sign that rounding in a rotated copy could flip
+                raise InvalidPolycrystal(f"grain {g.id}: area {a!r} is below rounding")
             if not 0.0 <= g.theta < math.pi:
                 raise InvalidPolycrystal(f"grain {g.id}: theta outside [0, pi)")
             total += a
@@ -308,11 +299,15 @@ class Polycrystal:
         return [g.theta for g in self.grains]
 
     def rotated(self, phi: float) -> "Polycrystal":
-        """The polycrystal rotated rigidly by phi (textures co-rotate)."""
+        """The polycrystal rotated rigidly by phi (textures co-rotate, into [0, pi)).
+
+        phi is first reduced by the exact fmod(phi, TAU), so arc angles keep their bits.
+        """
+        phi = math.fmod(phi, TAU)
         return Polycrystal(
             domain=tuple(c.rotated(phi) for c in self.domain),
             grains=tuple(Grain(g.id, tuple(c.rotated(phi) for c in g.boundary),
-                               _wrap(g.theta + phi, math.pi)) for g in self.grains),
+                               mod_pi(g.theta + phi)) for g in self.grains),
         )
 
 
@@ -374,12 +369,9 @@ class BoundaryAnalysis:
 
 
 def _outer_curves_of(pc: Polycrystal, g: Grain) -> list[Curve]:
-    out = []
-    for c in g.boundary:
-        probes = (c.start, c.point_at(0.5), c.end)
-        if all(any(point_on_curve(p, d) for d in pc.domain) for p in probes):
-            out.append(c)
-    return out
+    """The curves of g longer than POS_TOL that the domain curves cover to within POS_TOL."""
+    return [c for c in g.boundary if (length := c.length()) > POS_TOL
+            and sum(curve_overlap_length(c, d) for d in pc.domain) >= length - POS_TOL]
 
 
 def _near(p: Vec2, q: Vec2, tol: float = POS_TOL) -> bool:
@@ -432,10 +424,12 @@ def analyze_boundary(pc: Polycrystal, angular_tol: float = ANGULAR_TOL) -> Bound
     whose outer boundary normals (up to sign) cover every direction,
     tested by interval arithmetic at ``angular_tol``.
 
-    Curve endpoints, dual points and accepted perpendicular points are
-    looked up in grid-cell indexes (``_PointIndex``), so the cost is linear
-    in the number of boundary curves, not quadratic; dual points keep the
-    order in which the endpoints first meet them.
+    Outer curves are classified by their shared length with the domain
+    (``_outer_curves_of``).  Curve endpoints, dual points and accepted
+    perpendicular points are then looked up in grid-cell indexes
+    (``_PointIndex``), so that part is linear in the number of boundary
+    curves, not quadratic; dual points keep the order in which the
+    endpoints first meet them.
     """
     outer: dict[int, list[Curve]] = {}
     for g in pc.grains:
@@ -498,8 +492,7 @@ def _normal_span(c: Curve, theta: float) -> tuple[float, float]:
         n = c.normal_at(0.5)
         start, sweep = math.atan2(float(n.y), float(n.x)), 0.0
     else:
-        sweep = c.sweep()
-        start = c.from_angle if c.ccw else c.from_angle - sweep
+        start, sweep = c.ccw_span()
     return _wrap(start - theta + math.pi / 2, math.pi) - math.pi / 2, sweep
 
 
@@ -514,10 +507,9 @@ def _normals_cover_circle(curves, angular_tol: float) -> bool:
     for c in curves:
         if not isinstance(c, Arc):
             continue
-        sweep = c.sweep()
+        lo, sweep = c.ccw_span()
         if sweep >= math.pi - angular_tol:
             return True
-        lo = c.from_angle if c.ccw else c.from_angle - sweep
         lo = _wrap(lo, math.pi)
         hi = lo + sweep
         if hi <= math.pi:
@@ -551,8 +543,8 @@ class OuterBound:
     trivial_flag: bool
 
     def member(self, F: Mat2, tol: float = DEFAULT_TOL) -> bool:
-        return is_sl2(F, tol) and all((F @ s).norm2() <= (1 + tol) ** 2
-                                      for s in self.slip_directions)
+        dirs = self.slip_directions
+        return all(in_N(F, s, tol) for s in dirs) if dirs else is_sl2(F, tol)
 
 
 def outer_bound_perp(pc: Polycrystal, angular_tol: float = ANGULAR_TOL,

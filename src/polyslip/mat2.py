@@ -168,6 +168,14 @@ def rotation(theta: float) -> Mat2:
     return Mat2.rotation(theta)
 
 
+def mod_pi(a: float) -> float:
+    """a reduced mod pi into [0, pi): fmod is exact, and a sum that rounds up to pi reads 0."""
+    r = math.fmod(a, math.pi)
+    if r < 0.0:
+        r += math.pi
+    return 0.0 if r >= math.pi else r
+
+
 def det_is_one(d, tol: float = DEFAULT_TOL):
     """|d - 1| <= tol, elementwise on arrays: the SL(2) test, False for NaN."""
     return abs(d - 1) <= tol

@@ -21,6 +21,11 @@ from .taylor import HALF_PI, _straddles
 #: Angles per Monte Carlo block: bounded memory, 64 KiB arrays that stay in cache.
 _BLOCK_ANGLES = 1 << 13
 
+#: Largest accepted k and n_samples: memory stays flat (blocks), and the largest
+#: run, k * n_samples = 10^9 angles, takes about 16 s on a 2-vCPU VM.
+MAX_K = 1000
+MAX_SAMPLES = 10 ** 6
+
 
 @dataclass(frozen=True, slots=True)
 class McConfig:
@@ -31,10 +36,10 @@ class McConfig:
     seed: int
 
     def __post_init__(self):
-        if self.k < 1:
-            raise DomainError(f"k = {self.k!r} must be >= 1")
-        if self.n_samples < 1:
-            raise DomainError(f"n_samples = {self.n_samples!r} must be >= 1")
+        if not 1 <= self.k <= MAX_K:
+            raise DomainError(f"k = {self.k!r} outside [1, {MAX_K}]")
+        if not 1 <= self.n_samples <= MAX_SAMPLES:
+            raise DomainError(f"n_samples = {self.n_samples!r} outside [1, {MAX_SAMPLES}]")
 
 
 @dataclass(frozen=True, slots=True)

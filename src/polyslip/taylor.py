@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, EmptyInput, NotSL2
-from .mat2 import DEFAULT_TOL, E1, Mat2, decompose, det_is_one
+from .mat2 import DEFAULT_TOL, E1, Mat2, decompose, det_is_one, mod_pi
 
 if TYPE_CHECKING:
     import numpy as np
@@ -76,15 +76,7 @@ def normalize(angles, tol: float = DEFAULT_TOL) -> AngleSet:
     values = list(angles)
     if not values:
         raise EmptyInput("no angles given")
-    reduced = []
-    for a in values:
-        r = math.fmod(float(a), math.pi)
-        if r < 0.0:
-            r += math.pi
-        if r >= math.pi:  # guard fmod edge at the upper end
-            r -= math.pi
-        reduced.append(r)
-    reduced.sort()
+    reduced = sorted(mod_pi(float(a)) for a in values)
     deduped = [reduced[0]]
     for r in reduced[1:]:
         if r - deduped[-1] > tol:

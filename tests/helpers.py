@@ -5,7 +5,9 @@ they evaluate definitions directly (all-angle intersections, stretched
 norms) so agreement is meaningful.  ``connector_search`` decides
 compatibility by numerical search with scipy, which is why scipy is a
 test dependency only.  ``brute_force_boundary_analysis`` compares every
-boundary point with every other, where the library uses grid-cell indexes.
+boundary point with every other, where the library uses grid-cell indexes,
+and classifies outer curves by point probes (``probe_outer_curves``), where
+the library compares shared lengths.
 ``sampled_full_member`` tests the full outer bound only at sampled boundary
 normals, where the library decides it exactly per curve: every exact member
 must pass it, at any density.
@@ -19,8 +21,8 @@ import numpy as np
 from scipy.optimize import bracket as _downhill_bracket
 from scipy.optimize import brentq, minimize_scalar
 
-from polyslip.geometry import (BoundaryAnalysis, Segment, _near, _normals_cover_circle,
-                               _outer_curves_of, boundary_samples, compatible_with_normals)
+from polyslip.geometry import (POS_TOL, BoundaryAnalysis, Segment, _near,
+                               _normals_cover_circle, boundary_samples, compatible_with_normals)
 from polyslip.mat2 import ANGULAR_TOL, DEFAULT_TOL, E1, Mat2, ShearFrame, Vec2
 
 
@@ -139,15 +141,55 @@ def connector_search(F: Mat2, s: Vec2, nu: Vec2, tol: float = DEFAULT_TOL, span:
     return w * t0
 
 
-def brute_force_boundary_analysis(pc, angular_tol: float = ANGULAR_TOL) -> BoundaryAnalysis:
+def point_on_curve(p: Vec2, c, tol: float = POS_TOL) -> bool:
+    """Is p within tol of the curve c (a segment or an arc)?"""
+    if isinstance(c, Segment):
+        d = c.q - c.p
+        l2 = float(d.norm2())
+        if l2 == 0.0:
+            return (p - c.p).norm() <= tol
+        u = float((p - c.p).dot(d)) / l2
+        u = min(1.0, max(0.0, u))
+        return (p - c.point_at(u)).norm() <= tol
+    r = (p - c.center).norm()
+    if abs(r - c.radius) > tol:
+        return False
+    t = math.atan2(float(p.y - c.center.y), float(p.x - c.center.x))
+    return c.covers_angle(t, tol / c.radius)
+
+
+def probe_outer_curves(pc, g, designed: bool = False) -> list:
+    """Curves of grain g whose start, midpoint and end all lie on the domain boundary.
+
+    Three point probes per curve.  The library's shared-length rule differs
+    from it by design on curves of length <= POS_TOL, and on curves whose
+    points lie within POS_TOL of domain curves of another kind only, such
+    as a chord whose sagitta is below POS_TOL: the probes keep both.  With
+    ``designed`` these are dropped too, by their own definitions.
+    """
+    out = []
+    for c in g.boundary:
+        if designed and c.length() <= POS_TOL:
+            continue
+        domain = [d for d in pc.domain if not designed or type(d) is type(c)]
+        probes = (c.start, c.point_at(0.5), c.end)
+        if all(any(point_on_curve(p, d) for d in domain) for p in probes):
+            out.append(c)
+    return out
+
+
+def brute_force_boundary_analysis(pc, angular_tol: float = ANGULAR_TOL,
+                                  designed: bool = False) -> BoundaryAnalysis:
     """All-pairs boundary classification: every endpoint against every other.
 
-    Quadratic in the number of boundary curves; ``analyze_boundary`` must
-    return an identical ``BoundaryAnalysis`` (point order included).
+    Quadratic in the number of boundary curves.  ``analyze_boundary`` must
+    return an identical ``BoundaryAnalysis`` (point order included), with
+    ``designed`` wherever a curve meets one of the designed differences of
+    ``probe_outer_curves``.
     """
     outer = {}
     for g in pc.grains:
-        curves = _outer_curves_of(pc, g)
+        curves = probe_outer_curves(pc, g, designed)
         if curves:
             outer[g.id] = curves
     boundary_grains = tuple(sorted(outer))

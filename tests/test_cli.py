@@ -247,6 +247,36 @@ def _triangle_polycrystal(*vertices):
     return {"domain": sides, "grains": [{"id": 1, "boundary": sides, "theta": 0.0}]}
 
 
+def test_outer_skips_a_zero_length_boundary_segment(capsys, tmp_path):
+    # the unit square with its corner (1, 0) repeated as a segment of length 0,
+    # whose normal once divided by zero
+    argv = ["outer", "--matrix", "1.2,0.1,0,0.8333333333333334"]
+    outputs = []
+    for name, corners in (("repeated", ((0, 0), (1, 0), (1, 0), (1, 1), (0, 1))),
+                          ("plain", ((0, 0), (1, 0), (1, 1), (0, 1)))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(_triangle_polycrystal(*corners)))
+        outputs.append(_run_json(capsys, argv + ["--polycrystal", str(path)])[1])
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["mc", "--k", "0"],
+    ["mc", "--k", "1001"],
+    ["mc", "--k", "1000000000", "--n", "1"],
+    ["mc", "--k", str(10 ** 400)],
+    ["mc", "--k", "3", "--n", "0"],
+    ["mc", "--k", "3", "--n", "1000001"],
+    ["mc", "--k=2", f"--n={2 ** 63}"],
+])
+def test_mc_count_outside_its_range_is_domain_error(capsys, argv):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("vertices", [
     ((0, 0), (1e308, 0), (0, 1e308)),  # area overflows to inf; inf - inf = nan in the sum
     ((0, 0), (1e308, 1e308), (1.5e308, 1.5e308), (0, 1e308)),  # a cross product is inf - inf

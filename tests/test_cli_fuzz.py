@@ -5,7 +5,8 @@ and on success print strict JSON (or ``key,value`` CSV of JSON values)
 that validates against ``cli_output.schema.json``; on failure stdout stays
 empty.  Counts that set the amount of work (``mc --n``/``--k``,
 ``lambda-plot --grid``, ``outer --samples``) are drawn small apart from
-values the CLI must reject, so that the test runs in seconds.
+values above their caps, which the CLI must reject, so that the test runs
+in seconds.
 """
 
 import contextlib
@@ -89,7 +90,8 @@ def _argv():
         _command("outer", _required("polycrystal", st.sampled_from(POLYCRYSTALS)),
                  _opt("matrix", MATRIX), _opt("samples", _count(1, 400, HUGE_COUNTS)),
                  _opt("angular-tol", tol)),
-        _command("mc", _required("k", _count(1, 40)), _opt("n", _count(1, 2000)),
+        _command("mc", _required("k", _count(1, 40, HUGE_COUNTS)),
+                 _opt("n", _count(1, 2000, HUGE_COUNTS)),
                  _opt("seed", st.one_of(_count(0, 100), st.just(str(10 ** 40))))),
         _command("shear", _required("gamma", GAMMA), _flag("verify")),
         _command("lambda-plot", _required("thetas", ANGLES),

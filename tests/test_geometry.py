@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from helpers import (FALSE_SAMPLED_MEMBERS, brute_force_boundary_analysis, dense_full_member,
-                     mat_of, rand_sl2, rotations_batch, sampled_full_member)
+                     mat_of, probe_outer_curves, rand_sl2, rotations_batch,
+                     sampled_full_member)
 from polyslip import geometry
 from polyslip.compat import nu_compatible
 from polyslip.errors import InvalidPolycrystal, NotSL2
@@ -18,7 +19,7 @@ from polyslip.geometry import (POS_TOL, TAU, Arc, Grain, Polycrystal, Segment,
                                polycrystal_from_dict, polycrystal_to_dict,
                                quadrant_disk, random_chord_disk,
                                sheared_square_polycrystal)
-from polyslip.mat2 import E1, E2, Mat2, Vec2, is_SO2, rotation
+from polyslip.mat2 import E1, E2, Mat2, Vec2, is_sl2, is_SO2, rotation
 from polyslip.slip import psi, slip_direction
 from polyslip.taylor import normalize, taylor_member
 
@@ -311,6 +312,79 @@ def test_split_arc_perp_point_counted_once():
     an = analyze_boundary(dict(_ORACLE_CASES)["split-arc"])
     assert [gid for _, gid in an.perp_points] == [1]
     assert len(an.dual_points) == 2
+
+
+def _square(*corners):
+    pts = [Vec2(float(x), float(y)) for x, y in corners]
+    loop = tuple(Segment(a, b) for a, b in zip(pts, pts[1:] + pts[:1]))
+    return Polycrystal(loop, (Grain(1, loop, 0.3),))
+
+
+def test_zero_length_curve_is_not_an_outer_curve():
+    # the unit square with its corner (1, 0) repeated as a segment of length 0
+    pc = _square((0, 0), (1, 0), (1, 0), (1, 1), (0, 1))
+    an = analyze_boundary(pc)
+    assert an.outer_curves == {1: [c for c in pc.domain if c.length() > 0]}
+    assert an == analyze_boundary(_square((0, 0), (1, 0), (1, 1), (0, 1)))
+    assert an == brute_force_boundary_analysis(pc, designed=True)
+    assert len(probe_outer_curves(pc, pc.grains[0])) == 5  # the probes keep it
+
+
+def test_tiny_chord_is_not_domain_boundary():
+    # a chord 2.8e-5 long whose sagitta, 1e-10, is below POS_TOL
+    pc = chord_disk([0.9999999999], [0.0, 1.0])
+    assert 2e-5 < pc.grains[0].boundary[1].length() < 3e-5
+    an = analyze_boundary(pc)
+    probed = brute_force_boundary_analysis(pc)
+    kinds = {gid: [type(c) for c in curves] for gid, curves in an.outer_curves.items()}
+    assert kinds == {1: [Arc], 2: [Arc]}
+    assert {gid: [type(c) for c in curves] for gid, curves in probed.outer_curves.items()} == {
+        1: [Arc, Segment], 2: [Segment, Arc]}
+    assert (an.J, an.dual_points) == (probed.J, probed.dual_points)
+    assert an == brute_force_boundary_analysis(pc, designed=True)
+
+
+@pytest.mark.parametrize("make, phi", [
+    (quadrant_disk, -1e-20), (lambda: chord_disk([0.0], [0.0, 1.0]), -1e-17),
+    (quadrant_disk, -5e-324), (quadrant_disk, 1e17), (quadrant_disk, -1e300),
+    (sheared_square_polycrystal, 1e300),
+], ids=["quadrant--1e-20", "bicrystal--1e-17", "quadrant--5e-324", "quadrant-1e17",
+        "quadrant--1e300", "square-1e300"])
+def test_rotated_copy_stays_valid(make, phi):
+    # theta + phi rounding up to pi reads as texture 0; a huge phi keeps the arc angles
+    pc = make()
+    rotated = pc.rotated(phi)
+    assert all(0.0 <= t < PI for t in rotated.texture_angles())
+    an, an_rot = analyze_boundary(pc), analyze_boundary(rotated)
+    assert (an_rot.boundary_grains, an_rot.J, an_rot.J_prime) == (
+        an.boundary_grains, an.J, an.J_prime)
+    assert an_rot == brute_force_boundary_analysis(rotated)
+
+
+@pytest.mark.parametrize("heights", [[0.0, 6.401789357369894e-116], [-0.5, 1 - 2 ** -53]],
+                         ids=["thin-band", "flat-cap"])
+def test_grain_area_below_rounding_is_rejected(heights):
+    # valid as drawn, but a rotated copy could turn the grain inside out
+    with pytest.raises(InvalidPolycrystal, match="is below rounding$"):
+        chord_disk(heights, [0.0, 1.0, 2.0])
+    chord_disk([-0.5, 0.9999999999], [0.0, 1.0, 2.0])  # a cap of area 1.9e-15 stays
+
+
+def test_perp_bound_member_is_in_N_for_every_direction():
+    rng = np.random.default_rng(64)
+    bound = outer_bound_perp(quadrant_disk())
+    empty = outer_bound_perp(sheared_square_polycrystal())
+    assert len(bound.slip_directions) == 2 and empty.slip_directions == ()
+    matrices = [rand_sl2(rng, 0.8, 1.2, -0.4, 0.4) for _ in range(200)]
+    matrices += [Mat2(2.0, 0.0, 0.0, 1.0), Mat2(1.0, 0.0, 0.0, 1.0), Mat2(math.nan, 0.0, 0.0, 1.0)]
+    seen = set()
+    for F in matrices:
+        want = is_sl2(F) and all(math.hypot(*(F @ s).to_floats()) <= 1.0 + 1e-9
+                                 for s in bound.slip_directions)
+        assert bound.member(F) == want
+        assert empty.member(F) == is_sl2(F)
+        seen.add(want)
+    assert seen == {True, False}
 
 
 def test_equal_texture_pairs_match_all_pairs():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from polyslip.errors import DomainError
-from polyslip.random_textures import (McConfig, _trivial_rows,
+from polyslip.random_textures import (MAX_K, MAX_SAMPLES, McConfig, _trivial_rows,
                                       estimate_trivial_probability, find_kl,
                                       trivial_probability)
 from polyslip.taylor import is_trivial, normalize
@@ -89,6 +89,11 @@ def test_invalid_config():
         McConfig(k=0, n_samples=10, seed=0)
     with pytest.raises(DomainError):
         McConfig(k=1, n_samples=0, seed=0)
+    with pytest.raises(DomainError):
+        McConfig(k=MAX_K + 1, n_samples=10, seed=0)
+    with pytest.raises(DomainError):
+        McConfig(k=1, n_samples=MAX_SAMPLES + 1, seed=0)
+    McConfig(k=MAX_K, n_samples=MAX_SAMPLES, seed=0)  # the caps themselves are accepted
 
 
 # ---------------------------------------------------------------------------
