@@ -176,7 +176,7 @@ def _cmd_outer(args) -> dict:
         raise ValueError(f"--samples must be in [1, {_MAX_SAMPLES}], got {args.samples}")
     pc = geometry.load_polycrystal(args.polycrystal)
     analysis = geometry.analyze_boundary(pc, args.angular_tol)
-    bound = geometry.outer_bound_perp(pc, args.angular_tol, analysis=analysis)
+    bound = geometry.outer_bound_perp(pc, args.angular_tol)
     payload = {
         "boundary_grains": list(analysis.boundary_grains),
         "dual_points": [list(p.to_floats()) for p in analysis.dual_points],
@@ -186,12 +186,12 @@ def _cmd_outer(args) -> dict:
         "J_prime": sorted(analysis.J_prime),
         "perp_bound": {"directions": [list(s.to_floats()) for s in bound.slip_directions],
                        "trivial": bound.trivial_flag},
-        "equal_perp_full": geometry.equal_perp_full(pc, args.angular_tol, analysis=analysis),
+        "equal_perp_full": geometry.equal_perp_full(pc, args.angular_tol),
     }
     if args.matrix is not None:
         F = _parse_matrix(args.matrix)
         payload["member_perp"] = bound.member(F, args.tol)
-        payload["member_full"] = geometry.outer_bound_full_member(
+        payload["member_full"] = geometry.outer_bound_full_member(  # J at --angular-tol
             F, pc, args.tol, analysis=analysis)
     return payload
 

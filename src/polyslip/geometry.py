@@ -19,6 +19,11 @@ from rank-one compatibility along the domain boundary:
   degenerates to plain strain-set membership, so the bound is a finite
   intersection of relaxed sets (``outer_bound_perp``).
 
+Both rest on ``analyze_boundary``, which is computed once per polycrystal
+and angular tolerance and kept on the (immutable) polycrystal; every entry
+point then shares that one read-only result.  Arcs likewise fix their sweep
+and endpoints when they are built.
+
 ``boundary_samples`` and ``compatible_with_normals`` test compatibility at
 sampled normals instead; they are the only users of numpy here.
 
@@ -34,10 +39,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Union
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Mapping, Optional, Union
 
 from .compat import _compatible, _forbidden_window
-from .errors import InvalidPolycrystal
+from .errors import DomainError, InvalidPolycrystal
 from .mat2 import (ANGULAR_TOL, DEFAULT_TOL, Mat2, Vec2, decompose, is_sl2, mod_pi,
                    require_sl2, stretch_shear)
 from .slip import in_N, slip_direction
@@ -106,23 +112,30 @@ class Arc:
     from_angle: float
     to_angle: float
     ccw: bool = True
+    # fixed at construction: the sweep and the two endpoints
+    _sweep: float = field(init=False, repr=False, compare=False)
+    _start: Vec2 = field(init=False, repr=False, compare=False)
+    _end: Vec2 = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.radius <= 0:
             raise InvalidPolycrystal(f"arc radius {self.radius!r} must be positive")
-
-    def sweep(self) -> float:
         raw = self.to_angle - self.from_angle if self.ccw else self.from_angle - self.to_angle
         s = _wrap(raw, TAU)
         if abs(raw) > math.pi and s <= 4.0 * math.ulp(abs(self.from_angle) + abs(self.to_angle)):
             s = TAU  # a full turn, also when its end angle rounded past it (phi, phi + 2 pi)
-        return s
+        object.__setattr__(self, "_sweep", s)
+        object.__setattr__(self, "_start", self.point_at(0.0))
+        object.__setattr__(self, "_end", self.point_at(1.0))
+
+    def sweep(self) -> float:
+        return self._sweep
 
     def length(self) -> float:
-        return self.radius * self.sweep()
+        return self.radius * self._sweep
 
     def angle_at(self, u: float) -> float:
-        step = self.sweep() * u
+        step = self._sweep * u
         return self.from_angle + (step if self.ccw else -step)
 
     def point_at(self, u: float) -> Vec2:
@@ -131,11 +144,11 @@ class Arc:
 
     @property
     def start(self) -> Vec2:
-        return self.point_at(0.0)
+        return self._start
 
     @property
     def end(self) -> Vec2:
-        return self.point_at(1.0)
+        return self._end
 
     def normal_at(self, u: float) -> Vec2:
         """Outward normal for a counterclockwise loop: radial for ccw arcs."""
@@ -145,7 +158,7 @@ class Arc:
 
     def ccw_span(self) -> tuple[float, float]:
         """``(start, sweep)``: the swept angles read counterclockwise from start."""
-        sweep = self.sweep()
+        sweep = self._sweep
         return (self.from_angle if self.ccw else self.from_angle - sweep), sweep
 
     def covers_angle(self, t: float, tol: float = ANGULAR_TOL) -> bool:
@@ -256,6 +269,8 @@ class Polycrystal:
     domain: tuple[Curve, ...]
     grains: tuple[Grain, ...]
     _by_id: dict = field(init=False, repr=False, compare=False)
+    #: angular_tol -> BoundaryAnalysis, filled by ``analyze_boundary``
+    _analyses: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_closed(list(self.domain), "domain")
@@ -270,6 +285,7 @@ class Polycrystal:
         if len(by_id) != len(self.grains):
             raise InvalidPolycrystal("grain ids must be unique")
         object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_analyses", {})
         total = 0.0
         for g in self.grains:
             _check_closed(list(g.boundary), f"grain {g.id}")
@@ -286,11 +302,14 @@ class Polycrystal:
         if not abs(total - dom_area) <= 1e-6 * dom_area:  # also when the sum overflows
             raise InvalidPolycrystal(
                 f"grain areas sum to {total!r}, domain area is {dom_area!r}")
-        for i, j in _equal_texture_pairs(self.texture_angles()):
-            g, h = self.grains[i], self.grains[j]
-            if _grains_adjacent(g, h):
-                raise InvalidPolycrystal(
-                    f"adjacent grains {g.id} and {h.id} share texture angle")
+        pairs = _adjacent_equal_texture_pairs(self.grains)
+        if pairs:
+            g, h = (self.grains[k] for k in pairs[0])
+            raise InvalidPolycrystal(f"adjacent grains {g.id} and {h.id} share texture angle")
+
+    def __reduce__(self):
+        # pickle the curves only: the memo's read-only views (mappingproxy) do not pickle
+        return Polycrystal, (self.domain, self.grains)
 
     def grain_by_id(self, gid: int) -> Grain:
         return self._by_id[gid]
@@ -338,6 +357,49 @@ def _equal_texture_pairs(thetas, tol: float = DEFAULT_TOL) -> list[tuple[int, in
     return sorted(pairs)
 
 
+def _adjacent_equal_texture_pairs(grains) -> list[tuple[int, int]]:
+    """Sorted index pairs (i, j), i < j, of adjacent grains that ``_textures_equal``.
+
+    Only grains with an equal-texture partner get a bounding box: in
+    ascending angle order that partner is a neighbour, or the first or last
+    angle (the wrap at pi).  A sweep over those boxes, sorted by lower y and
+    dropping boxes whose upper y it has passed, pairs equal textures whose
+    boxes, widened by POS_TOL, meet; only these reach ``_grains_adjacent``.
+    """
+    thetas = [g.theta for g in grains]
+    order = sorted(range(len(thetas)), key=thetas.__getitem__)
+    n = len(order)
+    boxes = {}
+    for a, i in enumerate(order):
+        if any(_textures_equal(thetas[i], thetas[order[b]])
+               for b in {a - 1, a + 1, 0, n - 1} - {a} if 0 <= b < n):
+            boxes[i] = _grain_box(grains[i])
+    near, active = [], []
+    for i in sorted(boxes, key=lambda k: boxes[k][1]):
+        x0, y0, x1, y1 = boxes[i]
+        active = [k for k in active if boxes[k][3] >= y0 - 2.0 * POS_TOL]
+        near += [(min(i, k), max(i, k)) for k in active
+                 if boxes[k][0] <= x1 + 2.0 * POS_TOL and x0 <= boxes[k][2] + 2.0 * POS_TOL
+                 and _textures_equal(thetas[i], thetas[k])]
+        active.append(i)
+    return [(i, j) for i, j in sorted(near) if _grains_adjacent(grains[i], grains[j])]
+
+
+def _grain_box(g: Grain) -> tuple[float, float, float, float]:
+    """``(min x, min y, max x, max y)`` of the grain's boundary curves."""
+    xs, ys = [], []
+    for c in g.boundary:
+        xs += (float(c.start.x), float(c.end.x))
+        ys += (float(c.start.y), float(c.end.y))
+        if isinstance(c, Arc):  # the extreme points of the circle that the arc passes
+            cx, cy, r = float(c.center.x), float(c.center.y), c.radius
+            for k, (dx, dy) in enumerate(((1, 0), (0, 1), (-1, 0), (0, -1))):
+                if c.covers_angle(k * math.pi / 2):
+                    xs.append(cx + dx * r)
+                    ys.append(cy + dy * r)
+    return min(xs), min(ys), max(xs), max(ys)
+
+
 def _grains_adjacent(g: Grain, h: Grain) -> bool:
     shared = 0.0
     for c in g.boundary:
@@ -361,11 +423,12 @@ class BoundaryAnalysis:
     perp_points: tuple[tuple[Vec2, int], ...]
     J: frozenset
     J_prime: frozenset
-    outer_curves: dict = field(default_factory=dict, compare=False)
+    #: gid -> the grain's outer curves; read-only in ``analyze_boundary`` results
+    outer_curves: Mapping = field(default_factory=dict, compare=False)
     #: gid -> ((start, sweep), ...), one pair per outer curve: the angles of
     #: its outward normals, measured from the grain's slip direction, run
     #: from ``start`` in [-pi/2, pi/2] over ``sweep`` (0 for a segment).
-    normal_spans: dict = field(default_factory=dict, compare=False)
+    normal_spans: Mapping = field(default_factory=dict, compare=False)
 
 
 def _outer_curves_of(pc: Polycrystal, g: Grain) -> list[Curve]:
@@ -424,6 +487,11 @@ def analyze_boundary(pc: Polycrystal, angular_tol: float = ANGULAR_TOL) -> Bound
     whose outer boundary normals (up to sign) cover every direction,
     tested by interval arithmetic at ``angular_tol``.
 
+    Computed once per polycrystal and ``angular_tol``: the result is kept on
+    ``pc``, so every later call, and every outer-bound entry point, gets the
+    same object, and its mappings are read-only views.  ``angular_tol`` must
+    be finite and >= 0 (``DomainError`` otherwise).
+
     Outer curves are classified by their shared length with the domain
     (``_outer_curves_of``).  Curve endpoints, dual points and accepted
     perpendicular points are then looked up in grid-cell indexes
@@ -431,6 +499,15 @@ def analyze_boundary(pc: Polycrystal, angular_tol: float = ANGULAR_TOL) -> Bound
     curves, not quadratic; dual points keep the order in which the
     endpoints first meet them.
     """
+    if not 0.0 <= angular_tol < math.inf:
+        raise DomainError(f"angular_tol must be finite and >= 0, got {angular_tol!r}")
+    analysis = pc._analyses.get(angular_tol)
+    if analysis is None:
+        analysis = pc._analyses[angular_tol] = _analyze_boundary(pc, angular_tol)
+    return analysis
+
+
+def _analyze_boundary(pc: Polycrystal, angular_tol: float) -> BoundaryAnalysis:
     outer: dict[int, list[Curve]] = {}
     for g in pc.grains:
         curves = _outer_curves_of(pc, g)
@@ -478,7 +555,8 @@ def analyze_boundary(pc: Polycrystal, angular_tol: float = ANGULAR_TOL) -> Bound
                             dual_points=tuple(dual),
                             perp_points=tuple(perp),
                             J=j, J_prime=j_prime,
-                            outer_curves=outer, normal_spans=spans)
+                            outer_curves=MappingProxyType(outer),
+                            normal_spans=MappingProxyType(spans))
 
 
 def _normal_span(c: Curve, theta: float) -> tuple[float, float]:
@@ -553,7 +631,8 @@ def outer_bound_perp(pc: Polycrystal, angular_tol: float = ANGULAR_TOL,
 
     Intersects the relaxed sets of the slip directions of grains in J;
     with J empty there is no constraint beyond det = 1 and the bound
-    degenerates to SL(2) (``trivial_flag``).  ``analysis`` may be passed in.
+    degenerates to SL(2) (``trivial_flag``).  ``analysis`` defaults to
+    ``analyze_boundary(pc, angular_tol)``, which is computed once per polycrystal.
     """
     if analysis is None:
         analysis = analyze_boundary(pc, angular_tol)
@@ -583,29 +662,33 @@ def boundary_samples(pc: Polycrystal, n_samples: int = 720,
     Samples use the midpoint rule per curve so dual points (curve
     endpoints) are never hit; detected perpendicular points are always
     appended so the sharpest constraints are retained at any density.
+    Each curve's normals are one numpy block, with the float operations of
+    ``Curve.normal_at`` in its order, so the rows equal its values bit for bit.
     """
     import numpy as np
 
     if analysis is None:
         analysis = analyze_boundary(pc)
-    lengths = {gid: sum(c.length() for c in curves)
-               for gid, curves in analysis.outer_curves.items()}
-    total = sum(lengths.values())
-    normals: dict[int, list[tuple[float, float]]] = {gid: [] for gid in lengths}
+    total = sum(sum(c.length() for c in curves) for curves in analysis.outer_curves.values())
+    blocks: dict[int, list] = {gid: [] for gid in analysis.outer_curves}
     for gid, curves in analysis.outer_curves.items():
         for c in curves:
             m = max(1, round(n_samples * c.length() / total))
-            for j in range(m):
-                n = c.normal_at((j + 0.5) / m)
-                normals[gid].append((float(n.x), float(n.y)))
+            if isinstance(c, Segment):
+                n = c.normal_at(0.5)
+                blocks[gid].append(np.repeat([[float(n.x), float(n.y)]], m, axis=0))
+            else:
+                step = c.sweep() * ((np.arange(m) + 0.5) / m)
+                t = c.from_angle + (step if c.ccw else -step)
+                block = np.column_stack((np.cos(t), np.sin(t)))
+                blocks[gid].append(block if c.ccw else -block)
     for pt, gid in analysis.perp_points:
         s = pc.grain_by_id(gid).slip()
         n = Vec2(-float(s.y), float(s.x))
-        normals[gid].append((n.x, n.y))
-        normals[gid].append((-n.x, -n.y))
+        blocks[gid].append(np.array([[n.x, n.y], [-n.x, -n.y]]))
     return _BoundarySamples(
-        grain_theta={gid: pc.grain_by_id(gid).theta for gid in normals},
-        normals={gid: np.asarray(rows, dtype=float) for gid, rows in normals.items()},
+        grain_theta={gid: pc.grain_by_id(gid).theta for gid in blocks},
+        normals={gid: np.concatenate(rows) for gid, rows in blocks.items()},
         analysis=analysis,
     )
 
@@ -648,8 +731,9 @@ def outer_bound_full_member(F: Mat2, pc: Polycrystal, tol: float = DEFAULT_TOL,
 
     That is O(outer curves) float operations per matrix, with no sampling.
     The boundary analysis is read from ``analysis``, else from ``samples``
-    (a ``boundary_samples`` result), else computed; pass one when testing
-    many matrices against one polycrystal.
+    (a ``boundary_samples`` result), else from ``analyze_boundary(pc)``,
+    which is computed once per polycrystal, so many matrices tested against
+    one polycrystal share it; pass one only for another ``angular_tol``.
     """
     require_sl2(F, tol)
     if analysis is None:

@@ -10,7 +10,10 @@ and classifies outer curves by point probes (``probe_outer_curves``), where
 the library compares shared lengths.
 ``sampled_full_member`` tests the full outer bound only at sampled boundary
 normals, where the library decides it exactly per curve: every exact member
-must pass it, at any density.
+must pass it, at any density.  ``loop_boundary_samples`` builds the sample
+normals one ``normal_at`` call at a time, where the library builds one numpy
+block per curve, and ``pairwise_adjacent_equal_textures`` tests every
+equal-texture grain pair for adjacency, where the library sweeps bounding boxes.
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ import numpy as np
 from scipy.optimize import bracket as _downhill_bracket
 from scipy.optimize import brentq, minimize_scalar
 
-from polyslip.geometry import (POS_TOL, BoundaryAnalysis, Segment, _near,
-                               _normals_cover_circle, boundary_samples, compatible_with_normals)
+from polyslip.geometry import (POS_TOL, BoundaryAnalysis, Segment, _grains_adjacent, _near,
+                               _normals_cover_circle, _textures_equal, analyze_boundary,
+                               boundary_samples, compatible_with_normals)
 from polyslip.mat2 import ANGULAR_TOL, DEFAULT_TOL, E1, Mat2, ShearFrame, Vec2
 
 
@@ -231,6 +235,35 @@ def brute_force_boundary_analysis(pc, angular_tol: float = ANGULAR_TOL,
         J_prime=frozenset(gid for gid in boundary_grains
                           if _normals_cover_circle(outer[gid], angular_tol)),
         outer_curves=outer)
+
+
+def loop_boundary_samples(pc, n_samples: int = 720, analysis=None) -> dict:
+    """gid -> (m, 2) sample normals as ``boundary_samples`` defines them, one sample at a time."""
+    if analysis is None:
+        analysis = analyze_boundary(pc)
+    lengths = {gid: sum(c.length() for c in curves)
+               for gid, curves in analysis.outer_curves.items()}
+    total = sum(lengths.values())
+    normals = {gid: [] for gid in lengths}
+    for gid, curves in analysis.outer_curves.items():
+        for c in curves:
+            m = max(1, round(n_samples * c.length() / total))
+            for j in range(m):
+                n = c.normal_at((j + 0.5) / m)
+                normals[gid].append((float(n.x), float(n.y)))
+    for pt, gid in analysis.perp_points:
+        s = pc.grain_by_id(gid).slip()
+        n = Vec2(-float(s.y), float(s.x))
+        normals[gid].append((n.x, n.y))
+        normals[gid].append((-n.x, -n.y))
+    return {gid: np.asarray(rows, dtype=float) for gid, rows in normals.items()}
+
+
+def pairwise_adjacent_equal_textures(grains) -> list:
+    """Index pairs (i, j), i < j, of adjacent equal-texture grains, testing every pair."""
+    return [(i, j) for i in range(len(grains)) for j in range(i + 1, len(grains))
+            if _textures_equal(grains[i].theta, grains[j].theta)
+            and _grains_adjacent(grains[i], grains[j])]
 
 
 def sampled_full_member(F: Mat2, pc, n_samples: int = 720, tol: float = DEFAULT_TOL,

@@ -43,13 +43,13 @@ def test_cli_output_matches_corpus(case, workdir, capsys):
 def test_outer_analyzes_boundary_once(case, workdir, capsys, monkeypatch):
     from polyslip import geometry
     calls = []
-    analyze = geometry.analyze_boundary
+    analyze = geometry._analyze_boundary  # the computation behind the memo
 
     def counted(*args, **kwargs):
         calls.append(args)
         return analyze(*args, **kwargs)
 
-    monkeypatch.setattr(geometry, "analyze_boundary", counted)
+    monkeypatch.setattr(geometry, "_analyze_boundary", counted)
     assert run(case["argv"]) == case["exit"]
     assert capsys.readouterr().out == case["stdout"]
     assert len(calls) == 1

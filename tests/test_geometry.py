@@ -1,15 +1,16 @@
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from helpers import (FALSE_SAMPLED_MEMBERS, brute_force_boundary_analysis, dense_full_member,
-                     mat_of, probe_outer_curves, rand_sl2, rotations_batch,
-                     sampled_full_member)
+                     loop_boundary_samples, mat_of, probe_outer_curves, rand_sl2,
+                     rotations_batch, sampled_full_member)
 from polyslip import geometry
 from polyslip.compat import nu_compatible
-from polyslip.errors import InvalidPolycrystal, NotSL2
+from polyslip.errors import DomainError, InvalidPolycrystal, NotSL2
 from polyslip.geometry import (POS_TOL, TAU, Arc, Grain, Polycrystal, Segment,
                                _equal_texture_pairs,
                                _textures_equal, analyze_boundary, boundary_samples, chord_disk,
@@ -64,6 +65,25 @@ def test_rotated_full_circle_keeps_its_sweep():
     assert Arc(Vec2(0.0, 0.0), 1.0, phi + TAU, phi, False).sweep() == TAU
     assert quadrant_disk().rotated(phi).domain[0].sweep() == TAU
     assert Arc(Vec2(0.0, 0.0), 1.0, 0.0, 1e-16).sweep() == 1e-16  # a tiny arc stays tiny
+
+
+@pytest.mark.parametrize("arc, sweep", [
+    (Arc(Vec2(0.5, -1.0), 2.0, 0.0, PI / 2), PI / 2),
+    (Arc(Vec2(0.0, 0.0), 2.0, PI / 2, 0.0, False), PI / 2),
+    (Arc(Vec2(0.0, 0.0), 1.0, 3.0, -2.5), 0.7831853071795862),
+    (Arc(Vec2(0.0, 0.0), 1.0, 0.0, TAU), TAU),
+    (Arc(Vec2(0.0, 0.0), 1.0, 0.0, TAU).rotated(4.569589314312426), TAU),
+    (Arc(Vec2(0.0, 0.0), 1.0, 4.569589314312426 + TAU, 4.569589314312426, False), TAU),
+])
+def test_arc_geometry_is_fixed_at_construction(arc, sweep):
+    assert arc.sweep() == sweep
+    assert arc.length() == arc.radius * sweep
+    sign = 1.0 if arc.ccw else -1.0
+    assert arc.ccw_span() == (arc.from_angle if arc.ccw else arc.from_angle - sweep, sweep)
+    for point, t in ((arc.start, arc.from_angle), (arc.end, arc.from_angle + sign * sweep)):
+        assert point == arc.center + Vec2(math.cos(t), math.sin(t)) * arc.radius
+    assert (arc.start, arc.end) == (arc.point_at(0.0), arc.point_at(1.0))
+    assert "_sweep" not in repr(arc)
 
 
 def test_segment_normal_of_a_tiny_segment():
@@ -445,6 +465,96 @@ def test_thousand_band_disk_builds_and_analyzes():
     assert len(an.dual_points) == 2 * 999
 
 
+def test_alternating_textures_test_few_grain_pairs(monkeypatch):
+    calls = [0]
+    adjacent = geometry._grains_adjacent
+
+    def counted(g, h):
+        calls[0] += 1
+        return adjacent(g, h)
+
+    monkeypatch.setattr(geometry, "_grains_adjacent", counted)
+    bands = 400
+    alternating = [0.0 if k % 2 == 0 else PI / 2 for k in range(bands)]
+    chord_disk(*_chord_inputs(np.random.default_rng(53), bands, alternating))
+    assert calls[0] <= bands  # the pairwise scan made 2 * C(200, 2) = 39,800 calls
+    alternating[250] = alternating[249]
+    with pytest.raises(InvalidPolycrystal, match="^adjacent grains 250 and 251 share"):
+        chord_disk(*_chord_inputs(np.random.default_rng(53), bands, alternating))
+
+
+# ---------------------------------------------------------------------------
+# one analysis per polycrystal and angular tolerance
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("angular_tol", [math.nan, math.inf, -math.inf, -1e-12])
+def test_bad_angular_tol_is_domain_error(angular_tol):
+    pc = quadrant_disk()
+    for entry in (analyze_boundary, outer_bound_perp, equal_perp_full):
+        with pytest.raises(DomainError, match="angular_tol"):
+            entry(pc, angular_tol)
+    assert pc._analyses == {}
+
+
+def test_analysis_is_computed_once_per_polycrystal_and_tolerance(monkeypatch):
+    calls = []
+    analyze = geometry._analyze_boundary
+
+    def counted(pc, angular_tol):
+        calls.append(angular_tol)
+        return analyze(pc, angular_tol)
+
+    monkeypatch.setattr(geometry, "_analyze_boundary", counted)
+    pc = BICRYSTAL.rotated(0.0)
+    an = analyze_boundary(pc)
+    assert analyze_boundary(pc) is an
+    outer_bound_perp(pc)
+    equal_perp_full(pc)
+    assert boundary_samples(pc, 90).analysis is an
+    outer_bound_full_member(Mat2(1.0, 0.0, 0.0, 1.0), pc)
+    assert calls == [geometry.ANGULAR_TOL]
+    coarse = analyze_boundary(pc, 0.05)
+    assert coarse is not an and analyze_boundary(pc, 0.05) is coarse
+    rotated = pc.rotated(1.0)
+    assert analyze_boundary(rotated) is not analyze_boundary(pc)
+    assert calls == [geometry.ANGULAR_TOL, 0.05, geometry.ANGULAR_TOL]
+
+
+def test_explicit_analysis_takes_precedence():
+    pc = quadrant_disk()
+    empty = geometry.BoundaryAnalysis(boundary_grains=(), dual_points=(), perp_points=(),
+                                      J=frozenset(), J_prime=frozenset())
+    stretch = Mat2(2.0, 0.0, 0.0, 0.5)
+    assert not outer_bound_full_member(stretch, pc)
+    assert outer_bound_full_member(stretch, pc, analysis=empty)
+    assert outer_bound_perp(pc, analysis=empty).trivial_flag
+    assert not outer_bound_perp(pc).trivial_flag
+    half = geometry.BoundaryAnalysis(boundary_grains=(1, 2), dual_points=(), perp_points=(),
+                                     J=frozenset({1}), J_prime=frozenset())
+    assert not equal_perp_full(pc, analysis=half) and equal_perp_full(pc)
+    assert boundary_samples(pc, 90, analysis=empty).normals == {}
+
+
+def test_shared_analysis_is_read_only():
+    pc = chord_disk([-0.3, 0.4], [0.2, 1.4, 2.6])
+    an = analyze_boundary(pc)
+    with pytest.raises(TypeError):
+        an.outer_curves[1] = []
+    with pytest.raises(TypeError):
+        an.normal_spans[1] = ()
+    with pytest.raises(AttributeError):
+        an.J = frozenset()
+    assert analyze_boundary(pc) == brute_force_boundary_analysis(pc)
+
+
+def test_polycrystal_pickles_without_its_analyses():
+    pc = quadrant_disk()
+    an = analyze_boundary(pc)
+    copy = pickle.loads(pickle.dumps(pc))
+    assert copy == pc and copy._analyses == {}
+    assert analyze_boundary(copy) == an
+
+
 # ---------------------------------------------------------------------------
 # full bound
 # ---------------------------------------------------------------------------
@@ -544,6 +654,21 @@ def test_quadrant_disk_full_bound_equals_rotations():
         assert outer_bound_full_member(F, pc, samples=samples) == frame_ok
     for R in rotations_batch(rng, 50):
         assert outer_bound_full_member(mat_of(R), pc, samples=samples)
+
+
+def test_boundary_samples_equal_the_loop_bit_for_bit():
+    rng = np.random.default_rng(64)
+    pcs = _stock() + [random_chord_disk(rng, int(rng.integers(2, 10))) for _ in range(12)]
+    pcs += [pc.rotated(phi) for pc in pcs[:9] for phi in (0.37, 4.569589314312426, -2.0)]
+    for pc in pcs:
+        for n in (1, 90, 720, 2880):
+            got = boundary_samples(pc, n)
+            want = loop_boundary_samples(pc, n)
+            assert list(got.normals) == list(want) == list(got.grain_theta)
+            for gid, rows in want.items():
+                assert got.normals[gid].dtype == rows.dtype
+                assert got.normals[gid].shape == rows.shape
+                assert got.normals[gid].tobytes() == rows.tobytes()
 
 
 def test_exact_members_are_sampled_members():

@@ -5,7 +5,9 @@ through its JSON dict.  Rotated copies must stay valid; wherever a copy is
 valid, ``analyze_boundary`` must equal the all-pairs probe oracle of
 ``tests/helpers.py`` with its designed differences applied; and ``outer`` on
 the written JSON must keep the CLI contract (exit 0, 1 or 2, no traceback,
-strict JSON on success, nothing on stdout otherwise).
+strict JSON on success, nothing on stdout otherwise).  With their textures
+redrawn from a few nearly equal values, the grains of each copy must give the
+same adjacent equal-texture pairs as the pairwise scan.
 """
 
 import contextlib
@@ -21,10 +23,12 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, example, given, settings, strategies as st  # noqa: E402
 
-from helpers import brute_force_boundary_analysis  # noqa: E402
+from helpers import (brute_force_boundary_analysis,  # noqa: E402
+                     pairwise_adjacent_equal_textures)
 from polyslip.cli import run  # noqa: E402
 from polyslip.errors import InvalidPolycrystal  # noqa: E402
-from polyslip.geometry import (analyze_boundary, chord_disk, halfdisk_bicrystal,  # noqa: E402
+from polyslip.geometry import (Grain, _adjacent_equal_texture_pairs,  # noqa: E402
+                               analyze_boundary, chord_disk, halfdisk_bicrystal,
                                polycrystal_from_dict, polycrystal_to_dict, quadrant_disk,
                                random_chord_disk, sheared_square_polycrystal)
 
@@ -141,3 +145,24 @@ def test_moved_polycrystals_keep_analysis_and_contract(family, phi, scale, dx, d
         json.loads(out, parse_constant=_strict)
     else:
         assert out == ""
+
+
+# values within tol of each other, across the wrap at pi, and apart
+TEXTURES = [0.0, 1e-10, PI - 1e-10, PI - 2e-9, 1.0, PI / 2]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(family=FAMILY, phi=st.floats(allow_nan=False, allow_infinity=False),
+       scale=st.floats(1e-3, 1e3), dx=st.floats(-1e3, 1e3), dy=st.floats(-1e3, 1e3),
+       picks=st.lists(st.integers(0, len(TEXTURES) - 1), min_size=10, max_size=10))
+def test_box_sweep_finds_the_pairwise_adjacent_textures(family, phi, scale, dx, dy, picks):
+    try:
+        rotated = _build(family).rotated(phi)
+        moved = polycrystal_from_dict(_moved(polycrystal_to_dict(rotated), scale, dx, dy))
+    except InvalidPolycrystal:
+        return
+    for p in (rotated, moved):
+        grains = tuple(Grain(g.id, g.boundary, TEXTURES[picks[k % len(picks)]])
+                       for k, g in enumerate(p.grains))
+        assert _adjacent_equal_texture_pairs(grains) == pairwise_adjacent_equal_textures(grains)
