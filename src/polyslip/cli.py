@@ -191,8 +191,8 @@ def _cmd_outer(args) -> dict:
     if args.matrix is not None:
         F = _parse_matrix(args.matrix)
         payload["member_perp"] = bound.member(F, args.tol)
-        payload["member_full"] = geometry.outer_bound_full_member(  # J at --angular-tol
-            F, pc, args.tol, analysis=analysis)
+        payload["member_full"] = geometry.outer_bound_full_member(
+            F, pc, args.tol, args.angular_tol)
     return payload
 
 

@@ -625,17 +625,15 @@ class OuterBound:
         return all(in_N(F, s, tol) for s in dirs) if dirs else is_sl2(F, tol)
 
 
-def outer_bound_perp(pc: Polycrystal, angular_tol: float = ANGULAR_TOL,
-                     analysis: Optional[BoundaryAnalysis] = None) -> OuterBound:
+def outer_bound_perp(pc: Polycrystal, angular_tol: float = ANGULAR_TOL) -> OuterBound:
     """Outer bound from perpendicular boundary points only.
 
-    Intersects the relaxed sets of the slip directions of grains in J;
-    with J empty there is no constraint beyond det = 1 and the bound
-    degenerates to SL(2) (``trivial_flag``).  ``analysis`` defaults to
-    ``analyze_boundary(pc, angular_tol)``, which is computed once per polycrystal.
+    Intersects the relaxed sets of the slip directions of grains in J (of
+    ``analyze_boundary(pc, angular_tol)``); with J empty there is no
+    constraint beyond det = 1 and the bound degenerates to SL(2)
+    (``trivial_flag``).
     """
-    if analysis is None:
-        analysis = analyze_boundary(pc, angular_tol)
+    analysis = analyze_boundary(pc, angular_tol)
     thetas = [pc.grain_by_id(gid).theta for gid in sorted(analysis.J)]
     dropped = set()
     for i, j in _equal_texture_pairs(thetas):  # in (i, j) order: i's fate is settled
@@ -650,7 +648,6 @@ def outer_bound_perp(pc: Polycrystal, angular_tol: float = ANGULAR_TOL,
 class _BoundarySamples:
     """Per-grain boundary sample normals, perpendicular points included."""
 
-    grain_theta: dict
     normals: dict  # gid -> (m, 2) float array
     analysis: BoundaryAnalysis
 
@@ -687,7 +684,6 @@ def boundary_samples(pc: Polycrystal, n_samples: int = 720,
         n = Vec2(-float(s.y), float(s.x))
         blocks[gid].append(np.array([[n.x, n.y], [-n.x, -n.y]]))
     return _BoundarySamples(
-        grain_theta={gid: pc.grain_by_id(gid).theta for gid in blocks},
         normals={gid: np.concatenate(rows) for gid, rows in blocks.items()},
         analysis=analysis,
     )
@@ -714,7 +710,7 @@ def compatible_with_normals(F: Mat2, theta: float, normals: np.ndarray,
 
 
 def outer_bound_full_member(F: Mat2, pc: Polycrystal, tol: float = DEFAULT_TOL,
-                            analysis: Optional[BoundaryAnalysis] = None,
+                            angular_tol: float = ANGULAR_TOL,
                             samples: Optional[_BoundarySamples] = None) -> bool:
     """Exact membership in the full boundary-compatibility bound.
 
@@ -730,14 +726,13 @@ def outer_bound_full_member(F: Mat2, pc: Polycrystal, tol: float = DEFAULT_TOL,
       curve).
 
     That is O(outer curves) float operations per matrix, with no sampling.
-    The boundary analysis is read from ``analysis``, else from ``samples``
-    (a ``boundary_samples`` result), else from ``analyze_boundary(pc)``,
-    which is computed once per polycrystal, so many matrices tested against
-    one polycrystal share it; pass one only for another ``angular_tol``.
+    The boundary analysis is that of ``samples`` (a ``boundary_samples``
+    result) if given, else ``analyze_boundary(pc, angular_tol)``, which is
+    computed once per polycrystal and tolerance, so many matrices tested
+    against one polycrystal share it.
     """
     require_sl2(F, tol)
-    if analysis is None:
-        analysis = samples.analysis if samples is not None else analyze_boundary(pc)
+    analysis = samples.analysis if samples is not None else analyze_boundary(pc, angular_tol)
     for gid, spans in analysis.normal_spans.items():
         theta = pc.grain_by_id(gid).theta
         beta, gamma, _, _ = stretch_shear(F, math.cos(theta), math.sin(theta), tol)
@@ -757,14 +752,12 @@ def outer_bound_full_member(F: Mat2, pc: Polycrystal, tol: float = DEFAULT_TOL,
     return True
 
 
-def equal_perp_full(pc: Polycrystal, angular_tol: float = ANGULAR_TOL,
-                    analysis: Optional[BoundaryAnalysis] = None) -> bool:
+def equal_perp_full(pc: Polycrystal, angular_tol: float = ANGULAR_TOL) -> bool:
     """Sufficient condition for the two outer bounds to coincide.
 
     True iff every boundary grain has a perpendicular point.
     """
-    if analysis is None:
-        analysis = analyze_boundary(pc, angular_tol)
+    analysis = analyze_boundary(pc, angular_tol)
     return set(analysis.J) == set(analysis.boundary_grains)
 
 

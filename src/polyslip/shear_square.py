@@ -15,19 +15,21 @@ range exhibits an attainable boundary strain outside that bound.
 
 With rational gamma the whole construction is rational and ``verify``
 checks continuity, incompressibility, membership, boundary trace and the
-jump conditions with zero arithmetic error.
+jump conditions with zero arithmetic error.  The cell layout does not
+depend on gamma: its interfaces, and the one cell owning each domain edge
+(where the boundary trace is probed), are derived once at import.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .errors import GammaOutOfRange
-from .mat2 import E1, E2, Mat2, Vec2, is_SO2
+from .mat2 import E1, E2, Mat2, Vec2, det_is_one, is_SO2
 from .slip import in_N
 from .taylor import is_trivial, normalize
 
@@ -56,6 +58,27 @@ GRAIN_OF_CELL = {
 DOMAIN_CORNERS = ((0, 0), (3, -1), (4, 2), (1, 3))
 
 
+def _shared_edges(cells: dict) -> tuple:
+    """(cell, cell, p, q) per pair of cells, in cell order, with two common vertices."""
+    names = list(cells)
+    out = []
+    for i, n1 in enumerate(names):
+        for n2 in names[i + 1:]:
+            shared = [v for v in cells[n1] if v in cells[n2]]
+            if len(shared) == 2:
+                out.append((n1, n2, *shared))
+    return tuple(out)
+
+
+#: The twelve internal interfaces; p is the first common vertex in the first cell.
+_INTERFACES = _shared_edges(_CELL_VERTICES)
+
+#: (a, b, cell) for each domain edge a -> b and the one cell with a and b as vertices.
+_EDGE_OWNERS = tuple(
+    (a, b, next(name for name, vv in _CELL_VERTICES.items() if a in vv and b in vv))
+    for a, b in zip(DOMAIN_CORNERS, DOMAIN_CORNERS[1:] + DOMAIN_CORNERS[:1]))
+
+
 @dataclass(frozen=True, slots=True)
 class Cell:
     """One affine piece x -> A x + b on a convex polygon."""
@@ -67,14 +90,6 @@ class Cell:
 
     def value(self, p: Vec2) -> Vec2:
         return self.A @ p + self.b
-
-    def contains(self, p: Vec2, tol=0) -> bool:
-        verts = self.vertices
-        for i, v in enumerate(verts):
-            w = verts[(i + 1) % len(verts)]
-            if (w - v).cross(p - v) < -tol:
-                return False
-        return True
 
     def area(self):
         verts = self.vertices
@@ -94,21 +109,10 @@ class PwAffineMap:
                 return c
         raise KeyError(name)
 
-    def cell_containing(self, p: Vec2, tol=0) -> Cell:
-        for c in self.cells:
-            if c.contains(p, tol):
-                return c
-        raise KeyError(f"point {p} outside every cell")
-
     def interfaces(self) -> list[tuple[Cell, Cell, Vec2, Vec2]]:
         """Pairs of cells sharing an edge, with the shared endpoints."""
-        out = []
-        for i, c1 in enumerate(self.cells):
-            for c2 in self.cells[i + 1:]:
-                shared = [v for v in c1.vertices if v in c2.vertices]
-                if len(shared) == 2:
-                    out.append((c1, c2, shared[0], shared[1]))
-        return out
+        by_name = {c.name: c for c in self.cells}
+        return [(by_name[n1], by_name[n2], Vec2(*p), Vec2(*q)) for n1, n2, p, q in _INTERFACES]
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,7 +120,6 @@ class ShearSquareBuild:
     gamma: object
     map: PwAffineMap
     F_gamma: Mat2
-    grain_assignment: dict = field(default_factory=dict)
 
     @property
     def exact(self) -> bool:
@@ -177,31 +180,24 @@ def build(gamma, pre_rotation: Optional[Mat2] = None) -> ShearSquareBuild:
     verts = {name: tuple(Vec2(x, y) for x, y in vv) for name, vv in _CELL_VERTICES.items()}
     zero = Vec2(0 * grads["S"].a11, 0 * grads["S"].a11)
 
-    # Translations follow from continuity: walk the cell adjacency from S
-    # and match values at a shared vertex; finally shift so v(0,0) = (0,0).
+    # Translations follow from continuity: walk the interfaces from S and
+    # match values at a shared vertex; finally shift so v(0,0) = (0,0).
     b = {"S": zero}
-    adjacency = {name: [] for name in verts}
-    names = list(verts)
-    for i, n1 in enumerate(names):
-        for n2 in names[i + 1:]:
-            shared = [v for v in verts[n1] if v in verts[n2]]
-            if len(shared) == 2:
-                adjacency[n1].append((n2, shared[0]))
-                adjacency[n2].append((n1, shared[0]))
     queue = ["S"]
     while queue:
         cur = queue.pop()
-        for nxt, pt in adjacency[cur]:
-            if nxt not in b:
+        for n1, n2, p, _ in _INTERFACES:
+            nxt = n2 if n1 == cur else n1 if n2 == cur else None
+            if nxt is not None and nxt not in b:
+                pt = Vec2(*p)
                 b[nxt] = (grads[cur] @ pt + b[cur]) - grads[nxt] @ pt
                 queue.append(nxt)
     v00 = grads["T1"] @ zero + b["T1"]
     b = {name: bb - v00 for name, bb in b.items()}
 
-    cells = tuple(Cell(name=name, vertices=verts[name], A=grads[name], b=b[name])
-                  for name in names)
-    return ShearSquareBuild(gamma=gamma, map=PwAffineMap(cells=cells),
-                            F_gamma=f_gamma, grain_assignment=dict(GRAIN_OF_CELL))
+    cells = tuple(Cell(name=name, vertices=vv, A=grads[name], b=b[name])
+                  for name, vv in verts.items())
+    return ShearSquareBuild(gamma=gamma, map=PwAffineMap(cells=cells), F_gamma=f_gamma)
 
 
 _CHECKS = ("continuity", "determinant", "membership", "boundary_trace", "rank_one_jumps")
@@ -231,25 +227,25 @@ def verify(build_: ShearSquareBuild, tol: Optional[float] = None) -> Verificatio
 
     (a) value agreement at both endpoints of all internal interfaces,
     (b) unit determinant on every cell, (c) strain-set membership per
-    grain assignment, (d) boundary trace equal to x -> F_gamma x at the
-    corners and two interior points per edge, (e) gradient jumps across
-    interfaces annihilate the edge direction (rank-one with the edge
-    normal).
+    ``GRAIN_OF_CELL``, (d) boundary trace equal to x -> F_gamma x at the
+    start corner and the two interior third points of each domain edge,
+    evaluated in the one cell owning that edge,
+    (e) gradient jumps across interfaces annihilate the edge direction
+    (rank-one with the edge normal).
     """
     if tol is None:
         tol = 0.0 if build_.exact else 1e-9
     failures = []
     pam = build_.map
 
-    interfaces = pam.interfaces()
     continuity = True
     jumps = True
-    for c1, c2, p, q in interfaces:
-        if _vec_err(c1.value(p) - c2.value(p)) > tol or _vec_err(c1.value(q) - c2.value(q)) > tol:
+    for c1, c2, p, q in pam.interfaces():
+        if not all(_within(c1.value(v) - c2.value(v), tol) for v in (p, q)):
             continuity = False
             failures.append(f"continuity: {c1.name}|{c2.name}")
         jump = c1.A - c2.A
-        if _vec_err(jump @ (q - p)) > tol:
+        if not _within(jump @ (q - p), tol):
             jumps = False
             failures.append(f"jump: {c1.name}|{c2.name}")
 
@@ -257,35 +253,33 @@ def verify(build_: ShearSquareBuild, tol: Optional[float] = None) -> Verificatio
     membership = True
     slip_of = {"e1": E1, "e2": E2}
     for cell in pam.cells:
-        if abs(cell.A.det() - 1) > tol:
+        if not det_is_one(cell.A.det(), tol):
             determinant = False
             failures.append(f"det: {cell.name}")
-        s = slip_of[build_.grain_assignment[cell.name]]
+        s = slip_of[GRAIN_OF_CELL[cell.name]]
         if not in_N(cell.A, s, tol):
             membership = False
             failures.append(f"membership: {cell.name}")
 
     boundary = True
-    corners = [Vec2(x, y) for x, y in DOMAIN_CORNERS]
-    probes = list(corners)
-    for a, bb in zip(corners, corners[1:] + corners[:1]):
-        for lam_num in (1, 2):
-            lam = Fraction(lam_num, 3) if build_.exact else lam_num / 3
-            probes.append(a + (bb - a) * lam)
-    geo_tol = 0 if build_.exact else 1e-9
-    for p in probes:
-        cell = pam.cell_containing(p, geo_tol)
-        if _vec_err(cell.value(p) - build_.F_gamma @ p) > tol:
-            boundary = False
-            failures.append(f"boundary trace at {p.to_floats()}")
+    thirds = (0, Fraction(1, 3), Fraction(2, 3)) if build_.exact else (0, 1 / 3, 2 / 3)
+    for a, bb, owner in _EDGE_OWNERS:
+        cell = pam.cell(owner)
+        a, bb = Vec2(*a), Vec2(*bb)
+        for lam in thirds:
+            p = a + (bb - a) * lam
+            if not _within(cell.value(p) - build_.F_gamma @ p, tol):
+                boundary = False
+                failures.append(f"boundary trace at {p.to_floats()}")
 
     return VerificationReport(continuity=continuity, determinant=determinant,
                               membership=membership, boundary_trace=boundary,
                               rank_one_jumps=jumps, failures=tuple(failures))
 
 
-def _vec_err(v: Vec2) -> float:
-    return max(abs(float(v.x)), abs(float(v.y)))
+def _within(v: Vec2, tol) -> bool:
+    """|v.x| <= tol and |v.y| <= tol; False for NaN."""
+    return abs(float(v.x)) <= tol and abs(float(v.y)) <= tol
 
 
 def average_gradient(build_: ShearSquareBuild) -> Mat2:
@@ -306,12 +300,11 @@ def grain_components(build_: ShearSquareBuild) -> list[tuple[str, frozenset]]:
     Two cells are joined when they share an edge and carry the same slip
     direction; the components are the grains of the induced polycrystal.
     """
-    assign = build_.grain_assignment
     neighbors = {c.name: set() for c in build_.map.cells}
-    for c1, c2, _, _ in build_.map.interfaces():
-        if assign[c1.name] == assign[c2.name]:
-            neighbors[c1.name].add(c2.name)
-            neighbors[c2.name].add(c1.name)
+    for n1, n2, _, _ in _INTERFACES:
+        if GRAIN_OF_CELL[n1] == GRAIN_OF_CELL[n2]:
+            neighbors[n1].add(n2)
+            neighbors[n2].add(n1)
     seen = set()
     comps = []
     for name in neighbors:
@@ -325,7 +318,7 @@ def grain_components(build_: ShearSquareBuild) -> list[tuple[str, frozenset]]:
             comp.add(cur)
             stack.extend(neighbors[cur] - comp)
         seen |= comp
-        comps.append((assign[name], frozenset(comp)))
+        comps.append((GRAIN_OF_CELL[name], frozenset(comp)))
     return comps
 
 
@@ -360,7 +353,7 @@ def render_svg(build_: ShearSquareBuild) -> str:
                        max(dxs) + shift + 0.2, max(ys) + 0.2, width=900)
     fill = {"e1": "#f4a442", "e2": "#4d9fd6"}
     for c in pam.cells:
-        color = fill[build_.grain_assignment[c.name]]
+        color = fill[GRAIN_OF_CELL[c.name]]
         canvas.polygon([p.to_floats() for p in c.vertices], fill=color,
                        stroke="black", stroke_width=0.02, opacity=0.9)
         canvas.polygon([(float(c.value(v).x) + shift, float(c.value(v).y))
@@ -387,7 +380,7 @@ def mesh_dict(build_: ShearSquareBuild) -> dict:
                 deformed.append(list(cell.value(v).to_floats()))
             ids.append(index[key])
         cells_out.append({"name": cell.name, "vertices": ids,
-                          "grain": build_.grain_assignment[cell.name]})
+                          "grain": GRAIN_OF_CELL[cell.name]})
     return {
         "gamma": float(build_.gamma),
         "boundary_matrix": build_.F_gamma.to_rows(),

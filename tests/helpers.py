@@ -275,7 +275,7 @@ def sampled_full_member(F: Mat2, pc, n_samples: int = 720, tol: float = DEFAULT_
     """
     if samples is None:
         samples = boundary_samples(pc, n_samples)
-    return all(compatible_with_normals(F, samples.grain_theta[gid], normals, tol)
+    return all(compatible_with_normals(F, pc.grain_by_id(gid).theta, normals, tol)
                for gid, normals in samples.normals.items())
 
 

@@ -225,7 +225,6 @@ def test_criterion_09_outer_bounds_on_stock_examples():
     bi = halfdisk_bicrystal(theta_top=PI / 2, theta_bottom=PI / 6)
     s_top = E2
     s_bottom = slip_direction(PI / 6)
-    bi_analysis = analyze_boundary(bi)
     disagreements = 0
     compared = 0
     rot = rotations_batch(rng, 200)
@@ -233,7 +232,7 @@ def test_criterion_09_outer_bounds_on_stock_examples():
         F = mat_of(rot[i])
         closed = ((F @ s_top).norm() <= 1.0 + 1e-12
                   and (F @ s_bottom).norm() <= 1.0 + 1e-12)
-        full = outer_bound_full_member(F, bi, TOL, analysis=bi_analysis)
+        full = outer_bound_full_member(F, bi, TOL)
         assert full and closed
         compared += 1
     while compared < 1000:
@@ -242,7 +241,7 @@ def test_criterion_09_outer_bounds_on_stock_examples():
         if abs(margin) < 1e-6:
             continue  # undecidable at the stated boundary margin
         closed = margin < 0.0
-        full = outer_bound_full_member(F, bi, TOL, analysis=bi_analysis)
+        full = outer_bound_full_member(F, bi, TOL)
         if full != closed:
             disagreements += 1
         compared += 1
@@ -257,12 +256,11 @@ def test_criterion_10_taylor_inside_sampled_outer_bound():
         pc = random_chord_disk(rng, int(rng.integers(2, 6)))
         aset = normalize(pc.texture_angles())
         shift = rotation(aset.shift)
-        analysis = analyze_boundary(pc)
         candidates = [mat_of(R) for R in rotations_batch(rng, 6)]
         candidates += [rand_sl2(rng, 0.6, 1.05, -1.0, 1.0) for _ in range(12)]
         for F in candidates:
             if taylor_member(F @ shift, aset, TOL):
                 positives += 1
-                assert outer_bound_full_member(F, pc, 1e-6, analysis=analysis)
+                assert outer_bound_full_member(F, pc, 1e-6)
     assert positives >= 6000  # rotations always qualify
     _report(10, f"{positives} constant-strain members all pass the boundary bound")

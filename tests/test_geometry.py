@@ -524,15 +524,28 @@ def test_explicit_analysis_takes_precedence():
     pc = quadrant_disk()
     empty = geometry.BoundaryAnalysis(boundary_grains=(), dual_points=(), perp_points=(),
                                       J=frozenset(), J_prime=frozenset())
-    stretch = Mat2(2.0, 0.0, 0.0, 0.5)
-    assert not outer_bound_full_member(stretch, pc)
-    assert outer_bound_full_member(stretch, pc, analysis=empty)
-    assert outer_bound_perp(pc, analysis=empty).trivial_flag
-    assert not outer_bound_perp(pc).trivial_flag
-    half = geometry.BoundaryAnalysis(boundary_grains=(1, 2), dual_points=(), perp_points=(),
-                                     J=frozenset({1}), J_prime=frozenset())
-    assert not equal_perp_full(pc, analysis=half) and equal_perp_full(pc)
     assert boundary_samples(pc, 90, analysis=empty).normals == {}
+    assert boundary_samples(pc, 90).normals
+
+
+def test_full_member_reads_the_analysis_at_its_angular_tol():
+    # textures 1e-4 off the sides' tangents: the sides are perpendicular
+    # points at angular_tol 1e-3 but not at 1e-6
+    pc = _tiling((0.0, 0.0, 2.0, 1.0), [(0.0, 0.0, 1.0, 1.0), (1.0, 0.0, 2.0, 1.0)],
+                 [1e-4, PI / 2 + 1e-4])
+    tols = (1e-6, 1e-3)
+    assert [sorted(analyze_boundary(pc, a).J) for a in tols] == [[], [1, 2]]
+    assert [equal_perp_full(pc, a) for a in tols] == [False, True]
+    # a segment has one normal, so sampling decides the full bound exactly
+    samples = {a: boundary_samples(pc, 90, analyze_boundary(pc, a)) for a in tols}
+    rng = np.random.default_rng(65)
+    differ = 0
+    for _ in range(400):
+        F = rand_sl2(rng)
+        got = [outer_bound_full_member(F, pc, angular_tol=a) for a in tols]
+        assert got == [sampled_full_member(F, pc, samples=samples[a]) for a in tols]
+        differ += got[0] != got[1]
+    assert differ >= 80
 
 
 def test_shared_analysis_is_read_only():
@@ -664,7 +677,7 @@ def test_boundary_samples_equal_the_loop_bit_for_bit():
         for n in (1, 90, 720, 2880):
             got = boundary_samples(pc, n)
             want = loop_boundary_samples(pc, n)
-            assert list(got.normals) == list(want) == list(got.grain_theta)
+            assert list(got.normals) == list(want)
             for gid, rows in want.items():
                 assert got.normals[gid].dtype == rows.dtype
                 assert got.normals[gid].shape == rows.shape
@@ -682,7 +695,7 @@ def test_exact_members_are_sampled_members():
         candidates = [rand_sl2(rng, 0.8, 1.2, -0.4, 0.4) for _ in range(40)]
         candidates += [mat_of(R) for R in rotations_batch(rng, 3)]
         for F in candidates:
-            if outer_bound_full_member(F, pc, analysis=analysis):
+            if outer_bound_full_member(F, pc):
                 members += 1
                 for smp in samples:
                     assert sampled_full_member(F, pc, samples=smp)
@@ -702,7 +715,7 @@ def test_segment_boundaries_match_sampling_both_ways():
         seen = set()
         for _ in range(300):
             F = rand_sl2(rng, 0.5, 2.0, -4.0, 4.0)
-            exact = outer_bound_full_member(F, pc, analysis=analysis)
+            exact = outer_bound_full_member(F, pc)
             assert exact == sampled_full_member(F, pc, samples=samples)
             seen.add(exact)
         assert seen == {True, False}
@@ -716,7 +729,7 @@ def test_pinned_false_sampled_members_are_rejected(heights, thetas, entries):
     F = Mat2(*entries)
     analysis = analyze_boundary(pc)
     assert sampled_full_member(F, pc, 720)
-    assert not outer_bound_full_member(F, pc, analysis=analysis)
+    assert not outer_bound_full_member(F, pc)
     assert not dense_full_member(F, pc, analysis, 200_001)
 
 
@@ -739,9 +752,8 @@ def test_exact_membership_is_rotation_equivariant(pc):
     assert True in want and False in want
     for phi in (0.37, PI / 2, 2.0, -1.1, 4.569589314312426, 11.0):
         rotated = pc.rotated(phi)
-        analysis = analyze_boundary(rotated)
         R = rotation(phi)
-        assert [outer_bound_full_member(R @ F @ R.transpose(), rotated, analysis=analysis)
+        assert [outer_bound_full_member(R @ F @ R.transpose(), rotated)
                 for F in candidates] == want
 
 

@@ -5,7 +5,8 @@ import pytest
 
 from polyslip.errors import GammaOutOfRange
 from polyslip.mat2 import E1, E2, Mat2, Vec2, is_SO2, rotation
-from polyslip.shear_square import (GAMMA_MAX, PwAffineMap, ShearSquareBuild,
+from polyslip.shear_square import (_CELL_VERTICES, _EDGE_OWNERS, _INTERFACES, DOMAIN_CORNERS,
+                                   GAMMA_MAX, GRAIN_OF_CELL, PwAffineMap, ShearSquareBuild,
                                    average_gradient, boundary_matrix, build,
                                    conclusion, grain_components, mesh_dict,
                                    verify)
@@ -52,6 +53,27 @@ def test_twelve_internal_interfaces():
     assert len(around_s) == 4
 
 
+def _edges(vertices) -> set:
+    return {frozenset(e) for e in zip(vertices, vertices[1:] + vertices[:1])}
+
+
+def test_interface_table_is_the_shared_edge_search():
+    cells = list(_CELL_VERTICES.items())
+    want = [(frozenset((n1, n2)), edge) for i, (n1, v1) in enumerate(cells)
+            for n2, v2 in cells[i + 1:] for edge in _edges(v1) & _edges(v2)]
+    got = [(frozenset((n1, n2)), frozenset((p, q))) for n1, n2, p, q in _INTERFACES]
+    assert len(got) == len(set(got)) == 12
+    assert set(got) == set(want)
+
+
+def test_each_domain_edge_has_one_owner():
+    corners = list(DOMAIN_CORNERS)
+    assert [(a, b) for a, b, _ in _EDGE_OWNERS] == list(zip(corners, corners[1:] + corners[:1]))
+    for a, b, owner in _EDGE_OWNERS:
+        assert [n for n, vv in _CELL_VERTICES.items() if frozenset((a, b)) in _edges(vv)] == [owner]
+    assert [owner for _, _, owner in _EDGE_OWNERS] == ["T8", "T6", "T4", "T2"]
+
+
 def test_verify_exact_all_checks():
     report = verify(build(HALF))
     assert report.all_passed
@@ -81,11 +103,45 @@ def test_tampered_build_fails_checks():
         if c.name == "S" else c
         for c in good.map.cells)
     bad = ShearSquareBuild(gamma=good.gamma, map=PwAffineMap(cells=bad_cells),
-                           F_gamma=good.F_gamma, grain_assignment=good.grain_assignment)
+                           F_gamma=good.F_gamma)
     report = verify(bad)
     assert not report.continuity
     assert not report.determinant
     assert not report.all_passed
+
+
+def _tampered(build_, name, **changes):
+    cells = tuple(dataclasses.replace(c, **changes) if c.name == name else c
+                  for c in build_.map.cells)
+    return dataclasses.replace(build_, map=PwAffineMap(cells=cells))
+
+
+_GOOD = build(HALF)
+_TENTH_E1 = Vec2(Fraction(1, 10), Fraction(0))
+_TAMPERED = {
+    # T8 owns the edge (0,0)-(3,-1): all three of its probes move
+    "shift_T8": (_tampered(_GOOD, "T8", b=_GOOD.map.cell("T8").b + _TENTH_E1),
+                 {"continuity", "boundary_trace"}),
+    "double_F": (dataclasses.replace(_GOOD, F_gamma=_GOOD.F_gamma * 2), {"boundary_trace"}),
+    # det 1, but e1 is stretched by 2: outside N(e1)
+    "stretch_S": (_tampered(_GOOD, "S", A=Mat2(Fraction(2), HALF, Fraction(0), HALF)),
+                  {"continuity", "membership", "rank_one_jumps"}),
+    # a quarter turn keeps S in N(e1) but breaks its interfaces
+    "turn_S": (_tampered(_GOOD, "S", A=Mat2(Fraction(0), Fraction(-1), Fraction(1), Fraction(0))
+                         @ _GOOD.map.cell("S").A),
+               {"continuity", "rank_one_jumps"}),
+    # every comparison with a NaN residual fails
+    "nan_S": (_tampered(build(0.25), "S", A=Mat2(float("nan"), 0.25, 0.0, 1.0)),
+              {"continuity", "determinant", "membership", "rank_one_jumps"}),
+}
+
+
+@pytest.mark.parametrize("name", list(_TAMPERED))
+def test_each_check_fails_on_a_tampered_build(name):
+    bad, failing = _TAMPERED[name]
+    report = verify(bad)
+    failed = {check for check, ok in report.as_dict().items() if ok is False}
+    assert failed == failing | {"all_passed"}
 
 
 def test_conclusion_flags():
@@ -115,7 +171,7 @@ def test_center_and_flank_cells_agree_on_the_diagonal():
 def test_membership_split_by_grain():
     b = build(HALF)
     for cell in b.map.cells:
-        s = E1 if b.grain_assignment[cell.name] == "e1" else E2
+        s = E1 if GRAIN_OF_CELL[cell.name] == "e1" else E2
         assert in_N(cell.A, s, tol=0)
 
 
