@@ -17,7 +17,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 from . import shear_square
-from .compat import find_connection, laminate_split, nu_compatible
+from .compat import find_connection, laminate_split
 from .errors import DomainError, PolyslipError
 from .mat2 import ANGULAR_TOL, Mat2, Vec2
 from .svg import SvgCanvas
@@ -144,9 +144,8 @@ def _cmd_compat(args) -> dict:
     F = _parse_matrix(args.matrix)
     s = _parse_unit(args.slip)
     nu = _parse_unit(args.normal)
-    ok = nu_compatible(F, s, nu, args.tol)
-    conn = find_connection(F, s, nu, args.tol)
-    payload = {"compatible": ok, "connection": None}
+    conn = find_connection(F, s, nu, args.tol)  # None exactly when not nu_compatible
+    payload = {"compatible": conn is not None, "connection": None}
     if conn is not None:
         payload["connection"] = {"a": list(conn.a.to_floats()),
                                  "target": conn.target.to_rows()}

@@ -9,15 +9,17 @@ to the slip direction s, to
     ((s.nu_perp / s.nu) * beta + gamma)^2 + 1/beta^2  >=  1
 
 when s.nu != 0, and to plain relaxed-set membership when nu = perp(s).
-``_compatible`` is the one home of this inequality, for ``nu_compatible``,
-``find_connection`` and ``geometry.compatible_with_normals``.  Solved for
-the normal, it fails exactly on one open window of normal angles mod pi
+``_compatible`` is the one home of this inequality, for ``_decide`` (the
+one decision, with one ``decompose``, that ``nu_compatible`` and
+``find_connection`` share) and ``geometry.compatible_with_normals``.  Solved
+for the normal, it fails exactly on one open window of normal angles mod pi
 (``_forbidden_window``), which lets ``geometry.outer_bound_full_member``
 decide compatibility along whole boundary curves at once.
 
 ``laminate_split`` writes any volume-preserving strain as a convex
 combination of two rank-one connected strains, each inside the union of
-the relaxed sets of two independent slip directions.
+the relaxed sets of two independent slip directions, in closed form; slips
+too close to split in floating point raise ``ParallelSlips``.
 """
 
 from __future__ import annotations
@@ -76,18 +78,25 @@ def _forbidden_window(beta: float, gamma: float, tol: float):
     return math.atan((gamma - w) / beta), math.atan((gamma + w) / beta)
 
 
+def _decide(F: Mat2, s: Vec2, nu: Vec2, tol: float):
+    """``(compatible, frame, c)``, with ``frame = decompose(F, s, tol)`` and
+    c = s.nu_perp / s.nu, both None in the perpendicular case |s.nu| <= tol."""
+    sn = s.dot(nu)
+    if abs(sn) <= tol:
+        require_sl2(F, tol)
+        return in_N(F, s, tol), None, None
+    frame = decompose(F, s, tol)
+    c = s.dot(nu.perp()) / sn
+    return _compatible(c, frame.beta, frame.gamma, tol), frame, c
+
+
 def nu_compatible(F: Mat2, s: Vec2, nu: Vec2, tol: float = DEFAULT_TOL) -> bool:
     """Rank-one compatibility of F with the relaxed strain set of s across nu.
 
     ``s`` and ``nu`` must be unit vectors; F must be volume preserving.
     The perpendicular case |s.nu| <= tol degenerates to set membership.
     """
-    require_sl2(F, tol)
-    sn = s.dot(nu)
-    if abs(sn) <= tol:
-        return in_N(F, s, tol)
-    frame = decompose(F, s, tol)
-    return _compatible(s.dot(nu.perp()) / sn, frame.beta, frame.gamma, tol)
+    return _decide(F, s, nu, tol)[0]
 
 
 def find_connection(F: Mat2, s: Vec2, nu: Vec2, tol: float = DEFAULT_TOL):
@@ -97,13 +106,11 @@ def find_connection(F: Mat2, s: Vec2, nu: Vec2, tol: float = DEFAULT_TOL):
     (exact membership, not just the relaxed set) whenever s.nu != 0, or
     ``None`` exactly when ``nu_compatible`` is False.
     """
-    if not nu_compatible(F, s, nu, tol):
+    compatible, frame, c = _decide(F, s, nu, tol)
+    if not compatible:
         return None
-    sn = s.dot(nu)
-    if abs(sn) <= tol or in_M(F, s, tol):
+    if frame is None or in_M(F, s, tol):
         return RankOneConnection(a=Vec2(0.0, 0.0), nu=nu, target=F)
-    frame = decompose(F, s, tol)
-    c = s.dot(nu.perp()) / sn
     beta, gamma = frame.beta, frame.gamma
     # Solve xi . n = 1 on the unit circle, n the interface image of F in
     # the (s, perp(s)) frame; |n| >= 1 guarantees a solution.
@@ -130,38 +137,28 @@ def laminate_split(F: Mat2, s: Vec2, s_prime: Vec2, tol: float = DEFAULT_TOL) ->
     orthogonal pair {s + s', s - s'} ordered so that |Fb| < |Fa|; then
     |F_t a| is constant while |F_t b| grows quadratically, so the norm
     gap has one root on each side of t = 0.  At the roots the images of
-    s and s' are orthogonal, which forces the shorter one below 1.
+    s and s' are orthogonal, which forces the shorter one below 1.  If the
+    roundoff in a.b moves det F_t = 1 + t a.b by more than tol, b is
+    projected on perp(a) and the roots solved again.
 
     Returns the trivial split (lam = 1, both factors F) when F already
     lies in either relaxed set, and when Fs . Fs' vanishes within tol
-    (possible only alongside membership).
+    (possible only alongside membership).  Raises ``ParallelSlips`` when
+    |s x s'| <= tol, or when the quadratic's leading coefficient underflows.
     """
     require_sl2(F, tol)
     if abs(s.cross(s_prime)) <= tol:
         raise ParallelSlips("slip directions coincide up to sign")
-    if in_N(F, s, tol) or in_N(F, s_prime, tol):
+    d = (F @ s).dot(F @ s_prime)
+    if in_N(F, s, tol) or in_N(F, s_prime, tol) or abs(d) <= tol:
         return LaminateSplit(F_plus=F, F_minus=F, lam=1.0, t_plus=0.0, t_minus=0.0)
     u, w = s + s_prime, s - s_prime
-    d = (F @ s).dot(F @ s_prime)
-    if abs(d) <= tol:
-        return LaminateSplit(F_plus=F, F_minus=F, lam=1.0, t_plus=0.0, t_minus=0.0)
     a, b = (w, u) if d < 0 else (u, w)
-    fa, fb = F @ a, F @ b
-    b2 = float(b.norm2())
-    # |F_t b|^2 - |F_t a|^2 = q2 t^2 + q1 t + q0 with q0 < 0 < q2
-    q2 = b2 * b2 * float(fa.norm2())
-    q1 = 2.0 * b2 * float(fa.dot(fb))
-    q0 = float(fb.norm2() - fa.norm2())
-    disc = q1 * q1 - 4.0 * q2 * q0
-    if disc > tol:
-        root = math.sqrt(disc)
-        t_plus = (-q1 + root) / (2.0 * q2)
-        t_minus = (-q1 - root) / (2.0 * q2)
-    else:
-        # nearly degenerate parabola: locate the sign changes directly
-        span = max(1.0, abs(q1 / q2))
-        t_plus = _bisect_root(lambda t: (q2 * t + q1) * t + q0, 0.0, span)
-        t_minus = _bisect_root(lambda t: (q2 * t + q1) * t + q0, 0.0, -span)
+    t_plus, t_minus = _rank_one_roots(F, a, b)
+    if max(t_plus, -t_minus) * abs(a.dot(b)) > tol:  # det F_t = 1 + t a.b
+        p = a.perp()
+        b = p * (b.dot(p) / a.norm2())
+        t_plus, t_minus = _rank_one_roots(F, a, b)
     dyad = Mat2.outer(a, b)
     f_plus = F @ (Mat2.identity() + dyad * t_plus)
     f_minus = F @ (Mat2.identity() + dyad * t_minus)
@@ -170,16 +167,18 @@ def laminate_split(F: Mat2, s: Vec2, s_prime: Vec2, tol: float = DEFAULT_TOL) ->
                          t_plus=t_plus, t_minus=t_minus)
 
 
-def _bisect_root(f, inner: float, outer: float) -> float:
-    lo, hi = inner, outer
-    while f(hi) < 0.0:
-        hi *= 2.0
-        if abs(hi) > 1e12:
-            raise ArithmeticError("no sign change on the rank-one line")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _rank_one_roots(F: Mat2, a: Vec2, b: Vec2) -> tuple[float, float]:
+    """The roots t+ > 0 > t- of |F_t b| = |F_t a| on F_t = F(Id + t a(x)b)."""
+    fa, fb = F @ a, F @ b
+    # a power-of-two rescale keeps every bit and the squares below finite
+    k = math.ldexp(1.0, -math.frexp(max(abs(fa.x), abs(fa.y)))[1])
+    fa, fb = fa * k, fb * k
+    b2 = float(b.norm2())
+    # k^2 (|F_t b|^2 - |F_t a|^2) = q2 t^2 + q1 t + q0 with q0 < 0 < q2
+    q2 = b2 * b2 * float(fa.norm2())
+    q1 = 2.0 * b2 * float(fa.dot(fb))
+    q0 = float(fb.norm2() - fa.norm2())
+    if not q2 > 0.0:
+        raise ParallelSlips("slip directions too close to split in floating point")
+    root = math.sqrt(q1 * q1 - 4.0 * q2 * q0)
+    return (-q1 + root) / (2.0 * q2), (-q1 - root) / (2.0 * q2)

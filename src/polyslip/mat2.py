@@ -227,7 +227,7 @@ def decompose(F: Mat2, s: Vec2, tol: float = DEFAULT_TOL) -> ShearFrame:
     The frame has beta = |Fs| > 0 and R(rho) s = Fs / beta, and
     ``frame.reconstruct()`` equals F up to roundoff.  Raises ``NotSL2``
     unless det F = 1 within tol (see ``require_sl2``) and
-    ``DegenerateBeta`` if |Fs| < tol.
+    ``DegenerateBeta`` if |Fs| < tol or |Fs|^2 underflows to 0.
     """
     require_sl2(F, tol)
     beta, gamma, rx, ry = stretch_shear(F, s.x, s.y, tol)
@@ -243,13 +243,13 @@ def stretch_shear(F: Mat2, sx, sy, tol: float = DEFAULT_TOL):
 
     (rx, ry) = Fs / beta is the rotated slip direction.  Builds no objects
     and skips the SL(2) check, for callers that test many slip directions
-    against one checked matrix; raises ``DegenerateBeta`` if |Fs| < tol.
+    against one checked matrix; raises ``DegenerateBeta`` as ``decompose`` does.
     """
     fx = F.a11 * sx + F.a12 * sy
     fy = F.a21 * sx + F.a22 * sy
     beta = math.sqrt(float(fx * fx + fy * fy))
-    if beta < tol:
-        raise DegenerateBeta(f"|Fs| = {beta!r} below tolerance")
+    if beta < tol or beta == 0.0:  # at tol = 0, a square that underflows
+        raise DegenerateBeta(f"|Fs| = {beta!r} too short to decompose")
     rx, ry = fx / beta, fy / beta
     # F perp(s) . Fs / beta, perp(s) = (-sy, sx)
     gamma = (F.a11 * -sy + F.a12 * sx) * rx + (F.a21 * -sy + F.a22 * sx) * ry

@@ -73,9 +73,3 @@ def psi(beta, gamma) -> Mat2:
         raise DomainError(f"beta = {beta!r} outside (0, 1]")
     return Mat2(beta, gamma, 0, 1 / beta)
 
-
-def sl2_shear(beta, gamma) -> Mat2:
-    """Like psi but for any beta > 0; covers all of SL(2) up to rotation."""
-    if beta <= 0:
-        raise DomainError(f"beta = {beta!r} must be positive")
-    return Mat2(beta, gamma, 0, 1 / beta)

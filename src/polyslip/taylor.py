@@ -19,6 +19,7 @@ of the triviality test; both run on floats and on numpy arrays.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -91,7 +92,10 @@ def normalize(angles, tol: float = DEFAULT_TOL) -> AngleSet:
 def _window(theta: float, beta, sqrt=math.sqrt, maximum=max):
     """(center, root) with gamma_pm = center -+ root; for an array beta pass numpy's ufuncs."""
     st = math.sin(theta)
-    root = sqrt(maximum(0.0, 1.0 / (st * st) - 1.0 / (beta * beta)))
+    if st * st < sys.float_info.min:
+        raise DomainError(f"theta = {theta!r}: sin(theta)^2 underflows")
+    b = maximum(beta, st)  # the root is 0 for beta <= sin(theta)
+    root = sqrt(maximum(0.0, 1.0 / (st * st) - 1.0 / (b * b)))
     center = -beta * math.cos(theta) / st
     return center, root
 
@@ -197,8 +201,7 @@ def taylor_member_batch(F: np.ndarray, angles: AngleSet, tol: float = DEFAULT_TO
         return (np.abs(beta - 1.0) <= tol) & (np.abs(gamma) <= tol)
     ok = beta <= 1.0 + tol
     for a in bound.angles[1:]:
-        with np.errstate(divide="ignore"):
-            center, root = _window(a, beta, np.sqrt, np.maximum)
+        center, root = _window(a, beta, np.sqrt, np.maximum)
         ok &= ((beta >= math.sin(a) - tol) & (gamma >= center - root - tol)
                & (gamma <= center + root + tol))
     return ok

@@ -339,6 +339,45 @@ def test_gamma_too_large_for_a_float_is_domain_error(capsys, gamma):
     assert captured.err == "error: |gamma| = inf exceeds sqrt(3) - 1\n"
 
 
+# float-degenerate inputs: each is a domain error, never a ZeroDivisionError
+_UNDERFLOWS = ["--matrix", "1e-170,0,0,1e170", "--tol", "0"]  # |F e1|^2 underflows to 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["laminate", "--matrix", "2,0,0,0.5", "--slip", "1,0", "--slip2", "1,1e-200", "--tol", "0"],
+    ["member", "--angles", "0,1", *_UNDERFLOWS],
+    ["member", "--angles", "0,1", "--space", "M", *_UNDERFLOWS],
+    ["compat", "--slip", "1,0", "--normal", "0.6,0.8", *_UNDERFLOWS],
+    ["outer", "--polycrystal", "quadrant.json", *_UNDERFLOWS],
+    ["member", "--angles", "0,1e-200", "--matrix", "1,0,0,1", "--tol", "0"],
+], ids=["laminate-q2", "member", "member-M", "compat", "outer", "member-theta"])
+def test_float_degenerate_input_is_domain_error(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "quadrant.json").write_text(json.dumps(polycrystal_to_dict(quadrant_disk())))
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("slip2", ["1,1e-6", "1,1e-8"])
+def test_laminate_near_parallel_slips_split_in_closed_form(capsys, output_schema, slip2):
+    payload, _ = _run_json(capsys, [
+        "laminate", "--matrix", "2,0,0,0.5", "--slip", "1,0", "--slip2", slip2])
+    assert 0.0 <= payload["lambda"] <= 1.0
+    assert payload["t_minus"] < 0 < payload["t_plus"]
+    output_schema(payload)
+    s, sp = Vec2(1.0, 0.0), _parse_unit(slip2)
+    for key in ("F_plus", "F_minus"):
+        (g11, g12), (g21, g22) = payload[key]
+        # endpoint entries reach 1/|s - s'|; a determinant holds to eps times its products
+        assert abs(g11 * g22 - g12 * g21 - 1) <= 1e-12 * (abs(g11 * g22) + abs(g12 * g21))
+        scale = max(abs(g11), abs(g12), abs(g21), abs(g22))
+        norms = [math.hypot(g11 * v.x + g12 * v.y, g21 * v.x + g22 * v.y) for v in (s, sp)]
+        assert min(norms) <= 1 + 1e-12 * scale
+
+
 def test_nan_determinant_is_domain_error(capsys):
     # finite entries whose determinant overflows to inf - inf = nan
     argv = ["laminate", "--matrix", "1e200,1e200,1e200,1e200", "--slip", "1,0", "--slip2", "1,1"]

@@ -19,7 +19,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 jsonschema = pytest.importorskip("jsonschema")
-from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
+from hypothesis import HealthCheck, example, given, settings, strategies as st  # noqa: E402
 
 from polyslip.cli import run  # noqa: E402
 from polyslip.geometry import (chord_disk, polycrystal_to_dict, quadrant_disk,  # noqa: E402
@@ -142,6 +142,10 @@ def in_polycrystal_dir(tmp_path_factory):
 @settings(max_examples=400, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(argv=_argv())
+@example(argv=["laminate", "--matrix=2,0,0,0.5", "--slip=1,0", "--slip2=1,1e-6"])
+@example(argv=["laminate", "--matrix=2,0,0,0.5", "--slip=1,0", "--slip2=1,1e-8"])
+@example(argv=["laminate", "--matrix=1e154,0,0,1e-154", "--slip=1,0", "--slip2=1,1e-5",
+               "--tol=0"])
 def test_cli_contract_holds_for_any_argv(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

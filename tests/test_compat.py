@@ -120,6 +120,22 @@ def test_density_characterization():
         assert everywhere == in_N(F, s)
 
 
+def test_find_connection_decomposes_once(monkeypatch):
+    from polyslip import compat
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return decompose(*args, **kwargs)
+
+    monkeypatch.setattr(compat, "decompose", counted)
+    # a built connection, the zero connection of a member of M, and no connection
+    for F, nu in ((psi(0.5, 3.0), NU45), (psi(1.0, 3.0), NU45), (DIAG, E1)):
+        calls.clear()
+        find_connection(F, E1, nu)
+        assert len(calls) == 1
+
+
 def test_compat_requires_sl2():
     with pytest.raises(NotSL2):
         nu_compatible(Mat2(2, 0, 0, 1), E1, E2)
@@ -177,6 +193,45 @@ def test_split_random_sweep():
         done += 1
 
 
+def test_split_near_parallel_slips():
+    # slips 1e-12 to 1e-1 rad apart flatten the parabola of the rank-one line
+    rng = np.random.default_rng(35)
+    done = 0
+    for _ in range(3000):
+        F = rand_sl2(rng, 0.3, 2.5, -3.0, 3.0)
+        a0 = rng.uniform(0.0, 2.0 * math.pi)
+        d = 10.0 ** rng.uniform(-12.0, -1.0)
+        s, sp = Vec2(math.cos(a0), math.sin(a0)), Vec2(math.cos(a0 + d), math.sin(a0 + d))
+        try:
+            split = laminate_split(F, s, sp)
+        except ParallelSlips:
+            assert abs(s.cross(sp)) <= 1e-9
+            continue
+        _assert_split_valid_to_scale(split, F, s, sp)
+        done += split.lam != 1.0
+    assert done > 1000
+
+
+def test_split_of_underflowing_pair_is_parallel():
+    # |s - s'|^4 underflows: no closed form is left to evaluate
+    with pytest.raises(ParallelSlips):
+        laminate_split(DIAG, E1, Vec2(1.0, 1e-200).unit(), 0.0)
+
+
+def test_split_of_huge_strain_is_finite():
+    # |F(s + s')|^2 overflows without the power-of-two rescale
+    F, sp = Mat2(1e154, 0.0, 0.0, 1e-154), Vec2(1.0, 1e-5).unit()
+    split = laminate_split(F, E1, sp, 0.0)
+    values = [split.lam, split.t_plus, split.t_minus,
+              *(x for G in (split.F_plus, split.F_minus) for row in G.to_rows() for x in row)]
+    assert all(map(math.isfinite, values))
+    assert split.t_minus < 0.0 < split.t_plus
+    assert 0.0 <= split.lam <= 1.0
+    scale = max(split.F_plus.max_abs(), split.F_minus.max_abs())
+    comb = split.lam * split.F_plus + (1 - split.lam) * split.F_minus
+    assert (comb - F).max_abs() <= 1e-12 * scale
+
+
 def test_parallel_slips_rejected():
     with pytest.raises(ParallelSlips):
         laminate_split(DIAG, E1, Vec2(-1.0, 0.0))
@@ -192,3 +247,26 @@ def _assert_split_valid(split: LaminateSplit, F, s, sp):
     assert abs(split.F_minus.det() - 1) < 1e-9
     assert in_N(split.F_plus, s, 1e-9) or in_N(split.F_plus, sp, 1e-9)
     assert in_N(split.F_minus, s, 1e-9) or in_N(split.F_minus, sp, 1e-9)
+
+
+def _assert_split_valid_to_scale(split: LaminateSplit, F, s, sp):
+    """``_assert_split_valid`` to the roundoff of the entries, S the largest.
+
+    Near-parallel slips put the endpoints far out on the rank-one line,
+    S ~ 1/|s - s'|.  Norms and averages are linear in the entries, so they
+    hold to eps S; a determinant holds to eps times its two products.
+    """
+    scale = max(F.max_abs(), split.F_plus.max_abs(), split.F_minus.max_abs())
+    rel = 1e-12 * scale
+    assert 0.0 <= split.lam <= 1.0
+    comb = split.lam * split.F_plus + (1 - split.lam) * split.F_minus
+    assert (comb - F).max_abs() <= rel
+    jump = split.F_plus - split.F_minus
+    assert abs(jump.det()) <= 1e-12 * jump.max_abs() ** 2
+    for G in (split.F_plus, split.F_minus):
+        assert abs(G.det() - 1) <= 1e-12 * _det_scale(G)
+        assert min((G @ s).norm(), (G @ sp).norm()) <= 1 + rel
+
+
+def _det_scale(G: Mat2) -> float:
+    return abs(G.a11 * G.a22) + abs(G.a12 * G.a21)

@@ -58,6 +58,24 @@ def test_in_lambda_examples():
     assert not in_lambda(PI / 6, 0.4, 0.0)
 
 
+def test_in_lambda_below_sin_theta_with_a_tiny_stretch():
+    # the root is 0 below sin(theta) and is no longer evaluated at beta, whose
+    # square underflows; beta is within tol = 1e-9 of sin(theta) = 1e-12
+    assert in_lambda(1e-12, 1e-170, 0.0)
+    assert not in_lambda(1e-12, 1e-170, 0.0, 0.0)
+
+
+def test_underflowing_sin_theta_is_domain_error():
+    # normalize keeps a 1e-200 angle at tol 0, and sin(1e-200)^2 underflows
+    angles = normalize([0.0, 1e-200], 0.0)
+    with pytest.raises(DomainError):
+        taylor_member(Mat2.identity(), angles, 0.0)
+    with pytest.raises(DomainError):
+        taylor_member_batch(np.eye(2)[None], angles, 0.0)
+    with pytest.raises(DomainError):
+        in_lambda(1e-200, 1.0, 0.0)
+
+
 def test_region_boundary_consistency():
     # points on the gamma curves satisfy |F R(theta) e1| = 1 exactly
     rng = np.random.default_rng(12)
