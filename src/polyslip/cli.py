@@ -14,13 +14,9 @@ import json
 import math
 import sys
 from bisect import bisect_left, bisect_right
-from fractions import Fraction
 
-from . import shear_square
-from .compat import find_connection, laminate_split
 from .errors import DomainError, PolyslipError
 from .mat2 import ANGULAR_TOL, Mat2, Vec2
-from .svg import SvgCanvas
 from .taylor import (gamma_bounds, is_trivial, normalize, reduce_angles, shear_interval,
                      taylor_M_member, taylor_member)
 
@@ -57,6 +53,8 @@ def _parse_unit(text: str) -> Vec2:
 
 
 def _parse_gamma(text: str):
+    from fractions import Fraction  # import on use: only shear parses a gamma
+
     # "1/2" or "0.5" parse exactly; exact gamma keeps the build rational
     try:
         return Fraction(text)
@@ -81,6 +79,8 @@ def emit_lambda_plot(thetas, grid: int):
     curves (columns ``theta,beta,gamma_minus,gamma_plus``); ``cells_filled``
     counts the cells of a grid x grid raster whose centers lie in it.
     """
+    from .svg import SvgCanvas
+
     for t in thetas:
         if not 0.0 < t < math.pi:
             raise DomainError(f"theta = {t!r} outside (0, pi)")
@@ -141,6 +141,8 @@ def _cmd_member(args) -> dict:
 
 
 def _cmd_compat(args) -> dict:
+    from .compat import find_connection
+
     F = _parse_matrix(args.matrix)
     s = _parse_unit(args.slip)
     nu = _parse_unit(args.normal)
@@ -153,6 +155,8 @@ def _cmd_compat(args) -> dict:
 
 
 def _cmd_laminate(args) -> dict:
+    from .compat import laminate_split
+
     F = _parse_matrix(args.matrix)
     s = _parse_unit(args.slip)
     s2 = _parse_unit(args.slip2)
@@ -167,7 +171,7 @@ def _cmd_laminate(args) -> dict:
 
 
 def _cmd_outer(args) -> dict:
-    from . import geometry  # import on use: only outer needs it
+    from . import geometry  # import on use: each subcommand loads only what it calls
 
     if not 0.0 <= args.angular_tol < math.inf:
         raise ValueError(f"--angular-tol must be finite and >= 0, got {args.angular_tol!r}")
@@ -206,6 +210,8 @@ def _cmd_mc(args) -> dict:
 
 
 def _cmd_shear(args) -> dict:
+    from . import shear_square
+
     gamma = _parse_gamma(args.gamma)
     build = shear_square.build(gamma)
     payload = {

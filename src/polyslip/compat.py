@@ -9,9 +9,11 @@ to the slip direction s, to
     ((s.nu_perp / s.nu) * beta + gamma)^2 + 1/beta^2  >=  1
 
 when s.nu != 0, and to plain relaxed-set membership when nu = perp(s).
-``_compatible`` is the one home of this inequality, for ``_decide`` (the
-one decision, with one ``decompose``, that ``nu_compatible`` and
-``find_connection`` share) and ``geometry.compatible_with_normals``.  Solved
+``_lhs`` is the one home of its left side, for ``_decide`` (the one
+decision, with one ``decompose``, that ``nu_compatible`` and
+``find_connection`` share; it raises ``DomainError`` where the left side
+leaves the float range) and, through ``_compatible``,
+``geometry.compatible_with_normals``.  Solved
 for the normal, it fails exactly on one open window of normal angles mod pi
 (``_forbidden_window``), which lets ``geometry.outer_bound_full_member``
 decide compatibility along whole boundary curves at once.
@@ -27,26 +29,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ParallelSlips
+from .errors import DomainError, ParallelSlips
 from .mat2 import DEFAULT_TOL, Mat2, Vec2, decompose, require_sl2
 from .slip import in_M, in_N
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class RankOneConnection:
-    """Witness of compatibility: target = A + a(x)nu lies in the target set."""
+    """Immutable-by-contract witness of compatibility: target = A + a(x)nu is in the target set."""
 
     a: Vec2
     nu: Vec2
     target: Mat2
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class LaminateSplit:
     """F = lam * F_plus + (1 - lam) * F_minus with rank(F_plus - F_minus) <= 1.
 
     ``t_plus`` and ``t_minus`` are the parameters of the two endpoints on
-    the rank-one line through F (t = 0).
+    the rank-one line through F (t = 0).  Immutable by contract.
     """
 
     F_plus: Mat2
@@ -56,9 +58,14 @@ class LaminateSplit:
     t_minus: float
 
 
+def _lhs(c, beta, gamma):
+    """Left side of the inequality above, c = s.nu_perp / s.nu; elementwise if c is an array."""
+    return (c * beta + gamma) ** 2 + 1.0 / beta**2
+
+
 def _compatible(c, beta, gamma, tol):
-    """The inequality above with c = s.nu_perp / s.nu, elementwise if c is an array."""
-    return (c * beta + gamma) ** 2 + 1.0 / beta**2 >= 1.0 - tol
+    """The inequality above, elementwise if c is an array."""
+    return _lhs(c, beta, gamma) >= 1.0 - tol
 
 
 def _forbidden_window(beta: float, gamma: float, tol: float):
@@ -80,14 +87,23 @@ def _forbidden_window(beta: float, gamma: float, tol: float):
 
 def _decide(F: Mat2, s: Vec2, nu: Vec2, tol: float):
     """``(compatible, frame, c)``, with ``frame = decompose(F, s, tol)`` and
-    c = s.nu_perp / s.nu, both None in the perpendicular case |s.nu| <= tol."""
+    c = s.nu_perp / s.nu, both None in the perpendicular case |s.nu| <= tol.
+
+    Raises ``DomainError`` where the left side of the inequality is not a finite float.
+    """
     sn = s.dot(nu)
     if abs(sn) <= tol:
         require_sl2(F, tol)
         return in_N(F, s, tol), None, None
     frame = decompose(F, s, tol)
     c = s.dot(nu.perp()) / sn
-    return _compatible(c, frame.beta, frame.gamma, tol), frame, c
+    try:
+        lhs = _lhs(c, frame.beta, frame.gamma)
+    except OverflowError:  # float ** 2 raises where float * float gives inf
+        lhs = math.inf
+    if not lhs < math.inf:  # also |Fs|^2 overflowing to beta = inf, and NaN
+        raise DomainError(f"|Fs| = {frame.beta!r}: the compatibility test leaves the float range")
+    return lhs >= 1.0 - tol, frame, c
 
 
 def nu_compatible(F: Mat2, s: Vec2, nu: Vec2, tol: float = DEFAULT_TOL) -> bool:
@@ -104,7 +120,9 @@ def find_connection(F: Mat2, s: Vec2, nu: Vec2, tol: float = DEFAULT_TOL):
 
     Returns a ``RankOneConnection`` whose target satisfies |target s| = 1
     (exact membership, not just the relaxed set) whenever s.nu != 0, or
-    ``None`` exactly when ``nu_compatible`` is False.
+    ``None`` exactly when ``nu_compatible`` is False.  Raises ``DomainError``
+    where F is too large for the construction in floats, rather than
+    return a connection with NaN entries.
     """
     compatible, frame, c = _decide(F, s, nu, tol)
     if not compatible:
@@ -116,6 +134,8 @@ def find_connection(F: Mat2, s: Vec2, nu: Vec2, tol: float = DEFAULT_TOL):
     # the (s, perp(s)) frame; |n| >= 1 guarantees a solution.
     n = s * (c * beta + gamma) + s.perp() * (1.0 / beta)
     nn = max(float(n.norm2()), 1.0)
+    if not nn < math.inf:
+        raise DomainError(f"|n|^2 = {nn!r} leaves the float range")
     w = math.sqrt(1.0 - 1.0 / nn)
     xi = n * (1.0 / nn) + n.perp() * (w / math.sqrt(nn))
     # The rotation taking perp(s) to xi maps s to -perp(xi).

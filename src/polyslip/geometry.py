@@ -46,7 +46,7 @@ from .compat import _compatible, _forbidden_window
 from .errors import DomainError, InvalidPolycrystal
 from .mat2 import (ANGULAR_TOL, DEFAULT_TOL, Mat2, Vec2, decompose, is_sl2, mod_pi,
                    require_sl2, stretch_shear)
-from .slip import in_N, slip_direction
+from .slip import image_norm2, slip_direction
 
 if TYPE_CHECKING:
     import numpy as np
@@ -429,6 +429,9 @@ class BoundaryAnalysis:
     #: its outward normals, measured from the grain's slip direction, run
     #: from ``start`` in [-pi/2, pi/2] over ``sweep`` (0 for a segment).
     normal_spans: Mapping = field(default_factory=dict, compare=False)
+    #: ((cos theta, sin theta, in J, spans), ...), one row per boundary grain
+    #: in ``boundary_grains`` order: what ``outer_bound_full_member`` reads
+    grain_rows: tuple = field(default=(), compare=False)
 
 
 def _outer_curves_of(pc: Polycrystal, g: Grain) -> list[Curve]:
@@ -551,12 +554,15 @@ def _analyze_boundary(pc: Polycrystal, angular_tol: float) -> BoundaryAnalysis:
     j = frozenset(gid for _, gid in perp)
     j_prime = frozenset(gid for gid in boundary_grains
                         if _normals_cover_circle(outer[gid], angular_tol))
+    rows = tuple((*pc.grain_by_id(gid).slip().to_floats(), gid in j, spans[gid])
+                 for gid in boundary_grains)
     return BoundaryAnalysis(boundary_grains=boundary_grains,
                             dual_points=tuple(dual),
                             perp_points=tuple(perp),
                             J=j, J_prime=j_prime,
                             outer_curves=MappingProxyType(outer),
-                            normal_spans=MappingProxyType(spans))
+                            normal_spans=MappingProxyType(spans),
+                            grain_rows=rows)
 
 
 def _normal_span(c: Curve, theta: float) -> tuple[float, float]:
@@ -621,8 +627,14 @@ class OuterBound:
     trivial_flag: bool
 
     def member(self, F: Mat2, tol: float = DEFAULT_TOL) -> bool:
-        dirs = self.slip_directions
-        return all(in_N(F, s, tol) for s in dirs) if dirs else is_sl2(F, tol)
+        """F in every relaxed set of the directions: ``in_N`` with one det check."""
+        if not is_sl2(F, tol):
+            return False
+        bound = (1 + tol) ** 2
+        for s in self.slip_directions:
+            if not image_norm2(F, s) <= bound:
+                return False
+        return True
 
 
 def outer_bound_perp(pc: Polycrystal, angular_tol: float = ANGULAR_TOL) -> OuterBound:
@@ -725,7 +737,8 @@ def outer_bound_full_member(F: Mat2, pc: Polycrystal, tol: float = DEFAULT_TOL,
       it (the arc's endpoints are dual points or shared with the next
       curve).
 
-    That is O(outer curves) float operations per matrix, with no sampling.
+    That is O(outer curves) float operations per matrix, over the analysis's
+    ``grain_rows``, with no sampling.
     The boundary analysis is that of ``samples`` (a ``boundary_samples``
     result) if given, else ``analyze_boundary(pc, angular_tol)``, which is
     computed once per polycrystal and tolerance, so many matrices tested
@@ -733,10 +746,9 @@ def outer_bound_full_member(F: Mat2, pc: Polycrystal, tol: float = DEFAULT_TOL,
     """
     require_sl2(F, tol)
     analysis = samples.analysis if samples is not None else analyze_boundary(pc, angular_tol)
-    for gid, spans in analysis.normal_spans.items():
-        theta = pc.grain_by_id(gid).theta
-        beta, gamma, _, _ = stretch_shear(F, math.cos(theta), math.sin(theta), tol)
-        if beta > 1.0 + tol and gid in analysis.J:
+    for c, s, in_j, spans in analysis.grain_rows:
+        beta, gamma, _, _ = stretch_shear(F, c, s, tol)
+        if beta > 1.0 + tol and in_j:
             return False
         window = _forbidden_window(beta, gamma, tol)
         if window is None:

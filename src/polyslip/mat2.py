@@ -10,6 +10,11 @@ that parametrizes SL(2) by a rotation angle, a stretch along a slip
 direction ``s`` and a shear amount.  Entries may be floats or
 ``fractions.Fraction``; all predicates stay exact in the rational case
 when called with ``tol=0``.
+
+``Vec2``, ``Mat2`` and ``ShearFrame`` are immutable by contract, not
+enforced: their fields are plain slots, so construction skips the
+per-field ``object.__setattr__`` of a frozen dataclass.  They compare and
+hash by value, so never assign to a field of one after it is built.
 """
 
 from __future__ import annotations
@@ -17,12 +22,14 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 from .errors import DegenerateBeta, NotSL2
 
-Scalar = Union[int, float, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+Scalar = Union[int, float, "Fraction"]
 
 #: Default tolerance for floating-point predicates.
 DEFAULT_TOL = 1e-9
@@ -31,7 +38,7 @@ DEFAULT_TOL = 1e-9
 ANGULAR_TOL = 1e-6
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Vec2:
     """A point or direction in the plane."""
 
@@ -90,7 +97,7 @@ E1 = Vec2(1.0, 0.0)
 E2 = Vec2(0.0, 1.0)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Mat2:
     """A real 2x2 matrix in row-major layout."""
 
@@ -199,7 +206,7 @@ def is_SO2(F: Mat2, tol: float = DEFAULT_TOL) -> bool:
     return g.max_abs() <= tol and is_sl2(F, tol)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ShearFrame:
     """Rotation/stretch/shear coordinates of an SL(2) matrix.
 

@@ -31,6 +31,7 @@ from typing import Optional
 from .errors import GammaOutOfRange
 from .mat2 import E1, E2, Mat2, Vec2, det_is_one, is_SO2
 from .slip import in_N
+from .svg import SvgCanvas
 from .taylor import is_trivial, normalize
 
 #: Admissible shear range is |gamma| <= GAMMA_MAX.
@@ -339,8 +340,6 @@ def conclusion(gamma) -> dict:
 
 def render_svg(build_: ShearSquareBuild) -> str:
     """Reference and deformed configurations side by side, colored by grain."""
-    from .svg import SvgCanvas
-
     pam = build_.map
     corners = [Vec2(float(x), float(y)) for x, y in DOMAIN_CORNERS]
     ref_pts = [v for c in pam.cells for v in c.vertices]

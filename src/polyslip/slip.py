@@ -33,15 +33,22 @@ def slip_direction(theta: float) -> Vec2:
     return Vec2(math.cos(theta), math.sin(theta))
 
 
+def image_norm2(F: Mat2, s: Vec2):
+    """|Fs|^2 with the operations of ``(F @ s).norm2()``, bit for bit, building no Vec2."""
+    x = F.a11 * s.x + F.a12 * s.y
+    y = F.a21 * s.x + F.a22 * s.y
+    return x * x + y * y
+
+
 def in_M(F: Mat2, s: Vec2, tol: float = DEFAULT_TOL) -> bool:
     """True iff det F = 1 and |Fs| = 1, within tol. Exact for tol=0."""
-    n2 = (F @ s).norm2()
+    n2 = image_norm2(F, s)
     return is_sl2(F, tol) and (1 - tol) ** 2 <= n2 <= (1 + tol) ** 2
 
 
 def in_N(F: Mat2, s: Vec2, tol: float = DEFAULT_TOL) -> bool:
     """True iff det F = 1 within tol and |Fs| <= 1 + tol. Exact for tol=0."""
-    n2 = (F @ s).norm2()
+    n2 = image_norm2(F, s)
     return is_sl2(F, tol) and n2 <= (1 + tol) ** 2
 
 
@@ -57,7 +64,7 @@ def energy(F: Mat2, s: Vec2, p: float, tol: float = DEFAULT_TOL):
         raise DomainError(f"p = {p!r} must be >= 1")
     if not in_M(F, s, tol):
         return INFINITY
-    w = (F @ s.perp()).norm2() - 1
+    w = image_norm2(F, s.perp()) - 1
     if isinstance(p, int) and p % 2 == 0 and not isinstance(w, float):
         return w ** (p // 2)
     return max(float(w), 0.0) ** (p / 2)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, EmptyInput, NotSL2
-from .mat2 import DEFAULT_TOL, E1, Mat2, decompose, det_is_one, mod_pi
+from .mat2 import DEFAULT_TOL, Mat2, det_is_one, mod_pi, require_sl2, stretch_shear
 
 if TYPE_CHECKING:
     import numpy as np
@@ -135,22 +135,29 @@ def in_lambda(theta: float, beta: float, gamma: float, tol: float = DEFAULT_TOL)
     return lo <= gamma <= hi
 
 
-@dataclass(frozen=True, slots=True)
+def _frame_e1(F: Mat2, tol: float):
+    """(beta, gamma) of ``decompose(F, E1, tol)``, bit for bit, without building the frame."""
+    require_sl2(F, tol)
+    beta, gamma, _, _ = stretch_shear(F, 1.0, 0.0, tol)
+    return beta, gamma
+
+
+@dataclass(slots=True, unsafe_hash=True)
 class TaylorBound:
-    """The at-most-three orientations that determine the Taylor bound, 0 first."""
+    """The at-most-three orientations of the Taylor bound, 0 first; immutable by contract."""
 
     kind: str
     angles: tuple[float, ...]
 
     def member(self, F: Mat2, tol: float = DEFAULT_TOL) -> bool:
-        frame = decompose(F, E1, tol)
+        beta, gamma = _frame_e1(F, tol)
         if _trivial(self.angles, tol):  # rotations only, as in taylor_member_batch
-            return abs(frame.beta - 1.0) <= tol and abs(frame.gamma) <= tol
-        if frame.beta > 1.0 + tol:
+            return abs(beta - 1.0) <= tol and abs(gamma) <= tol
+        if beta > 1.0 + tol:
             return False
         for a in self.angles[1:]:
-            lo, hi = shear_interval(a, frame.beta, tol)
-            if not lo <= frame.gamma <= hi:
+            lo, hi = shear_interval(a, beta, tol)
+            if not lo <= gamma <= hi:
                 return False
         return True
 
@@ -243,12 +250,12 @@ def taylor_M_member(F: Mat2, angles: AngleSet, tol: float = DEFAULT_TOL) -> bool
     [-2*cot(theta), 0] below pi/2 and [0, -2*cot(theta)] above (the
     beta = 1 case of ``gamma_bounds``, angle first, stretch second).
     """
-    frame = decompose(F, E1, tol)
-    if abs(frame.beta - 1.0) > tol:
+    beta, gamma = _frame_e1(F, tol)
+    if abs(beta - 1.0) > tol:
         return False
     for theta in angles.thetas[1:]:
         edge = -2.0 / math.tan(theta)
         lo, hi = (edge, 0.0) if theta < HALF_PI else (0.0, edge)
-        if not lo - tol <= frame.gamma <= hi + tol:
+        if not lo - tol <= gamma <= hi + tol:
             return False
     return True

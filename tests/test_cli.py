@@ -350,7 +350,12 @@ _UNDERFLOWS = ["--matrix", "1e-170,0,0,1e170", "--tol", "0"]  # |F e1|^2 underfl
     ["compat", "--slip", "1,0", "--normal", "0.6,0.8", *_UNDERFLOWS],
     ["outer", "--polycrystal", "quadrant.json", *_UNDERFLOWS],
     ["member", "--angles", "0,1e-200", "--matrix", "1,0,0,1", "--tol", "0"],
-], ids=["laminate-q2", "member", "member-M", "compat", "outer", "member-theta"])
+    # (c beta)^2 overflows in the compatibility inequality (was an OverflowError)
+    ["compat", "--matrix", "1e150,0,0,1e-150", "--slip", "1,0", "--normal", "1e-5,1"],
+    # |Fs|^2 overflows, so beta = inf (was exit 0 with NaN in the connection)
+    ["compat", "--matrix", "1e160,0,0,1e-160", "--slip", "1,0", "--normal", "0.6,0.8"],
+], ids=["laminate-q2", "member", "member-M", "compat", "outer", "member-theta",
+        "compat-inequality-overflows", "compat-stretch-overflows"])
 def test_float_degenerate_input_is_domain_error(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "quadrant.json").write_text(json.dumps(polycrystal_to_dict(quadrant_disk())))

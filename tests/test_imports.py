@@ -5,21 +5,25 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import polyslip
 from polyslip.geometry import polycrystal_to_dict, quadrant_disk
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def _run_fresh(argv) -> dict:
-    """``cli.run(argv)`` in a fresh interpreter: its status and the scipy/numpy modules loaded."""
+def _run_fresh(argv, watch=("scipy", "numpy")) -> dict:
+    """``cli.run(argv)`` in a fresh interpreter: its status and the loaded modules
+    that are, or belong to a top-level package, named in ``watch``."""
     code = (
         "import contextlib, io, json, sys\n"
         "import polyslip.cli as cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    status = cli.run({argv!r})\n"
-        "heavy = sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy'))\n"
-        "print(json.dumps({'status': status, 'heavy': heavy}))\n"
+        f"watch = {tuple(watch)!r}\n"
+        "loaded = sorted(m for m in sys.modules if m in watch or m.split('.')[0] in watch)\n"
+        "print(json.dumps({'status': status, 'loaded': loaded}))\n"
     )
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -28,14 +32,25 @@ def _run_fresh(argv) -> dict:
 
 
 def test_taylor_subcommand_loads_neither_scipy_nor_numpy():
-    assert _run_fresh(["taylor", "--angles", "0,1"]) == {"status": 0, "heavy": []}
+    assert _run_fresh(["taylor", "--angles", "0,1"]) == {"status": 0, "loaded": []}
 
 
 def test_outer_subcommand_loads_neither_scipy_nor_numpy(tmp_path):
     path = tmp_path / "quadrant.json"
     path.write_text(json.dumps(polycrystal_to_dict(quadrant_disk())))
     argv = ["outer", "--polycrystal", str(path), "--matrix", "1,0,0,1"]
-    assert _run_fresh(argv) == {"status": 0, "heavy": []}
+    assert _run_fresh(argv) == {"status": 0, "loaded": []}
+
+
+@pytest.mark.parametrize("argv", [
+    ["taylor", "--angles", "0,1"],
+    ["member", "--angles", "0,1", "--matrix", "1,0,0,1"],
+    ["member", "--angles", "0,1", "--matrix", "1,0,0,1", "--space", "M"],
+], ids=["taylor", "member", "member-M"])
+def test_taylor_subcommands_load_only_what_they_call(argv):
+    unused = ("scipy", "numpy", "polyslip.shear_square", "polyslip.compat", "polyslip.svg",
+              "fractions")
+    assert _run_fresh(argv, unused) == {"status": 0, "loaded": []}
 
 
 def test_every_public_name_resolves():

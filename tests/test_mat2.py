@@ -30,6 +30,23 @@ def test_is_SO2_examples():
     assert is_SO2(Mat2(4 * fifth, -3 * fifth, 3 * fifth, 4 * fifth), tol=0)
 
 
+def test_value_types_compare_and_hash_by_value():
+    half = Fraction(1, 2)
+    pairs = [
+        (Vec2(1.5, -2.0), Vec2(1.5, -2.0)),
+        (Vec2(half, 0), Vec2(0.5, 0.0)),  # a Fraction equals and hashes as its float
+        (Mat2(1.0, 0.5, 0.0, 1.0), Mat2(1.0, 0.5, 0.0, 1.0)),
+        (ShearFrame(0.3, 1.2, -0.5), ShearFrame(0.3, 1.2, -0.5, E1)),
+    ]
+    for a, b in pairs:
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1 and b in {a}
+    assert len({Vec2(1.0, 2.0), Vec2(2.0, 1.0)}) == 2
+    assert Mat2(1, 0, 0, 1) != Mat2(1, 0, 0, 2)
+    assert ShearFrame(0.3, 1.2, -0.5) != ShearFrame(0.3, 1.2, -0.5, Vec2(0.0, 1.0))
+    assert ShearFrame(0.1, 0.9, 0.2).s == E1
+
+
 @given(finite, finite)
 def test_perp_is_quarter_rotation(x, y):
     v = Vec2(x, y)
