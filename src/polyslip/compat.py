@@ -3,20 +3,15 @@
 A matrix A is nu-compatible with a target set B when some rank-one
 perturbation a(x)nu lands A + a(x)nu inside B; equivalently A and the
 target agree on the interface direction perp(nu).  For the single-slip
-sets this reduces, in shear-frame coordinates (beta, gamma) of A relative
-to the slip direction s, to
-
-    ((s.nu_perp / s.nu) * beta + gamma)^2 + 1/beta^2  >=  1
-
-when s.nu != 0, and to plain relaxed-set membership when nu = perp(s).
-``_lhs`` is the one home of its left side, for ``_decide`` (the one
+sets, with (beta, gamma) the shear frame of A along the slip direction s
+and psi the angle from s to nu, this holds exactly when psi mod pi lies
+outside one open window of normal angles; a normal perpendicular to s
+reduces it to plain relaxed-set membership.  ``_forbidden_window`` is the
+one home of that window, and ``_window_meets`` the one home of the test
+whether it meets a normal or a span of normals.  ``_decide`` (the one
 decision, with one ``decompose``, that ``nu_compatible`` and
-``find_connection`` share; it raises ``DomainError`` where the left side
-leaves the float range) and, through ``_compatible``,
-``geometry.compatible_with_normals``.  Solved
-for the normal, it fails exactly on one open window of normal angles mod pi
-(``_forbidden_window``), which lets ``geometry.outer_bound_full_member``
-decide compatibility along whole boundary curves at once.
+``find_connection`` share), ``geometry.compatible_with_normals`` and
+``geometry.outer_bound_full_member`` all decide through the two.
 
 ``laminate_split`` writes any volume-preserving strain as a convex
 combination of two rank-one connected strains, each inside the union of
@@ -58,52 +53,53 @@ class LaminateSplit:
     t_minus: float
 
 
-def _lhs(c, beta, gamma):
-    """Left side of the inequality above, c = s.nu_perp / s.nu; elementwise if c is an array."""
-    return (c * beta + gamma) ** 2 + 1.0 / beta**2
-
-
-def _compatible(c, beta, gamma, tol):
-    """The inequality above, elementwise if c is an array."""
-    return _lhs(c, beta, gamma) >= 1.0 - tol
-
-
 def _forbidden_window(beta: float, gamma: float, tol: float):
-    """Open angle window of the normals where ``_compatible`` fails, or None.
+    """Open window ``(lo, hi)`` of the normal angles psi where F is not compatible, or None.
 
-    With psi the angle from s to nu, c = -tan(psi), so the inequality fails
-    exactly when |c beta + gamma| < w, w = sqrt(1 - tol - 1/beta^2) real and
-    positive, i.e. when tan(psi) lies in ((gamma - w)/beta, (gamma + w)/beta).
-    Returns that interval of psi mod pi as ``(lo, hi)`` inside (-pi/2, pi/2);
-    it depends only on the line of nu.  Perpendicular normals (psi = pi/2)
-    are never inside: they reduce to set membership, beta <= 1 + tol.
+    In the shear frame (beta, gamma) of F along s, with psi the angle from
+    s to nu and c = s.nu_perp / s.nu = -tan(psi), compatibility is
+
+        (c beta + gamma)^2 + 1/beta^2  >=  1 - tol,
+
+    which fails exactly when |c beta + gamma| < w, w = sqrt(1 - tol - 1/beta^2)
+    real and positive, i.e. when tan(psi) lies in ((gamma - w)/beta, (gamma + w)/beta).
+    Returns that interval of psi mod pi inside (-pi/2, pi/2); it depends only
+    on the line of nu.  A window too narrow to hold a float (huge beta) is
+    widened by one float each way, so it holds the angles its edges round to.
+    Perpendicular normals (psi = pi/2) are never inside: they reduce to set
+    membership, beta <= 1 + tol.
     """
-    w2 = 1.0 - tol - 1.0 / beta**2
+    w2 = 1.0 - tol - 1.0 / (beta * beta)  # beta * beta overflows to inf where beta**2 raises
     if not w2 > 0.0:
         return None
     w = math.sqrt(w2)
-    return math.atan((gamma - w) / beta), math.atan((gamma + w) / beta)
+    lo, hi = math.atan((gamma - w) / beta), math.atan((gamma + w) / beta)
+    if math.nextafter(lo, hi) >= hi:
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+    return lo, hi
+
+
+def _window_meets(lo, hi, start, end):
+    """The open window (lo, hi) meets the normal angles [start, end] mod pi; elementwise on arrays.
+
+    For a window of ``_forbidden_window`` and start in [-pi/2, pi/2], end -
+    start <= 2 pi, only the window's copies at shifts 0 and pi can be met.
+    A single normal is the span with end = start.
+    """
+    return ((start < hi) & (lo < end)) | ((start < hi + math.pi) & (lo + math.pi < end))
 
 
 def _decide(F: Mat2, s: Vec2, nu: Vec2, tol: float):
-    """``(compatible, frame, c)``, with ``frame = decompose(F, s, tol)`` and
-    c = s.nu_perp / s.nu, both None in the perpendicular case |s.nu| <= tol.
-
-    Raises ``DomainError`` where the left side of the inequality is not a finite float.
-    """
+    """``(compatible, frame)``, ``frame = decompose(F, s, tol)`` or None in the
+    perpendicular case |s.nu| <= tol, which is relaxed-set membership."""
     sn = s.dot(nu)
     if abs(sn) <= tol:
         require_sl2(F, tol)
-        return in_N(F, s, tol), None, None
+        return in_N(F, s, tol), None
     frame = decompose(F, s, tol)
-    c = s.dot(nu.perp()) / sn
-    try:
-        lhs = _lhs(c, frame.beta, frame.gamma)
-    except OverflowError:  # float ** 2 raises where float * float gives inf
-        lhs = math.inf
-    if not lhs < math.inf:  # also |Fs|^2 overflowing to beta = inf, and NaN
-        raise DomainError(f"|Fs| = {frame.beta!r}: the compatibility test leaves the float range")
-    return lhs >= 1.0 - tol, frame, c
+    window = _forbidden_window(frame.beta, frame.gamma, tol)
+    psi = math.atan(s.cross(nu) / sn)
+    return window is None or not _window_meets(*window, psi, psi), frame
 
 
 def nu_compatible(F: Mat2, s: Vec2, nu: Vec2, tol: float = DEFAULT_TOL) -> bool:
@@ -124,12 +120,13 @@ def find_connection(F: Mat2, s: Vec2, nu: Vec2, tol: float = DEFAULT_TOL):
     where F is too large for the construction in floats, rather than
     return a connection with NaN entries.
     """
-    compatible, frame, c = _decide(F, s, nu, tol)
+    compatible, frame = _decide(F, s, nu, tol)
     if not compatible:
         return None
     if frame is None or in_M(F, s, tol):
         return RankOneConnection(a=Vec2(0.0, 0.0), nu=nu, target=F)
     beta, gamma = frame.beta, frame.gamma
+    c = s.dot(nu.perp()) / s.dot(nu)
     # Solve xi . n = 1 on the unit circle, n the interface image of F in
     # the (s, perp(s)) frame; |n| >= 1 guarantees a solution.
     n = s * (c * beta + gamma) + s.perp() * (1.0 / beta)

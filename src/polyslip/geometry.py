@@ -12,8 +12,9 @@ from rank-one compatibility along the domain boundary:
 
 * the full bound asks for compatibility at every non-dual boundary point
   (``outer_bound_full_member``); it is decided exactly, per boundary curve,
-  by testing the curve's outward-normal angles against the closed-form
-  window of ``compat._forbidden_window``,
+  by testing whether the curve's span of outward-normal angles meets the
+  forbidden-normal window of ``compat._forbidden_window``, the one home of
+  the compatibility condition (``compat._window_meets``),
 * the perpendicular-point bound only uses points where the outward
   normal is orthogonal to the local slip direction; there compatibility
   degenerates to plain strain-set membership, so the bound is a finite
@@ -25,7 +26,8 @@ point then shares that one read-only result.  Arcs likewise fix their sweep
 and endpoints when they are built.
 
 ``boundary_samples`` and ``compatible_with_normals`` test compatibility at
-sampled normals instead; they are the only users of numpy here.
+sampled normals instead, against the same window; they are the only users
+of numpy here.
 
 Grain boundary curves must be split wherever they transition between the
 domain boundary and the interior; each curve is classified as a whole: it
@@ -42,7 +44,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Optional, Union
 
-from .compat import _compatible, _forbidden_window
+from .compat import _forbidden_window, _window_meets
 from .errors import DomainError, InvalidPolycrystal
 from .mat2 import (ANGULAR_TOL, DEFAULT_TOL, Mat2, Vec2, decompose, is_sl2, mod_pi,
                    require_sl2, stretch_shear)
@@ -713,12 +715,13 @@ def compatible_with_normals(F: Mat2, theta: float, normals: np.ndarray,
     s = slip_direction(theta)
     frame = decompose(F, s, tol)
     sn = normals[:, 0] * float(s.x) + normals[:, 1] * float(s.y)
-    crs = normals[:, 0] * float(s.y) - normals[:, 1] * float(s.x)
+    crs = normals[:, 1] * float(s.x) - normals[:, 0] * float(s.y)
     perp_mask = np.abs(sn) <= tol
     if np.any(perp_mask) and frame.beta > 1.0 + tol:
         return False
-    rest = ~perp_mask
-    return bool(np.all(_compatible(crs[rest] / sn[rest], frame.beta, frame.gamma, tol)))
+    window = _forbidden_window(frame.beta, frame.gamma, tol)
+    psi = np.arctan(crs[~perp_mask] / sn[~perp_mask])
+    return window is None or not np.any(_window_meets(*window, psi, psi))
 
 
 def outer_bound_full_member(F: Mat2, pc: Polycrystal, tol: float = DEFAULT_TOL,
@@ -734,8 +737,8 @@ def outer_bound_full_member(F: Mat2, pc: Polycrystal, tol: float = DEFAULT_TOL,
     * any other normal fails exactly when its angle lies in the open window
       of ``compat._forbidden_window``, so a segment fails when its one
       normal lies in it and an arc when its open interval of normals meets
-      it (the arc's endpoints are dual points or shared with the next
-      curve).
+      it (``compat._window_meets``; the arc's endpoints are dual points or
+      shared with the next curve).
 
     That is O(outer curves) float operations per matrix, over the analysis's
     ``grain_rows``, with no sampling.
@@ -755,11 +758,7 @@ def outer_bound_full_member(F: Mat2, pc: Polycrystal, tol: float = DEFAULT_TOL,
             continue
         lo, hi = window
         for start, sweep in spans:
-            # a segment's one normal (sweep 0) or an arc's open interval of
-            # normals meets the window; start >= -pi/2 and sweep <= 2 pi, so
-            # only the window's copies at shifts 0 and pi can be met
-            end = start + sweep
-            if (start < hi and lo < end) or (start < hi + math.pi and lo + math.pi < end):
+            if _window_meets(lo, hi, start, start + sweep):
                 return False
     return True
 

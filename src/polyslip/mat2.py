@@ -255,6 +255,8 @@ def stretch_shear(F: Mat2, sx, sy, tol: float = DEFAULT_TOL):
     fx = F.a11 * sx + F.a12 * sy
     fy = F.a21 * sx + F.a22 * sy
     beta = math.sqrt(float(fx * fx + fy * fy))
+    if beta == math.inf:  # |Fs|^2 overflowed; hypot scales, and finite squares keep their bits
+        beta = math.hypot(fx, fy)
     if beta < tol or beta == 0.0:  # at tol = 0, a square that underflows
         raise DegenerateBeta(f"|Fs| = {beta!r} too short to decompose")
     rx, ry = fx / beta, fy / beta

@@ -14,11 +14,14 @@ must pass it, at any density.  ``loop_boundary_samples`` builds the sample
 normals one ``normal_at`` call at a time, where the library builds one numpy
 block per curve, and ``pairwise_adjacent_equal_textures`` tests every
 equal-texture grain pair for adjacency, where the library sweeps bounding boxes.
+``exact_compatibility_slack`` writes the rank-one inequality in exact
+rationals, where the library tests normal angles against a float window.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import bracket as _downhill_bracket
@@ -143,6 +146,34 @@ def connector_search(F: Mat2, s: Vec2, nu: Vec2, tol: float = DEFAULT_TOL, span:
         raise ArithmeticError("stretched norm failed to grow along the jump line")
     t0 = brentq(lambda t: stretch2(t) - 1.0, t_star, t_star + hi, xtol=1e-14)
     return w * t0
+
+
+def exact_compatibility_slack(F: Mat2, s: Vec2, nu: Vec2, tol: float = DEFAULT_TOL):
+    """``(slack, scale)`` of the rank-one inequality, exact in ``Fraction``s of the inputs.
+
+    With beta = |Fs|, gamma beta = Fs_perp . Fs (Fs_perp the image of
+    perp(s)) and c = s.nu_perp / s.nu, compatibility across nu is
+    (c beta + gamma)^2 + 1/beta^2 >= 1 - tol; times beta^2 that reads
+
+        (c |Fs|^2 + Fs_perp . Fs)^2 + 1  >=  (1 - tol) |Fs|^2,
+
+    which needs no sqrt and no shear-frame decomposition.  ``slack`` is its
+    left side minus its right side, so F is compatible exactly when
+    ``slack >= 0``; ``scale`` is the same sum with |c| and |Fs_perp . Fs|
+    in place of c and Fs_perp . Fs, the size that float roundoff in the
+    inequality is relative to.  Needs s.nu != 0.
+    """
+    a11, a12, a21, a22 = (Fraction(v) for v in (F.a11, F.a12, F.a21, F.a22))
+    sx, sy, nx, ny = (Fraction(v) for v in (s.x, s.y, nu.x, nu.y))
+    fs = (a11 * sx + a12 * sy, a21 * sx + a22 * sy)
+    fp = (a11 * -sy + a12 * sx, a21 * -sy + a22 * sx)
+    fs2 = fs[0] ** 2 + fs[1] ** 2
+    shear = fp[0] * fs[0] + fp[1] * fs[1]
+    c = (sx * -ny + sy * nx) / (sx * nx + sy * ny)
+    rhs = (1 - Fraction(tol)) * fs2
+    slack = (c * fs2 + shear) ** 2 + 1 - rhs
+    scale = (abs(c) * fs2 + abs(shear)) ** 2 + 1 + rhs
+    return slack, scale
 
 
 def point_on_curve(p: Vec2, c, tol: float = POS_TOL) -> bool:

@@ -290,6 +290,17 @@ def test_overflowing_area_is_domain_error(capsys, tmp_path, vertices):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("matrix", ["1e155,0,0,1e-155", "1e160,0,0,1e-160", "1e300,0,0,1e-300"])
+def test_outer_huge_strain_fails_a_normal_along_the_slip(capsys, tmp_path, matrix):
+    # one grain with theta = 0 and no perpendicular point; the side x = 1 has
+    # normal e1 = s, incompatible for every beta > 1, also where |Fs|^2 overflows
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps(_triangle_polycrystal((0, 0), (1, -1), (1, 1))))
+    payload, _ = _run_json(capsys, ["outer", "--polycrystal", str(path), "--matrix", matrix])
+    assert payload["J"] == []
+    assert payload["member_full"] is False
+
+
 def test_csv_format(capsys):
     code = run(["taylor", "--angles", "0,1.0", "--format", "csv"])
     out = capsys.readouterr().out

@@ -6,7 +6,8 @@ that validates against ``cli_output.schema.json``; on failure stdout stays
 empty.  Counts that set the amount of work (``mc --n``/``--k``,
 ``lambda-plot --grid``, ``outer --samples``) are drawn small apart from
 values above their caps, which the CLI must reject, so that the test runs
-in seconds.
+in seconds.  Matrices include volume-preserving ones whose rows or columns
+are scaled from 1e-200 to 1e200, where squared lengths overflow.
 """
 
 import contextlib
@@ -44,8 +45,17 @@ def _sl2(a, b, c):
     return f"{a!r},{b!r},{c!r},{(1.0 + b * c) / a!r}"  # det 1 up to rounding
 
 
+def _scaled_sl2(k, rows, a, b, c):
+    """``_sl2(a, b, c)`` with its rows (or columns) scaled by 10^k and 10^-k: det 1 up to rounding."""
+    lam, d = 10.0 ** k, (1.0 + b * c) / a
+    e = (lam * a, lam * b, c / lam, d / lam) if rows else (lam * a, b / lam, lam * c, d / lam)
+    return ",".join(repr(x) for x in e)
+
+
 ANGLES = _listed(0, 4)
 MATRIX = st.one_of(st.builds(_sl2, st.floats(0.25, 4.0), FLOAT, FLOAT),
+                   st.builds(_scaled_sl2, st.floats(-200.0, 200.0), st.booleans(),
+                             st.floats(0.25, 4.0), FLOAT, FLOAT),
                    _listed(4, 4), _listed(3, 5))
 VECTOR = st.one_of(st.tuples(FLOAT, FLOAT).map(lambda v: f"{v[0]!r},{v[1]!r}"),
                    _listed(2, 2), _listed(1, 3))

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from helpers import connector_search, rand_sl2, rand_unit
+from helpers import connector_search, exact_compatibility_slack, rand_sl2, rand_unit
 from polyslip.compat import LaminateSplit, find_connection, laminate_split, nu_compatible
-from polyslip.errors import NotSL2, ParallelSlips
+from polyslip.errors import DegenerateBeta, NotSL2, ParallelSlips
 from polyslip.mat2 import E1, E2, Mat2, ShearFrame, Vec2, decompose
 from polyslip.slip import in_M, in_N, psi
 
@@ -134,6 +134,62 @@ def test_find_connection_decomposes_once(monkeypatch):
         calls.clear()
         find_connection(F, E1, nu)
         assert len(calls) == 1
+
+
+def _scaled_sl2(rng, tol):
+    """A (possibly anti-) triangular matrix with det 1 up to one rounding, entries 1e-150..1e150.
+
+    At tol = 0 the diagonal pair is a power of two and its reciprocal, so det is exactly 1.
+    """
+    k = float(rng.uniform(-150.0, 150.0))
+    a = math.ldexp(1.0, round(k * math.log2(10))) if tol == 0 else 10.0 ** k
+    a *= float(rng.choice([-1.0, 1.0]))
+    b = float(rng.choice([-1.0, 0.0, 1.0])) * 10.0 ** float(rng.uniform(-150.0, 150.0))
+    return (Mat2(a, b, 0.0, 1 / a), Mat2(a, 0.0, b, 1 / a),
+            Mat2(b, a, -1 / a, 0.0), Mat2(0.0, a, -1 / a, b))[int(rng.integers(4))]
+
+
+def test_matches_exact_inequality_at_any_scale():
+    # the window test against the inequality in exact rationals; s at random
+    # or along an axis, where gamma is the (anti-)diagonal b, and nu at
+    # random, along s, or at tan(psi) = (gamma + k)/beta, which lies inside
+    # the window (gamma - w, gamma + w)/beta, w < 1, for |k| = 1/2 and outside for |k| = 2
+    rng = np.random.default_rng(34)
+    checked, outcomes = 0, []
+    for i in range(3000):
+        tol = (0.0, 1e-9, 1e-6)[i % 3]
+        F = _scaled_sl2(rng, tol)
+        s = (rand_unit(rng), E1, E2)[int(rng.integers(3))]
+        fs, fp = F @ s, F @ s.perp()
+        k = float(rng.choice([-2.0, -0.5, 0.5, 2.0]))
+        offset = (s * fs.norm2() + s.perp() * (fp.dot(fs) + k * fs.norm())).unit()
+        nu = (rand_unit(rng), s, offset)[int(rng.integers(3))]
+        if abs(s.dot(nu)) <= tol:
+            continue
+        slack, scale = exact_compatibility_slack(F, s, nu, tol)
+        if abs(slack) <= scale / 10**9:
+            continue
+        try:
+            got = nu_compatible(F, s, nu, tol)
+        except DegenerateBeta:
+            assert fs.norm() < max(tol, 1e-150)
+            continue
+        assert got == (slack >= 0), (F, s, nu, tol)
+        checked += 1
+        outcomes.append(got)
+    assert checked > 1500 and 200 < outcomes.count(False) < checked - 200
+
+
+def test_huge_stretch_decides_compatibility():
+    # |Fs|^2 = 1e320 overflows; the stretch is 1e160 all the same, so a normal
+    # along s is incompatible and one at 53 degrees from it is compatible
+    F = Mat2(1e160, 0, 0, 1e-160)
+    assert not nu_compatible(F, E1, E1)
+    assert nu_compatible(F, E1, Vec2(0.6, 0.8))
+    # beta = gamma = 1e160 puts the window at 45 degrees from s, not along it
+    G = Mat2(1e160, 1e160, 0, 1e-160)
+    assert not nu_compatible(G, E1, NU45)
+    assert nu_compatible(G, E1, E1)
 
 
 def test_compat_requires_sl2():

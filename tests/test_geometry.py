@@ -625,12 +625,16 @@ def test_vectorized_compatibility_matches_scalar():
     rng = np.random.default_rng(44)
     angles = rng.uniform(0, 2 * PI, 100)
     normals = np.column_stack([np.cos(angles), np.sin(angles)])
-    for _ in range(50):
+    # each strain also with its rows scaled by 10^k, 10^-k, k in (-150, 150): there
+    # |Fs|^2 can overflow and the forbidden window be narrower than a float
+    scales = 10.0 ** np.random.default_rng(46).uniform(-150, 150, 50)
+    for lam in scales:
         F = rand_sl2(rng, 0.5, 1.6, -2.0, 2.0)
         theta = float(rng.uniform(0, PI))
-        got = compatible_with_normals(F, theta, normals)
-        want = all(nu_compatible(F, slip_direction(theta), Vec2(*n)) for n in normals)
-        assert got == want
+        for G in (F, Mat2(F.a11 * lam, F.a12 * lam, F.a21 / lam, F.a22 / lam)):
+            got = compatible_with_normals(G, theta, normals)
+            want = all(nu_compatible(G, slip_direction(theta), Vec2(*n)) for n in normals)
+            assert got == want
 
 
 def test_rotation_invariance_of_memberships():
