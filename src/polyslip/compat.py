@@ -179,13 +179,13 @@ def laminate_split(F: Mat2, s: Vec2, s_prime: Vec2, tol: float = DEFAULT_TOL) ->
     dyad = Mat2.outer(a, b)
     f_plus = F @ (Mat2.identity() + dyad * t_plus)
     f_minus = F @ (Mat2.identity() + dyad * t_minus)
-    lam = -t_minus / (t_plus - t_minus)
+    lam = abs(t_minus) / (t_plus - t_minus)  # +0.0, not -0.0, when t- is 0
     return LaminateSplit(F_plus=f_plus, F_minus=f_minus, lam=lam,
                          t_plus=t_plus, t_minus=t_minus)
 
 
 def _rank_one_roots(F: Mat2, a: Vec2, b: Vec2) -> tuple[float, float]:
-    """The roots t+ > 0 > t- of |F_t b| = |F_t a| on F_t = F(Id + t a(x)b)."""
+    """The roots t+ >= 0 >= t- of |F_t b| = |F_t a| on F_t = F(Id + t a(x)b)."""
     fa, fb = F @ a, F @ b
     # a power-of-two rescale keeps every bit and the squares below finite
     k = math.ldexp(1.0, -math.frexp(max(abs(fa.x), abs(fa.y)))[1])
@@ -198,4 +198,5 @@ def _rank_one_roots(F: Mat2, a: Vec2, b: Vec2) -> tuple[float, float]:
     if not q2 > 0.0:
         raise ParallelSlips("slip directions too close to split in floating point")
     root = math.sqrt(q1 * q1 - 4.0 * q2 * q0)
-    return (-q1 + root) / (2.0 * q2), (-q1 - root) / (2.0 * q2)
+    # q0 can round to >= 0, putting both roots on one side; t = 0 is then a root to roundoff
+    return max((-q1 + root) / (2.0 * q2), 0.0), min((-q1 - root) / (2.0 * q2), 0.0)

@@ -245,6 +245,36 @@ def decompose(F: Mat2, s: Vec2, tol: float = DEFAULT_TOL) -> ShearFrame:
     return ShearFrame(rho=rho, beta=beta, gamma=gamma, s=s)
 
 
+def _settle_betas(beta, fx, fy, tol):
+    """``_stretch_shear``'s checks of beta on arrays, in place: NaN where it raises.
+
+    The rare rows whose |Fs|^2 overflowed take ``math.hypot``, the scalar's own.
+    """
+    over = beta == math.inf
+    if over.any():
+        beta[over] = [math.hypot(x, y) for x, y in zip(fx[over].tolist(), fy[over].tolist())]
+    beta[(beta < tol) | (beta == 0.0)] = math.nan
+    return beta
+
+
+def _stretch_shear(fx, fy, gx, gy, tol, sqrt=math.sqrt, settle=None):
+    """``(beta, gamma, rx, ry)`` from f = Fs and g = F perp(s): beta = |f|, gamma = g . f / beta.
+
+    The one home of (beta, gamma).  On floats it serves ``stretch_shear``;
+    with ``np.sqrt`` and ``_settle_betas`` it runs on numpy arrays of rows,
+    each of which gets the bits its floats would, or NaN where they raise.
+    """
+    beta = sqrt(fx * fx + fy * fy)
+    if settle is not None:
+        beta = settle(beta, fx, fy, tol)
+    elif beta == math.inf:  # |f|^2 overflowed; hypot scales, and finite squares keep their bits
+        beta = math.hypot(fx, fy)
+    elif beta < tol or beta == 0.0:  # at tol = 0, a square that underflows
+        raise DegenerateBeta(f"|Fs| = {beta!r} too short to decompose")
+    rx, ry = fx / beta, fy / beta
+    return beta, gx * rx + gy * ry, rx, ry
+
+
 def stretch_shear(F: Mat2, sx, sy, tol: float = DEFAULT_TOL):
     """``(beta, gamma, rx, ry)`` of ``decompose(F, (sx, sy))`` as plain scalars.
 
@@ -252,14 +282,6 @@ def stretch_shear(F: Mat2, sx, sy, tol: float = DEFAULT_TOL):
     and skips the SL(2) check, for callers that test many slip directions
     against one checked matrix; raises ``DegenerateBeta`` as ``decompose`` does.
     """
-    fx = F.a11 * sx + F.a12 * sy
-    fy = F.a21 * sx + F.a22 * sy
-    beta = math.sqrt(float(fx * fx + fy * fy))
-    if beta == math.inf:  # |Fs|^2 overflowed; hypot scales, and finite squares keep their bits
-        beta = math.hypot(fx, fy)
-    if beta < tol or beta == 0.0:  # at tol = 0, a square that underflows
-        raise DegenerateBeta(f"|Fs| = {beta!r} too short to decompose")
-    rx, ry = fx / beta, fy / beta
-    # F perp(s) . Fs / beta, perp(s) = (-sy, sx)
-    gamma = (F.a11 * -sy + F.a12 * sx) * rx + (F.a21 * -sy + F.a22 * sx) * ry
-    return beta, gamma, rx, ry
+    # g = F perp(s), perp(s) = (-sy, sx)
+    return _stretch_shear(F.a11 * sx + F.a12 * sy, F.a21 * sx + F.a22 * sy,
+                          F.a11 * -sy + F.a12 * sx, F.a21 * -sy + F.a22 * sx, tol)

@@ -13,7 +13,9 @@ with first element 0; the applied shift is recorded so callers can rotate
 results back.
 
 ``_window`` is the one home of gamma_pm and ``_straddles`` the one home
-of the triviality test; both run on floats and on numpy arrays.
+of the triviality test.  The (beta, gamma) frame of a matrix has its one
+home in ``mat2._stretch_shear``.  All three run on floats and on numpy
+arrays, so ``taylor_member_batch`` repeats ``taylor_member`` bit for bit.
 """
 
 from __future__ import annotations
@@ -21,11 +23,12 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, EmptyInput, NotSL2
-from .mat2 import DEFAULT_TOL, Mat2, det_is_one, mod_pi, require_sl2, stretch_shear
+from .mat2 import (DEFAULT_TOL, Mat2, _settle_betas, _stretch_shear, det_is_one, mod_pi,
+                   require_sl2, stretch_shear)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -34,6 +37,10 @@ HALF_PI = math.pi / 2
 
 #: gamma_bounds is undefined at theta in {0, pi}; stay this far away.
 THETA_MIN = 1e-8
+
+#: Rows per block of ``taylor_member_batch``: each temporary of a block is
+#: 128 KiB, so the whole block's working set stays in cache.
+_BLOCK_ROWS = 1 << 14
 
 SINGLE_CRYSTAL = "single_crystal"
 PAIR = "pair"
@@ -46,10 +53,13 @@ class AngleSet:
 
     ``shift`` is the rotation removed during normalization; bounds computed
     from this set correspond to the original texture rotated by ``-shift``.
+    ``_bound`` is ``reduce_angles`` of the set, computed once here so that
+    membership tests of many matrices share it.
     """
 
     thetas: tuple[float, ...]
     shift: float = 0.0
+    _bound: TaylorBound = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.thetas:
@@ -61,6 +71,7 @@ class AngleSet:
                 raise DomainError("angles must be strictly increasing")
         if not self.thetas[-1] < math.pi:
             raise DomainError("angles must lie in [0, pi)")
+        object.__setattr__(self, "_bound", reduce_angles(self))
 
     @property
     def N(self) -> int:
@@ -191,27 +202,44 @@ def taylor_member(F: Mat2, angles: AngleSet, tol: float = DEFAULT_TOL) -> bool:
     raw texture is the rotated one: test ``F @ rotation(angles.shift)``
     here to decide membership for the original orientations.
     """
-    return reduce_angles(angles).member(F, tol)
+    return angles._bound.member(F, tol)
 
 
 def taylor_member_batch(F: np.ndarray, angles: AngleSet, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Vectorized ``taylor_member`` over an (n, 2, 2) array of matrices."""
+    """``taylor_member`` over an (n, 2, 2) array of matrices, row for row and bit for bit.
+
+    Runs the scalar's own operations elementwise: the det test,
+    ``stretch_shear`` at s = e1 and the comparisons of ``TaylorBound.member``.
+    It walks the rows in blocks of ``_BLOCK_ROWS``, so its temporaries stay
+    in cache whatever n is.  Raises ``NotSL2`` if any row fails the det test;
+    a row on which the scalar raises ``DegenerateBeta`` is False.
+    """
     import numpy as np  # only the batch path needs numpy; scalar callers skip it
     F = np.asarray(F, dtype=float)
-    dets = F[:, 0, 0] * F[:, 1, 1] - F[:, 0, 1] * F[:, 1, 0]
-    if not np.all(det_is_one(dets, tol)):
-        raise NotSL2("batch contains matrices with det != 1")
-    beta = np.hypot(F[:, 0, 0], F[:, 1, 0])
-    gamma = (F[:, 0, 1] * F[:, 0, 0] + F[:, 1, 1] * F[:, 1, 0]) / beta
-    bound = reduce_angles(angles)
-    if _trivial(bound.angles, tol):
-        return (np.abs(beta - 1.0) <= tol) & (np.abs(gamma) <= tol)
-    ok = beta <= 1.0 + tol
-    for a in bound.angles[1:]:
-        center, root = _window(a, beta, np.sqrt, np.maximum)
-        ok &= ((beta >= math.sin(a) - tol) & (gamma >= center - root - tol)
-               & (gamma <= center + root + tol))
-    return ok
+    bound = angles._bound
+    trivial = _trivial(bound.angles, tol)
+    out = np.empty(F.shape[0], dtype=bool)
+    # Python floats overflow to inf and give NaN silently, and so do these rows
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, len(out), _BLOCK_ROWS):
+            block = F[i:i + _BLOCK_ROWS]
+            rows = Mat2(block[:, 0, 0], block[:, 0, 1], block[:, 1, 0], block[:, 1, 1])
+            if not np.all(det_is_one(rows.det(), tol)):
+                raise NotSL2("batch contains matrices with det != 1")
+            # stretch_shear at s = e1, whose Fs and F perp(s) are the columns; its
+            # products by 1 and 0 change no value, at most the sign of a zero
+            beta, gamma, _, _ = _stretch_shear(rows.a11, rows.a21, rows.a12, rows.a22, tol,
+                                               np.sqrt, _settle_betas)
+            if trivial:
+                ok = (np.abs(beta - 1.0) <= tol) & (np.abs(gamma) <= tol)
+            else:
+                ok = beta <= 1.0 + tol
+                for a in bound.angles[1:]:
+                    center, root = _window(a, beta, np.sqrt, np.maximum)
+                    ok &= ((beta >= math.sin(a) - tol) & (gamma >= center - root - tol)
+                           & (gamma <= center + root + tol))
+            out[i:i + _BLOCK_ROWS] = ok
+    return out
 
 
 def _straddles(a, b, tol):

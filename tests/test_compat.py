@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from helpers import connector_search, exact_compatibility_slack, rand_sl2, rand_unit
+from polyslip.cli import _parse_unit, run
 from polyslip.compat import LaminateSplit, find_connection, laminate_split, nu_compatible
 from polyslip.errors import DegenerateBeta, NotSL2, ParallelSlips
 from polyslip.mat2 import E1, E2, Mat2, ShearFrame, Vec2, decompose
@@ -286,6 +288,27 @@ def test_split_of_huge_strain_is_finite():
     scale = max(split.F_plus.max_abs(), split.F_minus.max_abs())
     comb = split.lam * split.F_plus + (1 - split.lam) * split.F_minus
     assert (comb - F).max_abs() <= 1e-12 * scale
+
+
+def test_split_roots_straddle_zero_when_the_gap_rounds_up(capsys):
+    # |F b|^2 - |F a|^2 (q0) rounds to a tiny positive value, which put both
+    # roots above 0 and printed lambda = -7.5e-17, outside the schema's [0, 1]
+    jsonschema = pytest.importorskip("jsonschema")
+    import importlib.resources as res
+    schema = json.loads(res.files("polyslip").joinpath(
+        "schemas/cli_output.schema.json").read_text())
+    matrix = "6.040416992162277e+150,4.026653092892795e+28,0.0,1.655514844914758e-151"
+    slip2 = "-0.7727706442572153,-0.6346853798334168"
+    assert run(["laminate", f"--matrix={matrix}", "--slip=0,1", f"--slip2={slip2}",
+                "--tol=0"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    jsonschema.validate(payload, schema)
+    assert payload["t_minus"] <= 0.0 <= payload["t_plus"]
+    split = LaminateSplit(F_plus=Mat2(*sum(payload["F_plus"], [])),
+                          F_minus=Mat2(*sum(payload["F_minus"], [])), lam=payload["lambda"],
+                          t_plus=payload["t_plus"], t_minus=payload["t_minus"])
+    F = Mat2(*map(float, matrix.split(",")))
+    _assert_split_valid_to_scale(split, F, _parse_unit("0,1"), _parse_unit(slip2))
 
 
 def test_parallel_slips_rejected():

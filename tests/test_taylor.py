@@ -1,11 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from helpers import (brute_force_taylor, mat_of, rand_sl2, rand_sl2_batch,
                      scan_trivial)
-from polyslip.errors import DomainError, EmptyInput, NotSL2
+from polyslip import taylor
+from polyslip.errors import DegenerateBeta, DomainError, EmptyInput, NotSL2
 from polyslip.mat2 import E1, Mat2, decompose, is_SO2, rotation
 from polyslip.slip import psi
 from polyslip.taylor import (AngleSet, PAIR, SINGLE_CRYSTAL, TRIPLE, gamma_bounds,
@@ -213,6 +215,91 @@ def test_batch_matches_scalar_with_orthogonal_angle():
     got = taylor_member_batch(F, aset)
     for i in range(F.shape[0]):
         assert got[i] == taylor_member(mat_of(F[i]), aset)
+
+
+def _edge_placed_batch(rng, aset, n, tol):
+    """SL(2) matrices R(phi) psi(beta, gamma) with gamma on a tol-widened edge of the region.
+
+    gamma = gamma_- - tol, gamma_- + tol, gamma_+ - tol or gamma_+ + tol of
+    one nonzero angle of the bound, so roundoff decides each membership.
+    """
+    thetas = [a for a in reduce_angles(aset).angles if a > 0.0]
+    beta = rng.uniform(max(math.sin(a) for a in thetas), 1.0, n)
+    which = rng.integers(0, len(thetas), n)
+    side, shift = rng.integers(0, 2, n), rng.choice([-tol, tol], n)
+    gamma = np.array([gamma_bounds(thetas[w], b)[d] for w, b, d in zip(which, beta, side)])
+    gamma += shift
+    phi = rng.uniform(0.0, 2.0 * PI, n)
+    c, s = np.cos(phi), np.sin(phi)
+    out = np.empty((n, 2, 2))
+    out[:, 0, 0] = c * beta
+    out[:, 0, 1] = c * gamma - s / beta
+    out[:, 1, 0] = s * beta
+    out[:, 1, 1] = s * gamma + c / beta
+    return out
+
+
+def _scalar_answers(F, aset, tol):
+    """``taylor_member`` row by row; False where it raises ``DegenerateBeta``."""
+    def one(row):
+        try:
+            return taylor_member(mat_of(row), aset, tol)
+        except DegenerateBeta:
+            return False
+    return [one(row) for row in F]
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6])
+@pytest.mark.parametrize("angles", [[0.0, 0.6, 2.4], [0.0, 0.9]], ids=["triple", "pair"])
+def test_batch_equals_scalar_on_the_region_edge(angles, tol):
+    # 20,000 rows span two blocks; before the batch shared the scalar's
+    # (beta, gamma) arithmetic, hundreds of these rows came out differently
+    aset = normalize(angles)
+    F = _edge_placed_batch(np.random.default_rng(int(tol * 1e9) + len(angles)), aset, 20_000, tol)
+    want = _scalar_answers(F, aset, tol)
+    assert 1000 < sum(want) < 19_000
+    assert taylor_member_batch(F, aset, tol).tolist() == want
+
+
+@pytest.mark.parametrize("tol", [1e-6, 0.0])
+@pytest.mark.parametrize("angles", [[0.0, 0.6, 2.4], [0.0, 1.2, 1.9]], ids=["open", "trivial"])
+def test_batch_equals_scalar_where_the_square_leaves_the_float_range(angles, tol):
+    # |F e1|^2 overflows (the scalar takes hypot) or underflows or falls below
+    # tol (the scalar raises DegenerateBeta), among ordinary rows; every det
+    # is exactly 1 and no row may raise a numpy warning
+    aset = normalize(angles)
+    big, small = 2.0 ** 530, 2.0 ** -600
+    F = np.array([[[big, 0.0], [big, 1.0 / big]], [[0.75 / small, -small], [1.0 / small, 0.0]],
+                  [[small, 0.0], [0.0, 1.0 / small]], [[0.0, -1.0 / small], [small, 0.0]],
+                  [[2.0 ** -24, 0.0], [0.0, 2.0 ** 24]], [[1.0, 0.0], [0.0, 1.0]],
+                  [[0.6, -0.8], [0.8, 0.6]], [[0.8, 0.01], [0.0, 1.25]]])
+    assert (F[:, 0, 0] * F[:, 1, 1] - F[:, 0, 1] * F[:, 1, 0] == 1.0).all()
+    want = _scalar_answers(F, aset, tol)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = taylor_member_batch(F, aset, tol)
+    assert got.tolist() == want
+    assert not got[:5].any()
+    if tol > 0.0:  # at tol = 0 roundoff can put beta = 1, gamma = 0 outside an open region
+        assert got[5:7].all()
+
+
+def test_scalar_member_reduces_the_texture_once(monkeypatch):
+    angles = [0.0, 0.3, 0.6, 0.9]
+    rows = _edge_placed_batch(np.random.default_rng(18), normalize(angles), 64, 1e-3)
+    mats = [mat_of(row) for row in rows]
+    want = [reduce_angles(normalize(angles)).member(F) for F in mats]
+    calls = []
+
+    def counted(aset):
+        calls.append(aset)
+        return reduce_angles(aset)
+
+    monkeypatch.setattr(taylor, "reduce_angles", counted)
+    aset = normalize(angles)
+    assert [taylor_member(F, aset) for F in mats] == want
+    assert len(calls) == 1
+    assert True in want and False in want
 
 
 # ---------------------------------------------------------------------------
