@@ -25,8 +25,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, ParallelSlips
-from .mat2 import DEFAULT_TOL, Mat2, Vec2, decompose, require_sl2
-from .slip import in_M, in_N
+from .mat2 import DEFAULT_TOL, Mat2, Vec2, decompose, norm2_at_most_one, require_sl2
+from .slip import image_norm2, in_M, in_N
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -67,7 +67,7 @@ def _forbidden_window(beta: float, gamma: float, tol: float):
     on the line of nu.  A window too narrow to hold a float (huge beta) is
     widened by one float each way, so it holds the angles its edges round to.
     Perpendicular normals (psi = pi/2) are never inside: they reduce to set
-    membership, beta <= 1 + tol.
+    membership, beta <= 1 + tol, tested on |Fs|^2 (``mat2.norm2_at_most_one``).
     """
     w2 = 1.0 - tol - 1.0 / (beta * beta)  # beta * beta overflows to inf where beta**2 raises
     if not w2 > 0.0:
@@ -95,7 +95,7 @@ def _decide(F: Mat2, s: Vec2, nu: Vec2, tol: float):
     sn = s.dot(nu)
     if abs(sn) <= tol:
         require_sl2(F, tol)
-        return in_N(F, s, tol), None
+        return norm2_at_most_one(image_norm2(F, s), tol), None
     frame = decompose(F, s, tol)
     window = _forbidden_window(frame.beta, frame.gamma, tol)
     psi = math.atan(s.cross(nu) / sn)

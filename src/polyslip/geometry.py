@@ -20,6 +20,10 @@ from rank-one compatibility along the domain boundary:
   degenerates to plain strain-set membership, so the bound is a finite
   intersection of relaxed sets (``outer_bound_perp``).
 
+Both bounds test that membership, |Fs| <= 1 + tol, on |Fs|^2 through its
+one home ``mat2.norm2_at_most_one``, so the full bound lies inside the
+perpendicular-point bound at every tol.
+
 Both rest on ``analyze_boundary``, which is computed once per polycrystal
 and angular tolerance and kept on the (immutable) polycrystal; every entry
 point then shares that one read-only result.  Arcs likewise fix their sweep
@@ -46,7 +50,7 @@ from typing import TYPE_CHECKING, Mapping, Optional, Union
 
 from .compat import _forbidden_window, _window_meets
 from .errors import DomainError, InvalidPolycrystal
-from .mat2 import (ANGULAR_TOL, DEFAULT_TOL, Mat2, Vec2, decompose, is_sl2, mod_pi,
+from .mat2 import (ANGULAR_TOL, DEFAULT_TOL, Mat2, Vec2, is_sl2, mod_pi, norm2_at_most_one,
                    require_sl2, stretch_shear)
 from .slip import image_norm2, slip_direction
 
@@ -632,9 +636,8 @@ class OuterBound:
         """F in every relaxed set of the directions: ``in_N`` with one det check."""
         if not is_sl2(F, tol):
             return False
-        bound = (1 + tol) ** 2
         for s in self.slip_directions:
-            if not image_norm2(F, s) <= bound:
+            if not norm2_at_most_one(image_norm2(F, s), tol):
                 return False
         return True
 
@@ -713,13 +716,14 @@ def compatible_with_normals(F: Mat2, theta: float, normals: np.ndarray,
     import numpy as np
 
     s = slip_direction(theta)
-    frame = decompose(F, s, tol)
+    require_sl2(F, tol)
+    n2, beta, gamma, _, _ = stretch_shear(F, s.x, s.y, tol)
     sn = normals[:, 0] * float(s.x) + normals[:, 1] * float(s.y)
     crs = normals[:, 1] * float(s.x) - normals[:, 0] * float(s.y)
     perp_mask = np.abs(sn) <= tol
-    if np.any(perp_mask) and frame.beta > 1.0 + tol:
+    if np.any(perp_mask) and not norm2_at_most_one(n2, tol):
         return False
-    window = _forbidden_window(frame.beta, frame.gamma, tol)
+    window = _forbidden_window(beta, gamma, tol)
     psi = np.arctan(crs[~perp_mask] / sn[~perp_mask])
     return window is None or not np.any(_window_meets(*window, psi, psi))
 
@@ -733,7 +737,8 @@ def outer_bound_full_member(F: Mat2, pc: Polycrystal, tol: float = DEFAULT_TOL,
     at every non-dual boundary point.  Per boundary grain, with (beta,
     gamma) the shear frame of F along its slip direction:
 
-    * a grain in J fails when beta > 1 + tol (its perpendicular points);
+    * a grain in J fails when beta > 1 + tol (its perpendicular points),
+      tested on |Fs|^2 by ``mat2.norm2_at_most_one`` as in ``OuterBound``;
     * any other normal fails exactly when its angle lies in the open window
       of ``compat._forbidden_window``, so a segment fails when its one
       normal lies in it and an arc when its open interval of normals meets
@@ -750,8 +755,8 @@ def outer_bound_full_member(F: Mat2, pc: Polycrystal, tol: float = DEFAULT_TOL,
     require_sl2(F, tol)
     analysis = samples.analysis if samples is not None else analyze_boundary(pc, angular_tol)
     for c, s, in_j, spans in analysis.grain_rows:
-        beta, gamma, _, _ = stretch_shear(F, c, s, tol)
-        if beta > 1.0 + tol and in_j:
+        n2, beta, gamma, _, _ = stretch_shear(F, c, s, tol)
+        if in_j and not norm2_at_most_one(n2, tol):
             return False
         window = _forbidden_window(beta, gamma, tol)
         if window is None:

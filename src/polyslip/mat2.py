@@ -11,6 +11,11 @@ direction ``s`` and a shear amount.  Entries may be floats or
 ``fractions.Fraction``; all predicates stay exact in the rational case
 when called with ``tol=0``.
 
+One home each, elementwise on numpy arrays too: ``det_is_one`` for
+det F = 1; ``norm2_at_most_one`` and ``norm2_is_one`` for |v| <= 1 and
+|v| = 1 within tol, tested on |v|^2, never on its root; and
+``_stretch_shear`` for (beta, gamma), with the |Fs|^2 that beta is the root of.
+
 ``Vec2``, ``Mat2`` and ``ShearFrame`` are immutable by contract, not
 enforced: their fields are plain slots, so construction skips the
 per-field ``object.__setattr__`` of a frozen dataclass.  They compare and
@@ -188,6 +193,22 @@ def det_is_one(d, tol: float = DEFAULT_TOL):
     return abs(d - 1) <= tol
 
 
+def norm2_at_most_one(n2, tol: float = DEFAULT_TOL):
+    """n2 <= (1 + tol)^2: |v| <= 1 + tol on n2 = |v|^2, elementwise; False for NaN.
+
+    The product overflows to inf where a power raises, and its rounded
+    square root is 1 + tol, so a float n2 that passes has sqrt(n2) <= 1 + tol.
+    """
+    edge = 1 + tol
+    return n2 <= edge * edge
+
+
+def norm2_is_one(n2, tol: float = DEFAULT_TOL):
+    """(1 - tol)^2 <= n2 <= (1 + tol)^2: |v| = 1 within tol on n2 = |v|^2, elementwise."""
+    lo, hi = 1 - tol, 1 + tol
+    return (lo * lo <= n2) & (n2 <= hi * hi)
+
+
 def is_sl2(F: Mat2, tol: float = DEFAULT_TOL) -> bool:
     """True iff det F = 1 within tol."""
     return det_is_one(F.det(), tol)
@@ -237,7 +258,7 @@ def decompose(F: Mat2, s: Vec2, tol: float = DEFAULT_TOL) -> ShearFrame:
     ``DegenerateBeta`` if |Fs| < tol or |Fs|^2 underflows to 0.
     """
     require_sl2(F, tol)
-    beta, gamma, rx, ry = stretch_shear(F, s.x, s.y, tol)
+    _, beta, gamma, rx, ry = stretch_shear(F, s.x, s.y, tol)
     rs = Vec2(rx, ry)
     rho = math.atan2(s.cross(rs), s.dot(rs))
     if rho < 0.0:
@@ -245,38 +266,41 @@ def decompose(F: Mat2, s: Vec2, tol: float = DEFAULT_TOL) -> ShearFrame:
     return ShearFrame(rho=rho, beta=beta, gamma=gamma, s=s)
 
 
-def _settle_betas(beta, fx, fy, tol):
-    """``_stretch_shear``'s checks of beta on arrays, in place: NaN where it raises.
+def _settle_betas(n2, beta, fx, fy, tol):
+    """``_stretch_shear``'s checks of beta on arrays, in place: NaN in n2 and beta where it raises.
 
     The rare rows whose |Fs|^2 overflowed take ``math.hypot``, the scalar's own.
     """
     over = beta == math.inf
     if over.any():
         beta[over] = [math.hypot(x, y) for x, y in zip(fx[over].tolist(), fy[over].tolist())]
-    beta[(beta < tol) | (beta == 0.0)] = math.nan
+    degenerate = (beta < tol) | (beta == 0.0)
+    n2[degenerate] = beta[degenerate] = math.nan
     return beta
 
 
 def _stretch_shear(fx, fy, gx, gy, tol, sqrt=math.sqrt, settle=None):
-    """``(beta, gamma, rx, ry)`` from f = Fs and g = F perp(s): beta = |f|, gamma = g . f / beta.
+    """``(n2, beta, gamma, rx, ry)`` from f = Fs and g = F perp(s): n2 = |f|^2,
+    beta = |f|, gamma = g . f / beta.
 
     The one home of (beta, gamma).  On floats it serves ``stretch_shear``;
     with ``np.sqrt`` and ``_settle_betas`` it runs on numpy arrays of rows,
     each of which gets the bits its floats would, or NaN where they raise.
     """
-    beta = sqrt(fx * fx + fy * fy)
+    n2 = fx * fx + fy * fy
+    beta = sqrt(n2)
     if settle is not None:
-        beta = settle(beta, fx, fy, tol)
+        beta = settle(n2, beta, fx, fy, tol)
     elif beta == math.inf:  # |f|^2 overflowed; hypot scales, and finite squares keep their bits
         beta = math.hypot(fx, fy)
     elif beta < tol or beta == 0.0:  # at tol = 0, a square that underflows
         raise DegenerateBeta(f"|Fs| = {beta!r} too short to decompose")
     rx, ry = fx / beta, fy / beta
-    return beta, gx * rx + gy * ry, rx, ry
+    return n2, beta, gx * rx + gy * ry, rx, ry
 
 
 def stretch_shear(F: Mat2, sx, sy, tol: float = DEFAULT_TOL):
-    """``(beta, gamma, rx, ry)`` of ``decompose(F, (sx, sy))`` as plain scalars.
+    """``(n2, beta, gamma, rx, ry)``: |Fs|^2 and ``decompose(F, (sx, sy))`` as plain scalars.
 
     (rx, ry) = Fs / beta is the rotated slip direction.  Builds no objects
     and skips the SL(2) check, for callers that test many slip directions

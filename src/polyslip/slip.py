@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .mat2 import DEFAULT_TOL, Mat2, Vec2, is_sl2
+from .mat2 import DEFAULT_TOL, Mat2, Vec2, is_sl2, norm2_at_most_one, norm2_is_one
 
 INFINITY = math.inf
 
@@ -42,14 +42,12 @@ def image_norm2(F: Mat2, s: Vec2):
 
 def in_M(F: Mat2, s: Vec2, tol: float = DEFAULT_TOL) -> bool:
     """True iff det F = 1 and |Fs| = 1, within tol. Exact for tol=0."""
-    n2 = image_norm2(F, s)
-    return is_sl2(F, tol) and (1 - tol) ** 2 <= n2 <= (1 + tol) ** 2
+    return is_sl2(F, tol) and norm2_is_one(image_norm2(F, s), tol)
 
 
 def in_N(F: Mat2, s: Vec2, tol: float = DEFAULT_TOL) -> bool:
     """True iff det F = 1 within tol and |Fs| <= 1 + tol. Exact for tol=0."""
-    n2 = image_norm2(F, s)
-    return is_sl2(F, tol) and n2 <= (1 + tol) ** 2
+    return is_sl2(F, tol) and norm2_at_most_one(image_norm2(F, s), tol)
 
 
 def energy(F: Mat2, s: Vec2, p: float, tol: float = DEFAULT_TOL):

@@ -14,8 +14,12 @@ results back.
 
 ``_window`` is the one home of gamma_pm and ``_straddles`` the one home
 of the triviality test.  The (beta, gamma) frame of a matrix has its one
-home in ``mat2._stretch_shear``.  All three run on floats and on numpy
-arrays, so ``taylor_member_batch`` repeats ``taylor_member`` bit for bit.
+home in ``mat2._stretch_shear``, and its stretch test, on |F e1|^2 as in
+``slip.in_N``/``in_M``, in ``mat2.norm2_at_most_one``/``norm2_is_one``;
+so the bound of a single crystal is its relaxed set.  (``shear_interval``
+and ``gamma_bounds`` test beta <= 1 + tol on the coordinate beta.)  All of
+these run on floats and on numpy arrays, so ``taylor_member_batch``
+repeats ``taylor_member`` bit for bit.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import TYPE_CHECKING
 
 from .errors import DomainError, EmptyInput, NotSL2
 from .mat2 import (DEFAULT_TOL, Mat2, _settle_betas, _stretch_shear, det_is_one, mod_pi,
-                   require_sl2, stretch_shear)
+                   norm2_at_most_one, norm2_is_one, require_sl2, stretch_shear)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -147,10 +151,11 @@ def in_lambda(theta: float, beta: float, gamma: float, tol: float = DEFAULT_TOL)
 
 
 def _frame_e1(F: Mat2, tol: float):
-    """(beta, gamma) of ``decompose(F, E1, tol)``, bit for bit, without building the frame."""
+    """(|F e1|^2, beta, gamma): the square of ``(F @ E1).norm2()`` and the frame of
+    ``decompose(F, E1, tol)``, bit for bit, without building either."""
     require_sl2(F, tol)
-    beta, gamma, _, _ = stretch_shear(F, 1.0, 0.0, tol)
-    return beta, gamma
+    n2, beta, gamma, _, _ = stretch_shear(F, 1.0, 0.0, tol)
+    return n2, beta, gamma
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -161,10 +166,10 @@ class TaylorBound:
     angles: tuple[float, ...]
 
     def member(self, F: Mat2, tol: float = DEFAULT_TOL) -> bool:
-        beta, gamma = _frame_e1(F, tol)
+        n2, beta, gamma = _frame_e1(F, tol)
         if _trivial(self.angles, tol):  # rotations only, as in taylor_member_batch
-            return abs(beta - 1.0) <= tol and abs(gamma) <= tol
-        if beta > 1.0 + tol:
+            return norm2_is_one(n2, tol) and abs(gamma) <= tol
+        if not norm2_at_most_one(n2, tol):
             return False
         for a in self.angles[1:]:
             lo, hi = shear_interval(a, beta, tol)
@@ -228,12 +233,12 @@ def taylor_member_batch(F: np.ndarray, angles: AngleSet, tol: float = DEFAULT_TO
                 raise NotSL2("batch contains matrices with det != 1")
             # stretch_shear at s = e1, whose Fs and F perp(s) are the columns; its
             # products by 1 and 0 change no value, at most the sign of a zero
-            beta, gamma, _, _ = _stretch_shear(rows.a11, rows.a21, rows.a12, rows.a22, tol,
-                                               np.sqrt, _settle_betas)
+            n2, beta, gamma, _, _ = _stretch_shear(rows.a11, rows.a21, rows.a12, rows.a22, tol,
+                                                   np.sqrt, _settle_betas)
             if trivial:
-                ok = (np.abs(beta - 1.0) <= tol) & (np.abs(gamma) <= tol)
+                ok = norm2_is_one(n2, tol) & (np.abs(gamma) <= tol)
             else:
-                ok = beta <= 1.0 + tol
+                ok = norm2_at_most_one(n2, tol)
                 for a in bound.angles[1:]:
                     center, root = _window(a, beta, np.sqrt, np.maximum)
                     ok &= ((beta >= math.sin(a) - tol) & (gamma >= center - root - tol)
@@ -273,15 +278,18 @@ def is_trivial(angles: AngleSet, tol: float = DEFAULT_TOL) -> bool:
 def taylor_M_member(F: Mat2, angles: AngleSet, tol: float = DEFAULT_TOL) -> bool:
     """Constant-strain attainability without relaxation.
 
-    Membership forces the stretch to be exactly 1; the shear must lie in
-    the full-stretch interval of every nonzero orientation, which is
-    [-2*cot(theta), 0] below pi/2 and [0, -2*cot(theta)] above (the
-    beta = 1 case of ``gamma_bounds``, angle first, stretch second).
+    Membership forces the stretch to be 1 (``norm2_is_one``); the shear
+    must lie in the full-stretch interval of every nonzero orientation,
+    which is [-2*cot(theta), 0] below pi/2 and [0, -2*cot(theta)] above
+    (the beta = 1 case of ``gamma_bounds``, angle first, stretch second).
+    The first interval shrinks and the second grows as theta increases, so
+    the binding ones are those of theta_n < pi/2 <= theta_n+1, the angles
+    of the reduced bound, which is all this reads.
     """
-    beta, gamma = _frame_e1(F, tol)
-    if abs(beta - 1.0) > tol:
+    n2, _, gamma = _frame_e1(F, tol)
+    if not norm2_is_one(n2, tol):
         return False
-    for theta in angles.thetas[1:]:
+    for theta in angles._bound.angles[1:]:
         edge = -2.0 / math.tan(theta)
         lo, hi = (edge, 0.0) if theta < HALF_PI else (0.0, edge)
         if not lo - tol <= gamma <= hi + tol:

@@ -16,6 +16,9 @@ block per curve, and ``pairwise_adjacent_equal_textures`` tests every
 equal-texture grain pair for adjacency, where the library sweeps bounding boxes.
 ``exact_compatibility_slack`` writes the rank-one inequality in exact
 rationals, where the library tests normal angles against a float window.
+``all_angle_taylor_M_member`` scans every angle of a texture, where the
+library reads the reduced bound.  ``stretch_edge_batch`` draws matrices
+whose stretch |F e1| only its last bits put inside or outside 1 + tol.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from scipy.optimize import brentq, minimize_scalar
 from polyslip.geometry import (POS_TOL, BoundaryAnalysis, Segment, _grains_adjacent, _near,
                                _normals_cover_circle, _textures_equal, analyze_boundary,
                                boundary_samples, compatible_with_normals)
-from polyslip.mat2 import ANGULAR_TOL, DEFAULT_TOL, E1, Mat2, ShearFrame, Vec2
+from polyslip.mat2 import ANGULAR_TOL, DEFAULT_TOL, E1, Mat2, ShearFrame, Vec2, decompose
 
 
 def rand_sl2(rng, beta_lo=0.3, beta_hi=1.5, gamma_lo=-3.0, gamma_hi=3.0) -> Mat2:
@@ -97,6 +100,40 @@ def brute_force_taylor_batch(F: np.ndarray, thetas, tol=1e-9) -> np.ndarray:
         vy = F[:, 1, 0] * cx + F[:, 1, 1] * sx
         ok &= np.hypot(vx, vy) <= 1.0 + tol
     return ok
+
+
+def stretch_edge_batch(rng, n, tol) -> np.ndarray:
+    """(n, 2, 2) matrices [[x, -y/n2], [y, x/n2]], n2 = x^2 + y^2, on the stretch edge.
+
+    (x, y) = F e1 has length 1 + tol moved by -8 to 8 ulps, so the last bits
+    decide |F e1| <= 1 + tol, and at tol = 0 |F e1| = 1 too; det F is 1 up to
+    roundoff.
+    """
+    edge = 1.0 + tol
+    radius = edge + rng.integers(-8, 9, n) * math.ulp(edge)
+    phi = rng.uniform(0.0, 2.0 * math.pi, n)
+    x, y = radius * np.cos(phi), radius * np.sin(phi)
+    n2 = x * x + y * y
+    out = np.empty((n, 2, 2))
+    out[:, 0, 0], out[:, 0, 1], out[:, 1, 0], out[:, 1, 1] = x, -y / n2, y, x / n2
+    return out
+
+
+def all_angle_taylor_M_member(F: Mat2, angles, tol: float = DEFAULT_TOL) -> bool:
+    """Unrelaxed Taylor membership with the shear interval of every angle of the texture.
+
+    The interval at stretch 1 is [-2 cot(theta), 0] below pi/2 and
+    [0, -2 cot(theta)] from pi/2 on, each widened by tol.
+    """
+    frame = decompose(F, E1, tol)
+    if not (1 - tol) ** 2 <= (F @ E1).norm2() <= (1 + tol) ** 2:
+        return False
+    for theta in angles.thetas[1:]:
+        edge = -2.0 / math.tan(theta)
+        lo, hi = (edge, 0.0) if theta < math.pi / 2 else (0.0, edge)
+        if not lo - tol <= frame.gamma <= hi + tol:
+            return False
+    return True
 
 
 def scan_trivial(thetas) -> bool:

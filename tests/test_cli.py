@@ -208,6 +208,49 @@ def test_outer_full_member_is_exact(capsys, tmp_path):
         assert payload["member_full"] is False
 
 
+# |F e1|^2 exceeds (1 + tol)^2 while |F e1| rounds to at most 1 + tol: F e1 is
+# 1 + 1e-9 long to within a few ulps at the default tol, and 1 + 2^-52 squared at tol 0
+STRETCH_EDGE = "-0.11291846531775036,-0.993604256352239,0.993604258339448,-0.11291846509191339"
+
+
+@pytest.mark.parametrize("options", [[f"--matrix={STRETCH_EDGE}"],
+                                     ["--matrix", "1,0,1.4901161193847656e-08,1", "--tol", "0"]],
+                         ids=["default-tol", "tol-0"])
+def test_outer_full_bound_lies_inside_the_perpendicular_bound(capsys, tmp_path, options):
+    # the grains of texture 0 have perpendicular points, where compatibility is
+    # membership in the relaxed set of e1; both bounds must reject F there
+    path = tmp_path / "quadrant.json"
+    path.write_text(json.dumps(polycrystal_to_dict(quadrant_disk())))
+    payload, _ = _run_json(capsys, ["outer", "--polycrystal", str(path), *options])
+    assert payload["member_perp"] is False
+    assert payload["member_full"] is False
+
+
+def test_single_crystal_taylor_bound_is_its_relaxed_set(capsys):
+    member, _ = _run_json(capsys, ["member", "--angles", "0", f"--matrix={STRETCH_EDGE}"])
+    compat, _ = _run_json(capsys, ["compat", f"--matrix={STRETCH_EDGE}",
+                                   "--slip", "1,0", "--normal", "0,1"])
+    assert compat["compatible"] is False  # the perpendicular case: relaxed-set membership
+    assert member["member"] is False
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["outer", "--polycrystal", "quadrant.json", "--matrix", "1,0,0,1"], 1),
+    (["compat", "--matrix", "1,0,0,1", "--slip", "1,0", "--normal", "0,1"], 0),
+], ids=["outer", "compat"])
+def test_huge_tol_squares_to_inf_in_the_stretch_test(capsys, tmp_path, monkeypatch, argv, code):
+    # (1 + 1e200)^2 leaves the float range; as a power it raised OverflowError.
+    # The full outer bound decomposes F, which a tol above |F s| = 1 forbids.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "quadrant.json").write_text(json.dumps(polycrystal_to_dict(quadrant_disk())))
+    assert run(argv + ["--tol", "1e200"]) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert json.loads(captured.out)["compatible"] is True
+    else:
+        assert captured.err.startswith("error: ")
+
+
 def test_outer_on_a_sliver_keeps_the_contract(capsys, tmp_path):
     # a 1 x 1e-300 rectangle split in two: the squared length of its short
     # sides underflows to 0, which once divided the segment normal by zero

@@ -7,7 +7,9 @@ empty.  Counts that set the amount of work (``mc --n``/``--k``,
 ``lambda-plot --grid``, ``outer --samples``) are drawn small apart from
 values above their caps, which the CLI must reject, so that the test runs
 in seconds.  Matrices include volume-preserving ones whose rows or columns
-are scaled from 1e-200 to 1e200, where squared lengths overflow.
+are scaled from 1e-200 to 1e200, where squared lengths overflow.  Where
+``outer`` answers both memberships, the full bound must lie inside the
+perpendicular-point bound.
 """
 
 import contextlib
@@ -156,6 +158,10 @@ def in_polycrystal_dir(tmp_path_factory):
 @example(argv=["laminate", "--matrix=2,0,0,0.5", "--slip=1,0", "--slip2=1,1e-8"])
 @example(argv=["laminate", "--matrix=1e154,0,0,1e-154", "--slip=1,0", "--slip2=1,1e-5",
                "--tol=0"])
+@example(argv=["outer", "--polycrystal=quadrant.json", "--matrix=-0.11291846531775036,"
+               "-0.993604256352239,0.993604258339448,-0.11291846509191339"])
+@example(argv=["outer", "--polycrystal=quadrant.json", "--matrix=1,0,1.4901161193847656e-08,1",
+               "--tol=0"])
 def test_cli_contract_holds_for_any_argv(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -169,4 +175,7 @@ def test_cli_contract_holds_for_any_argv(argv):
         assert out.getvalue() == ""
         return
     fmt = "csv" if "--format=csv" in argv else "json"
-    jsonschema.validate(_payload(out.getvalue(), fmt), SCHEMA)
+    payload = _payload(out.getvalue(), fmt)
+    jsonschema.validate(payload, SCHEMA)
+    if "member_full" in payload and "member_perp" in payload:
+        assert payload["member_perp"] or not payload["member_full"]  # full bound inside perp

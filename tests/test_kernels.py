@@ -1,8 +1,8 @@
 """The allocation-light scalar kernels agree bit for bit with the object paths they replace.
 
-* ``taylor._frame_e1`` (``require_sl2`` + ``stretch_shear``) against the
-  frame of ``decompose(F, E1)``, inside ``TaylorBound.member`` and
-  ``taylor_M_member``;
+* ``taylor._frame_e1`` (``require_sl2`` + ``stretch_shear``) against
+  |F e1|^2 of ``(F @ E1).norm2()`` and the frame of ``decompose(F, E1)``,
+  inside ``TaylorBound.member`` and ``taylor_M_member``;
 * ``slip.image_norm2`` against ``(F @ s).norm2()``;
 * ``OuterBound.member`` against ``in_N`` per direction;
 * the rows of ``BoundaryAnalysis.grain_rows`` against the grains they stand for.
@@ -42,7 +42,7 @@ def _outcome(fn, *args):
 
 def _frame_via_decompose(F, tol):
     frame = decompose(F, E1, tol)
-    return frame.beta, frame.gamma
+    return (F @ E1).norm2(), frame.beta, frame.gamma
 
 
 def _matrices(rng, n):

@@ -4,11 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import rand_sl2, rand_unit
+from helpers import mat_of, rand_sl2, rand_unit, stretch_edge_batch
 from polyslip.errors import DomainError
-from polyslip.mat2 import E1, E2, Mat2, ShearFrame, Vec2, rotation
+from polyslip.geometry import (analyze_boundary, outer_bound_full_member, outer_bound_perp,
+                               quadrant_disk, random_chord_disk)
+from polyslip.mat2 import E1, E2, Mat2, ShearFrame, Vec2, is_sl2, rotation
 from polyslip.slip import INFINITY, SlipSystem, energy, in_M, in_N, psi
-from polyslip.taylor import gamma_bounds
+from polyslip.taylor import (gamma_bounds, normalize, taylor_M_member, taylor_member,
+                             taylor_member_batch)
 
 
 def test_in_M_examples():
@@ -92,3 +95,32 @@ def test_rotation_covariance():
 def test_slip_system_normal():
     sys = SlipSystem(Vec2(0.6, 0.8))
     assert sys.m == Vec2(-0.8, 0.6)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-9, 1e-6])
+def test_bounds_on_the_relaxed_set_agree_on_its_stretch_edge(tol):
+    # |F e1| within 8 ulps of 1 + tol.  The Taylor bounds of a single crystal
+    # are its strain sets, also in the batch, and the full outer bound lies
+    # inside the perpendicular-point bound; the chord disk gets the draws
+    # turned onto the slip of a grain with perpendicular points.  Kernels that
+    # compared sqrt(|Fs|^2) with 1 + tol broke each on tens of draws per tol < 1e-6.
+    rows = stretch_edge_batch(np.random.default_rng(31), 5_000, tol)
+    mats = [F for F in map(mat_of, rows) if is_sl2(F, tol)]  # at tol 0, the exact dets
+    assert len(mats) > 3_000
+    single = normalize([0.0])
+    relaxed = [in_N(F, E1, tol) for F in mats]
+    assert relaxed.count(True) > 1_000 and relaxed.count(False) > 1_000
+    assert [taylor_member(F, single, tol) for F in mats] == relaxed
+    assert [taylor_M_member(F, single, tol) for F in mats] == [in_M(F, E1, tol) for F in mats]
+    batch = np.array([[[F.a11, F.a12], [F.a21, F.a22]] for F in mats])
+    assert taylor_member_batch(batch, single, tol).tolist() == relaxed
+
+    chords = random_chord_disk(np.random.default_rng(0), 5)
+    theta = chords.grain_by_id(min(analyze_boundary(chords).J)).theta
+    turned = [G for G in (F @ rotation(-theta) for F in mats) if is_sl2(G, tol)]
+    assert len(turned) > 500
+    for pc, draws in ((quadrant_disk(), mats), (chords, turned)):
+        perp = outer_bound_perp(pc)
+        members = [F for F in draws if outer_bound_full_member(F, pc, tol)]
+        assert [F for F in members if not perp.member(F, tol)] == []
+        assert len(members) > 20

@@ -4,8 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import (brute_force_taylor, mat_of, rand_sl2, rand_sl2_batch,
-                     scan_trivial)
+from helpers import (all_angle_taylor_M_member, brute_force_taylor, mat_of, rand_sl2,
+                     rand_sl2_batch, scan_trivial, stretch_edge_batch)
 from polyslip import taylor
 from polyslip.errors import DegenerateBeta, DomainError, EmptyInput, NotSL2
 from polyslip.mat2 import E1, Mat2, decompose, is_SO2, rotation
@@ -249,15 +249,31 @@ def _scalar_answers(F, aset, tol):
     return [one(row) for row in F]
 
 
+# det exactly 1, |F e1| below 1e-9 or its square underflowing: the scalar raises DegenerateBeta
+_DEGENERATE_ROWS = np.array([[[2.0 ** -30, 0.0], [0.0, 2.0 ** 30]],
+                             [[2.0 ** -600, 0.0], [0.0, 2.0 ** 600]],
+                             [[0.0, -2.0 ** 600], [2.0 ** -600, 0.0]]])
+
+
 @pytest.mark.parametrize("tol", [1e-9, 1e-6])
-@pytest.mark.parametrize("angles", [[0.0, 0.6, 2.4], [0.0, 0.9]], ids=["triple", "pair"])
+@pytest.mark.parametrize("angles", [[0.0, 0.6, 2.4], [0.0, 0.9], [0.0], [0.0, 1.2, 1.9]],
+                         ids=["triple", "pair", "single", "trivial"])
 def test_batch_equals_scalar_on_the_region_edge(angles, tol):
-    # 20,000 rows span two blocks; before the batch shared the scalar's
-    # (beta, gamma) arithmetic, hundreds of these rows came out differently
+    # 20,000 rows on the gamma edges of the region span two blocks; before the
+    # batch shared the scalar's (beta, gamma) arithmetic, hundreds of these rows
+    # came out differently.  20,000 more lie on its stretch edge, and the
+    # degenerate rows must stay False where only the stretch test follows ({0}).
     aset = normalize(angles)
-    F = _edge_placed_batch(np.random.default_rng(int(tol * 1e9) + len(angles)), aset, 20_000, tol)
+    rng = np.random.default_rng(int(tol * 1e9) + len(angles))
+    open_region = len(angles) > 1 and not is_trivial(aset)
+    parts = [_edge_placed_batch(rng, aset, 20_000, tol)] if open_region else []
+    parts += [stretch_edge_batch(rng, 20_000, tol), _DEGENERATE_ROWS]
+    F = np.concatenate(parts)
     want = _scalar_answers(F, aset, tol)
-    assert 1000 < sum(want) < 19_000
+    if open_region:
+        assert 1000 < sum(want[:20_000]) < 19_000
+    assert 1000 < sum(want[-20_003:-3]) < 19_000
+    assert not any(want[-3:])
     assert taylor_member_batch(F, aset, tol).tolist() == want
 
 
@@ -515,6 +531,31 @@ def test_unrelaxed_implies_relaxed():
         F = rotation(rng.uniform(0, 2 * PI)) @ psi(1.0, rng.uniform(lo, hi))
         assert taylor_M_member(F, aset)
         assert taylor_member(F, aset)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 0.0])
+def test_unrelaxed_membership_reads_the_reduced_bound(tol):
+    # the all-angle scan on random textures, half of them holding 0 and pi/2
+    # exactly; shears on and next to the interval ends, at stretch 1 exactly
+    # (and rotated, where tol admits the det)
+    rng = np.random.default_rng(23)
+    answers = []
+    for _ in range(400):
+        raw = rng.uniform(0.0, PI, int(rng.integers(1, 8))).tolist()
+        if rng.uniform() < 0.5:
+            raw += [0.0, PI / 2]
+        aset = normalize(raw, tol)
+        ends = [0.0] + [-2.0 / math.tan(t) for t in aset.thetas[1:]]
+        for _ in range(10):
+            end = float(rng.choice(ends))
+            gamma = end + int(rng.integers(-2, 3)) * max(tol, math.ulp(end))
+            F = psi(1.0, gamma)
+            if tol > 0.0 and rng.uniform() < 0.5:
+                F = rotation(rng.uniform(0.0, 2.0 * PI)) @ F
+            want = all_angle_taylor_M_member(F, aset, tol)
+            assert taylor_M_member(F, aset, tol) == want
+            answers.append(want)
+    assert 500 < sum(answers) < len(answers) - 500
 
 
 def test_unrelaxed_trivial_when_angles_straddle():
