@@ -204,8 +204,12 @@ def norm2_at_most_one(n2, tol: float = DEFAULT_TOL):
 
 
 def norm2_is_one(n2, tol: float = DEFAULT_TOL):
-    """(1 - tol)^2 <= n2 <= (1 + tol)^2: |v| = 1 within tol on n2 = |v|^2, elementwise."""
-    lo, hi = 1 - tol, 1 + tol
+    """max(1 - tol, 0)^2 <= n2 <= (1 + tol)^2: |v| = 1 within tol on n2 = |v|^2, elementwise.
+
+    The lower edge stops at 0, so |v| = 1 is in the band for every tol;
+    ``(1 - tol)^2`` alone would pass 1 once tol > 2.
+    """
+    lo, hi = (1 - tol if tol < 1 else 0), 1 + tol
     return (lo * lo <= n2) & (n2 <= hi * hi)
 
 

@@ -60,11 +60,20 @@ def trivial_probability(k: int) -> float:
 def _trivial_rows(thetas: np.ndarray) -> np.ndarray:
     """Row-wise triviality of angle tuples in (0, pi), 0 prepended.
 
-    ``taylor._straddles`` with tol = 0: drawn angles carry no roundoff.
+    The rows, 0 first, are sorted in place in one (n, k+1) array, and
+    ``taylor._straddles`` with tol = 0 (drawn angles carry no roundoff)
+    runs once over its flat view; each hit marks its row.  A pair across
+    two rows never straddles: every row starts with 0 < pi/2, since drawn
+    angles are >= +0.
     """
-    n = thetas.shape[0]
-    full = np.sort(np.concatenate([np.zeros((n, 1)), thetas], axis=1), axis=1)
-    return _straddles(full[:, :-1], full[:, 1:], 0.0).any(axis=1)
+    n, k = thetas.shape
+    full = np.zeros((n, k + 1))
+    full[:, 1:] = thetas
+    full.sort(axis=1)
+    flat = full.ravel()
+    rows = np.zeros(n, dtype=bool)
+    rows[np.flatnonzero(_straddles(flat[:-1], flat[1:], 0.0)) // (k + 1)] = True
+    return rows
 
 
 def estimate_trivial_probability(cfg: McConfig) -> McResult:

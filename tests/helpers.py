@@ -19,6 +19,8 @@ rationals, where the library tests normal angles against a float window.
 ``all_angle_taylor_M_member`` scans every angle of a texture, where the
 library reads the reduced bound.  ``stretch_edge_batch`` draws matrices
 whose stretch |F e1| only its last bits put inside or outside 1 + tol.
+``row_scan_trivial`` reduces the straddle test row by row, where the
+Monte Carlo kernel scans all rows as one flat array.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from polyslip.geometry import (POS_TOL, BoundaryAnalysis, Segment, _grains_adjac
                                _normals_cover_circle, _textures_equal, analyze_boundary,
                                boundary_samples, compatible_with_normals)
 from polyslip.mat2 import ANGULAR_TOL, DEFAULT_TOL, E1, Mat2, ShearFrame, Vec2, decompose
+from polyslip.taylor import _straddles
 
 
 def rand_sl2(rng, beta_lo=0.3, beta_hi=1.5, gamma_lo=-3.0, gamma_hi=3.0) -> Mat2:
@@ -144,6 +147,14 @@ def scan_trivial(thetas) -> bool:
         if ts[i] <= half <= ts[i + 1] and ts[i + 1] - ts[i] <= half:
             return True
     return False
+
+
+def row_scan_trivial(thetas: np.ndarray) -> np.ndarray:
+    """Row-wise Monte Carlo triviality: 0 prepended, each row sorted, its
+    consecutive pairs tested and reduced per row by ``any``."""
+    n = thetas.shape[0]
+    full = np.sort(np.concatenate([np.zeros((n, 1)), thetas], axis=1), axis=1)
+    return _straddles(full[:, :-1], full[:, 1:], 0.0).any(axis=1)
 
 
 def connector_search(F: Mat2, s: Vec2, nu: Vec2, tol: float = DEFAULT_TOL, span: float = 1.0):

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from polyslip.errors import DegenerateBeta, NotSL2
 from polyslip.mat2 import (E1, Mat2, ShearFrame, Vec2, decompose, det, det_is_one, is_SO2,
-                           is_sl2, require_sl2, rotation)
+                           is_sl2, norm2_is_one, require_sl2, rotation)
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -146,6 +146,21 @@ def test_sl2_check_rejects_nan_determinant():
     with pytest.raises(NotSL2):
         require_sl2(Mat2(1e200, 1e200, 1e200, 1e200))
     assert det_is_one(np.array([1.0, nan, 1.0 + 1e-12])).tolist() == [True, False, True]
+
+
+def test_unit_band_lower_edge_stops_at_zero():
+    # for tol > 2, (1 - tol)^2 > 1 would put |v| = 1 itself outside the band
+    assert norm2_is_one(np.array([0.0, 0.5, 1.0, 2.0])).tolist() == [False, False, True, False]
+    for tol in (2.5, 3.0, 1e200):
+        assert norm2_is_one(1.0, tol)
+        assert norm2_is_one(0.0, tol)
+        assert norm2_is_one(np.array([0.0, 0.5, 1.0, 2.0]), tol).tolist() == [True] * 4
+    assert norm2_is_one(np.array([0.0, 1.0, 16.0, 16.5]), 3.0).tolist() == [True, True, True, False]
+    # for tol <= 1 the edge is still (1 - tol)^2
+    assert norm2_is_one(np.array([0.2499, 0.25, 2.25, 2.2501]), 0.5).tolist() == [
+        False, True, True, False]
+    assert norm2_is_one(0.0, 1.0) and not norm2_is_one(-1e-300, 1.0)
+    assert norm2_is_one(Fraction(1), 0) and not norm2_is_one(1 - Fraction(1, 10**30), 0)
 
 
 def test_sl2_check_exact_for_fractions():

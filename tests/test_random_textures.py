@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from helpers import row_scan_trivial
 from polyslip.errors import DomainError
 from polyslip.random_textures import (MAX_K, MAX_SAMPLES, McConfig, _trivial_rows,
                                       estimate_trivial_probability, find_kl,
@@ -44,9 +45,42 @@ def test_vectorized_triviality_matches_scalar():
             assert got == is_trivial(normalize([0.0] + list(row)))
 
 
+#: pi/2 and its float neighbours, the prepended 0, the least subnormal and the
+#: largest float below pi: pairs on the straddle edges, and ties where two
+#: pairs of one row straddle (0, pi/2 and pi/2, nextafter(pi, 0))
+_SALTS = np.array([PI / 2, np.nextafter(PI / 2, 0.0), np.nextafter(PI / 2, 4.0), 0.0, 5e-324,
+                   np.nextafter(PI, 0.0)])
+
+
+def test_flat_scan_marks_each_row_on_its_own():
+    half, below, above, zero, tiny, near_pi = _SALTS
+    one = np.array([[half], [near_pi], [tiny], [zero], [above], [below]])
+    assert _trivial_rows(one).tolist() == [True, False, False, False, False, False]
+    ties = np.array([[below, half, above], [half, near_pi, zero], [near_pi, 0.5, 1.0]])
+    assert _trivial_rows(ties).tolist() == [True, True, False]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 8, 20, 100, 1000])
+def test_flat_scan_matches_row_scan_on_salted_blocks(k):
+    rng = np.random.default_rng(700 + k)
+    n = max(400, 100_000 // k)
+    # rows on (0, pi), below pi/2 or above it: trivial and nontrivial at any k
+    lo = rng.choice([0.0, 0.0, PI / 2], size=(n, 1))
+    hi = np.where(lo > 0, PI, rng.choice([PI, PI / 2], size=(n, 1)))
+    thetas = lo + (hi - lo) * rng.random((n, k))
+    salted = rng.random((n, k)) < min(0.5, 3.0 / k)
+    thetas[salted] = rng.choice(_SALTS, size=int(salted.sum()))
+    got = _trivial_rows(thetas)
+    assert got.dtype == bool and got.shape == (n,)
+    assert np.array_equal(got, row_scan_trivial(thetas))
+    assert 0 < np.count_nonzero(got) < n
+
+
 @pytest.mark.parametrize("k, n, seed, estimate, std_error", [
     (3, 200_000, 0, 0.50142, 0.0011180294799333333),
     (2, 300_001, 4, 0.24875250415831948, 0.0007892487417785522),
+    (8, 100_000, 2, 0.9659, 0.0005739093133936756),
+    (20, 100_000, 3, 0.99997, 1.732024826611169e-05),
 ])
 def test_estimate_pinned(k, n, seed, estimate, std_error):
     # values of the single-draw implementation; drawing in blocks of rows

@@ -47,6 +47,18 @@ def test_energy_examples():
     assert energy(Mat2(2, 0, 0, 0.5), E1, p=2) == INFINITY
 
 
+def test_huge_tol_keeps_rotations_in_the_unrelaxed_set():
+    # the lower stretch edge is max(1 - tol, 0)^2, not (1 - tol)^2 > 1
+    identity = Mat2(1.0, 0.0, 0.0, 1.0)
+    for tol in (2.5, 3.0, 1e200):
+        assert in_N(identity, E1, tol)
+        assert in_M(identity, E1, tol)
+        assert in_M(Mat2(0.5, 0.0, 0.0, 2.0), E1, tol)
+        assert energy(identity, E1, 2, tol) == 0.0
+    assert not in_M(Mat2(5.0, 0.0, 0.0, 0.2), E1, 3.0)
+    assert energy(Mat2(5.0, 0.0, 0.0, 0.2), E1, 2, 3.0) == INFINITY
+
+
 def test_energy_exact_rational():
     F = Mat2(Fraction(1), Fraction(1, 2), Fraction(0), Fraction(1))
     assert energy(F, Vec2(Fraction(1), Fraction(0)), p=2, tol=0) == Fraction(1, 4)
