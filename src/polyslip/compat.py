@@ -2,16 +2,17 @@
 
 A matrix A is nu-compatible with a target set B when some rank-one
 perturbation a(x)nu lands A + a(x)nu inside B; equivalently A and the
-target agree on the interface direction perp(nu).  For the single-slip
-sets, with (beta, gamma) the shear frame of A along the slip direction s
-and psi the angle from s to nu, this holds exactly when psi mod pi lies
-outside one open window of normal angles; a normal perpendicular to s
-reduces it to plain relaxed-set membership.  ``_forbidden_window`` is the
-one home of that window, and ``_window_meets`` the one home of the test
-whether it meets a normal or a span of normals.  ``_decide`` (the one
-decision, with one ``decompose``, that ``nu_compatible`` and
-``find_connection`` share), ``geometry.compatible_with_normals`` and
-``geometry.outer_bound_full_member`` all decide through the two.
+target agree on the interface direction perp(nu).  For the relaxed set of
+a slip direction s this holds exactly when
+
+    |A perp(nu)|^2  >=  (1 - tol) (s.nu)^2,
+
+the image of the interface against the slip's share of the normal; a
+normal perpendicular to s reduces it to plain relaxed-set membership.
+``_clears`` is the one home of that inequality: ``nu_compatible``,
+``find_connection``, ``geometry.compatible_with_normals`` and
+``geometry.outer_bound_full_member`` all decide through it, with no angle
+and no shear-frame decomposition.
 
 ``laminate_split`` writes any volume-preserving strain as a convex
 combination of two rank-one connected strains, each inside the union of
@@ -25,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, ParallelSlips
-from .mat2 import DEFAULT_TOL, Mat2, Vec2, decompose, norm2_at_most_one, require_sl2
+from .mat2 import DEFAULT_TOL, Mat2, Vec2, norm2_at_most_one, require_sl2
 from .slip import image_norm2, in_M, in_N
 
 
@@ -53,53 +54,17 @@ class LaminateSplit:
     t_minus: float
 
 
-def _forbidden_window(beta: float, gamma: float, tol: float):
-    """Open window ``(lo, hi)`` of the normal angles psi where F is not compatible, or None.
+def _clears(v2, sn2, tol):
+    """v2 >= (1 - tol) sn2, elementwise on arrays: the rank-one inequality, False for NaN.
 
-    In the shear frame (beta, gamma) of F along s, with psi the angle from
-    s to nu and c = s.nu_perp / s.nu = -tan(psi), compatibility is
-
-        (c beta + gamma)^2 + 1/beta^2  >=  1 - tol,
-
-    which fails exactly when |c beta + gamma| < w, w = sqrt(1 - tol - 1/beta^2)
-    real and positive, i.e. when tan(psi) lies in ((gamma - w)/beta, (gamma + w)/beta).
-    Returns that interval of psi mod pi inside (-pi/2, pi/2); it depends only
-    on the line of nu.  A window too narrow to hold a float (huge beta) is
-    widened by one float each way, so it holds the angles its edges round to.
-    Perpendicular normals (psi = pi/2) are never inside: they reduce to set
-    membership, beta <= 1 + tol, tested on |Fs|^2 (``mat2.norm2_at_most_one``).
+    With v2 = |F nu_perp|^2 and sn2 = (s.nu)^2 this is compatibility of F
+    with the relaxed set of s across nu.  It is homogeneous of degree 2 in
+    nu, so nu may be any nonzero vector (a boundary segment's edge vector e
+    stands for its normal: v2 = |Fe|^2, sn2 = (s x e)^2), and exact on
+    ``Fraction``s.  Each side is a sum of nonnegative terms, so a float
+    evaluation errs only within roundoff of the edge, at any scale.
     """
-    w2 = 1.0 - tol - 1.0 / (beta * beta)  # beta * beta overflows to inf where beta**2 raises
-    if not w2 > 0.0:
-        return None
-    w = math.sqrt(w2)
-    lo, hi = math.atan((gamma - w) / beta), math.atan((gamma + w) / beta)
-    if math.nextafter(lo, hi) >= hi:
-        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
-    return lo, hi
-
-
-def _window_meets(lo, hi, start, end):
-    """The open window (lo, hi) meets the normal angles [start, end] mod pi; elementwise on arrays.
-
-    For a window of ``_forbidden_window`` and start in [-pi/2, pi/2], end -
-    start <= 2 pi, only the window's copies at shifts 0 and pi can be met.
-    A single normal is the span with end = start.
-    """
-    return ((start < hi) & (lo < end)) | ((start < hi + math.pi) & (lo + math.pi < end))
-
-
-def _decide(F: Mat2, s: Vec2, nu: Vec2, tol: float):
-    """``(compatible, frame)``, ``frame = decompose(F, s, tol)`` or None in the
-    perpendicular case |s.nu| <= tol, which is relaxed-set membership."""
-    sn = s.dot(nu)
-    if abs(sn) <= tol:
-        require_sl2(F, tol)
-        return norm2_at_most_one(image_norm2(F, s), tol), None
-    frame = decompose(F, s, tol)
-    window = _forbidden_window(frame.beta, frame.gamma, tol)
-    psi = math.atan(s.cross(nu) / sn)
-    return window is None or not _window_meets(*window, psi, psi), frame
+    return v2 >= (1 - tol) * sn2
 
 
 def nu_compatible(F: Mat2, s: Vec2, nu: Vec2, tol: float = DEFAULT_TOL) -> bool:
@@ -108,7 +73,11 @@ def nu_compatible(F: Mat2, s: Vec2, nu: Vec2, tol: float = DEFAULT_TOL) -> bool:
     ``s`` and ``nu`` must be unit vectors; F must be volume preserving.
     The perpendicular case |s.nu| <= tol degenerates to set membership.
     """
-    return _decide(F, s, nu, tol)[0]
+    require_sl2(F, tol)
+    sn = s.dot(nu)
+    if abs(sn) <= tol:
+        return norm2_at_most_one(image_norm2(F, s), tol)
+    return _clears((F @ nu.perp()).norm2(), sn * sn, tol)
 
 
 def find_connection(F: Mat2, s: Vec2, nu: Vec2, tol: float = DEFAULT_TOL):
@@ -120,31 +89,23 @@ def find_connection(F: Mat2, s: Vec2, nu: Vec2, tol: float = DEFAULT_TOL):
     where F is too large for the construction in floats, rather than
     return a connection with NaN entries.
     """
-    compatible, frame = _decide(F, s, nu, tol)
-    if not compatible:
+    if not nu_compatible(F, s, nu, tol):
         return None
-    if frame is None or in_M(F, s, tol):
+    sn = s.dot(nu)
+    if abs(sn) <= tol or in_M(F, s, tol):
         return RankOneConnection(a=Vec2(0.0, 0.0), nu=nu, target=F)
-    beta, gamma = frame.beta, frame.gamma
-    c = s.dot(nu.perp()) / s.dot(nu)
-    # Solve xi . n = 1 on the unit circle, n the interface image of F in
-    # the (s, perp(s)) frame; |n| >= 1 guarantees a solution.
-    n = s * (c * beta + gamma) + s.perp() * (1.0 / beta)
-    nn = max(float(n.norm2()), 1.0)
-    if not nn < math.inf:
-        raise DomainError(f"|n|^2 = {nn!r} leaves the float range")
-    w = math.sqrt(1.0 - 1.0 / nn)
-    xi = n * (1.0 / nn) + n.perp() * (w / math.sqrt(nn))
-    # The rotation taking perp(s) to xi maps s to -perp(xi).
-    rbar_s = -xi.perp()
-    gamma_bar = n.dot(rbar_s) - c
-    rbar = Mat2.outer(rbar_s, s) + Mat2.outer(xi, s.perp())
-    gbar = rbar @ (Mat2.identity() + Mat2.outer(s, s.perp()) * gamma_bar)
-    target = Mat2.rotation(frame.rho) @ gbar
-    a = (target - F) @ nu
-    # Re-anchor so target - F = a(x)nu holds exactly, not just to roundoff.
-    target = F + Mat2.outer(a, nu)
-    return RankOneConnection(a=a, nu=nu, target=target)
+    # The target G agrees with F on nu_perp, G nu_perp = v, and has det G = 1
+    # and |Gs| = 1.  With s = sn nu + (s.nu_perp) nu_perp, u = Gs is then the
+    # unit vector with u x v = sn; |v|^2 >= sn^2 (compatibility) makes it real.
+    v = F @ nu.perp()
+    v2 = v.norm2()
+    n2 = v2 / (sn * sn)  # the squared interface image per unit of s.nu
+    if not n2 < math.inf:
+        raise DomainError(f"|n|^2 = {n2!r} leaves the float range")
+    t = math.copysign(math.sqrt(max(v2 - sn * sn, 0.0)), sn)
+    u = (v.perp() * -sn + v * t) * (1.0 / v2)
+    a = (u - v * s.dot(nu.perp())) * (1.0 / sn) - F @ nu
+    return RankOneConnection(a=a, nu=nu, target=F + Mat2.outer(a, nu))
 
 
 def laminate_split(F: Mat2, s: Vec2, s_prime: Vec2, tol: float = DEFAULT_TOL) -> LaminateSplit:

@@ -12,9 +12,9 @@ from rank-one compatibility along the domain boundary:
 
 * the full bound asks for compatibility at every non-dual boundary point
   (``outer_bound_full_member``); it is decided exactly, per boundary curve,
-  by testing whether the curve's span of outward-normal angles meets the
-  forbidden-normal window of ``compat._forbidden_window``, the one home of
-  the compatibility condition (``compat._window_meets``),
+  by the rank-one inequality of ``compat._clears``: on a segment's edge
+  vector, on an arc's end normals, and by whether an arc's normals hold the
+  line about which the forbidden normals lie,
 * the perpendicular-point bound only uses points where the outward
   normal is orthogonal to the local slip direction; there compatibility
   degenerates to plain strain-set membership, so the bound is a finite
@@ -30,8 +30,8 @@ point then shares that one read-only result.  Arcs likewise fix their sweep
 and endpoints when they are built.
 
 ``boundary_samples`` and ``compatible_with_normals`` test compatibility at
-sampled normals instead, against the same window; they are the only users
-of numpy here.
+sampled normals instead, through the same inequality; they are the only
+users of numpy here.
 
 Grain boundary curves must be split wherever they transition between the
 domain boundary and the interior; each curve is classified as a whole: it
@@ -48,10 +48,10 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Optional, Union
 
-from .compat import _forbidden_window, _window_meets
+from .compat import _clears
 from .errors import DomainError, InvalidPolycrystal
 from .mat2 import (ANGULAR_TOL, DEFAULT_TOL, Mat2, Vec2, is_sl2, mod_pi, norm2_at_most_one,
-                   require_sl2, stretch_shear)
+                   require_sl2)
 from .slip import image_norm2, slip_direction
 
 if TYPE_CHECKING:
@@ -431,12 +431,12 @@ class BoundaryAnalysis:
     J_prime: frozenset
     #: gid -> the grain's outer curves; read-only in ``analyze_boundary`` results
     outer_curves: Mapping = field(default_factory=dict, compare=False)
-    #: gid -> ((start, sweep), ...), one pair per outer curve: the angles of
-    #: its outward normals, measured from the grain's slip direction, run
-    #: from ``start`` in [-pi/2, pi/2] over ``sweep`` (0 for a segment).
+    #: gid -> (lines, arcs) of the grain's outer curves (``_normal_lines``):
+    #: the vectors whose normals ``compat._clears`` tests, and the arcs' end
+    #: normals for the test whether an arc's normals hold a given line
     normal_spans: Mapping = field(default_factory=dict, compare=False)
-    #: ((cos theta, sin theta, in J, spans), ...), one row per boundary grain
-    #: in ``boundary_grains`` order: what ``outer_bound_full_member`` reads
+    #: ((cos theta, sin theta, in J, lines, arcs), ...), one row per boundary
+    #: grain in ``boundary_grains`` order: what ``outer_bound_full_member`` reads
     grain_rows: tuple = field(default=(), compare=False)
 
 
@@ -536,12 +536,12 @@ def _analyze_boundary(pc: Polycrystal, angular_tol: float) -> BoundaryAnalysis:
 
     perp: list[tuple[Vec2, int]] = []
     perps = _PointIndex()
-    spans: dict[int, tuple[tuple[float, float], ...]] = {}
+    spans: dict[int, tuple[tuple, tuple]] = {}
     for gid in boundary_grains:
         g = pc.grain_by_id(gid)
         s = g.slip()
         s_angle = math.atan2(float(s.y), float(s.x))
-        spans[gid] = tuple(_normal_span(c, g.theta) for c in outer[gid])
+        spans[gid] = _normal_lines(outer[gid])
         for c in outer[gid]:
             if isinstance(c, Segment):
                 if abs(float(c.normal_at(0.5).dot(s))) <= angular_tol:
@@ -560,7 +560,7 @@ def _analyze_boundary(pc: Polycrystal, angular_tol: float) -> BoundaryAnalysis:
     j = frozenset(gid for _, gid in perp)
     j_prime = frozenset(gid for gid in boundary_grains
                         if _normals_cover_circle(outer[gid], angular_tol))
-    rows = tuple((*pc.grain_by_id(gid).slip().to_floats(), gid in j, spans[gid])
+    rows = tuple((*pc.grain_by_id(gid).slip().to_floats(), gid in j, *spans[gid])
                  for gid in boundary_grains)
     return BoundaryAnalysis(boundary_grains=boundary_grains,
                             dual_points=tuple(dual),
@@ -571,19 +571,25 @@ def _analyze_boundary(pc: Polycrystal, angular_tol: float) -> BoundaryAnalysis:
                             grain_rows=rows)
 
 
-def _normal_span(c: Curve, theta: float) -> tuple[float, float]:
-    """``(start, sweep)`` of the outward-normal angles of c, from the slip angle theta.
+def _normal_lines(curves) -> tuple[tuple, tuple]:
+    """``(lines, arcs)`` of outer curves, for the rank-one test of their normals.
 
-    Compatibility sees only the line of a normal, so start is reduced mod
-    pi, and a clockwise arc, whose outward normals are its negated radii,
-    spans the same lines as its radii.
+    ``lines``: a segment's edge vector q - p, unnormalized, and an arc's two
+    end tangents, each standing for the normal it is a quarter turn of.
+    ``arcs``: per arc ``(ax, ay, bx, by, wide)``, its end normals read
+    counterclockwise from a to b and whether it sweeps pi or more.  Only the
+    line of a normal counts, so a clockwise arc is stored by its radii.
     """
-    if isinstance(c, Segment):
-        n = c.normal_at(0.5)
-        start, sweep = math.atan2(float(n.y), float(n.x)), 0.0
-    else:
-        start, sweep = c.ccw_span()
-    return _wrap(start - theta + math.pi / 2, math.pi) - math.pi / 2, sweep
+    lines, arcs = [], []
+    for c in curves:
+        if isinstance(c, Segment):
+            lines.append((c.q - c.p).to_floats())
+        else:
+            start, sweep = c.ccw_span()
+            (ax, ay), (bx, by) = ((math.cos(t), math.sin(t)) for t in (start, start + sweep))
+            lines += [(-ay, ax), (-by, bx)]
+            arcs.append((ax, ay, bx, by, sweep >= math.pi))
+    return tuple(lines), tuple(arcs)
 
 
 def _normals_cover_circle(curves, angular_tol: float) -> bool:
@@ -717,15 +723,15 @@ def compatible_with_normals(F: Mat2, theta: float, normals: np.ndarray,
 
     s = slip_direction(theta)
     require_sl2(F, tol)
-    n2, beta, gamma, _, _ = stretch_shear(F, s.x, s.y, tol)
     sn = normals[:, 0] * float(s.x) + normals[:, 1] * float(s.y)
-    crs = normals[:, 1] * float(s.x) - normals[:, 0] * float(s.y)
     perp_mask = np.abs(sn) <= tol
-    if np.any(perp_mask) and not norm2_at_most_one(n2, tol):
+    if np.any(perp_mask) and not norm2_at_most_one(image_norm2(F, s), tol):
         return False
-    window = _forbidden_window(beta, gamma, tol)
-    psi = np.arctan(crs[~perp_mask] / sn[~perp_mask])
-    return window is None or not np.any(_window_meets(*window, psi, psi))
+    (a11, a12), (a21, a22) = F.to_rows()
+    vx = a11 * -normals[:, 1] + a12 * normals[:, 0]  # F perp(nu)
+    vy = a21 * -normals[:, 1] + a22 * normals[:, 0]
+    with np.errstate(over="ignore"):  # an image norm that overflows to inf clears the test
+        return bool(np.all(_clears(vx * vx + vy * vy, sn * sn, tol) | perp_mask))
 
 
 def outer_bound_full_member(F: Mat2, pc: Polycrystal, tol: float = DEFAULT_TOL,
@@ -734,19 +740,20 @@ def outer_bound_full_member(F: Mat2, pc: Polycrystal, tol: float = DEFAULT_TOL,
     """Exact membership in the full boundary-compatibility bound.
 
     F must be rank-one compatible with the slip system of the boundary grain
-    at every non-dual boundary point.  Per boundary grain, with (beta,
-    gamma) the shear frame of F along its slip direction:
+    at every non-dual boundary point.  Per boundary grain, with slip s:
 
-    * a grain in J fails when beta > 1 + tol (its perpendicular points),
+    * a grain in J fails when |Fs| > 1 + tol (its perpendicular points),
       tested on |Fs|^2 by ``mat2.norm2_at_most_one`` as in ``OuterBound``;
-    * any other normal fails exactly when its angle lies in the open window
-      of ``compat._forbidden_window``, so a segment fails when its one
-      normal lies in it and an arc when its open interval of normals meets
-      it (``compat._window_meets``; the arc's endpoints are dual points or
+    * when (1 - tol)|Fs|^2 <= 1 no normal is forbidden and the grain passes;
+    * otherwise a normal nu fails exactly when |F nu_perp|^2 < (1 - tol)(s.nu)^2
+      (``compat._clears``), so a segment is tested on its edge vector, an arc
+      on its two end normals, and an arc fails too when its normals hold the
+      line of F^T F s: the forbidden normals are a cone about that line, where
+      |F nu_perp|^2 / (s.nu)^2 is least (an arc's ends are dual points or
       shared with the next curve).
 
     That is O(outer curves) float operations per matrix, over the analysis's
-    ``grain_rows``, with no sampling.
+    ``grain_rows``, with no sampling and no angle.
     The boundary analysis is that of ``samples`` (a ``boundary_samples``
     result) if given, else ``analyze_boundary(pc, angular_tol)``, which is
     computed once per polycrystal and tolerance, so many matrices tested
@@ -754,17 +761,27 @@ def outer_bound_full_member(F: Mat2, pc: Polycrystal, tol: float = DEFAULT_TOL,
     """
     require_sl2(F, tol)
     analysis = samples.analysis if samples is not None else analyze_boundary(pc, angular_tol)
-    for c, s, in_j, spans in analysis.grain_rows:
-        n2, beta, gamma, _, _ = stretch_shear(F, c, s, tol)
+    a11, a12, a21, a22 = F.a11, F.a12, F.a21, F.a22
+    for sx, sy, in_j, lines, arcs in analysis.grain_rows:
+        fx, fy = a11 * sx + a12 * sy, a21 * sx + a22 * sy
+        n2 = fx * fx + fy * fy
         if in_j and not norm2_at_most_one(n2, tol):
             return False
-        window = _forbidden_window(beta, gamma, tol)
-        if window is None:
+        if _clears(1.0, n2, tol):
             continue
-        lo, hi = window
-        for start, sweep in spans:
-            if _window_meets(lo, hi, start, start + sweep):
+        for ex, ey in lines:
+            gx, gy = a11 * ex + a12 * ey, a21 * ex + a22 * ey
+            se = sx * ey - sy * ex
+            if not _clears(gx * gx + gy * gy, se * se, tol):
                 return False
+        if arcs:
+            m = max(abs(fx), abs(fy))  # only the line of F^T F s counts; keep it finite
+            fx, fy = fx / m, fy / m
+            dx, dy = a11 * fx + a21 * fy, a12 * fx + a22 * fy
+            for ax, ay, bx, by, wide in arcs:
+                # a x d and d x b share a sign when the span from a to b holds d or -d
+                if wide or (ax * dy - ay * dx >= 0) == (dx * by - dy * bx >= 0):
+                    return False
     return True
 
 

@@ -15,7 +15,8 @@ normals one ``normal_at`` call at a time, where the library builds one numpy
 block per curve, and ``pairwise_adjacent_equal_textures`` tests every
 equal-texture grain pair for adjacency, where the library sweeps bounding boxes.
 ``exact_compatibility_slack`` writes the rank-one inequality in exact
-rationals, where the library tests normal angles against a float window.
+rationals in shear-frame form, and ``exact_image_slack`` in the
+interface-image form that the library evaluates in floats.
 ``all_angle_taylor_M_member`` scans every angle of a texture, where the
 library reads the reduced bound.  ``stretch_edge_batch`` draws matrices
 whose stretch |F e1| only its last bits put inside or outside 1 + tol.
@@ -221,6 +222,24 @@ def exact_compatibility_slack(F: Mat2, s: Vec2, nu: Vec2, tol: float = DEFAULT_T
     rhs = (1 - Fraction(tol)) * fs2
     slack = (c * fs2 + shear) ** 2 + 1 - rhs
     scale = (abs(c) * fs2 + abs(shear)) ** 2 + 1 + rhs
+    return slack, scale
+
+
+def exact_image_slack(F: Mat2, s: Vec2, nu: Vec2, tol: float = DEFAULT_TOL):
+    """``(slack, scale)`` of |F nu_perp|^2 >= (1 - tol)(s.nu)^2, exact in ``Fraction``s.
+
+    F is compatible across nu exactly when ``slack >= 0`` (for s.nu != 0);
+    nu need not be a unit vector.  ``scale`` is the sum of the absolute
+    values of the terms of ``slack`` expanded into products of the inputs,
+    the size that float roundoff in the inequality is relative to.
+    """
+    a11, a12, a21, a22 = (Fraction(v) for v in (F.a11, F.a12, F.a21, F.a22))
+    sx, sy, nx, ny = (Fraction(v) for v in (s.x, s.y, nu.x, nu.y))
+    rows = ((a11 * -ny, a12 * nx), (a21 * -ny, a22 * nx))  # the terms of F perp(nu)
+    k = 1 - Fraction(tol)
+    slack = sum((x + y) ** 2 for x, y in rows) - k * (sx * nx + sy * ny) ** 2
+    scale = (sum((abs(x) + abs(y)) ** 2 for x, y in rows)
+             + abs(k) * (abs(sx * nx) + abs(sy * ny)) ** 2)
     return slack, scale
 
 

@@ -234,21 +234,17 @@ def test_single_crystal_taylor_bound_is_its_relaxed_set(capsys):
     assert member["member"] is False
 
 
-@pytest.mark.parametrize("argv, code", [
-    (["outer", "--polycrystal", "quadrant.json", "--matrix", "1,0,0,1"], 1),
-    (["compat", "--matrix", "1,0,0,1", "--slip", "1,0", "--normal", "0,1"], 0),
+@pytest.mark.parametrize("argv, key", [
+    (["outer", "--polycrystal", "quadrant.json", "--matrix", "1,0,0,1"], "member_full"),
+    (["compat", "--matrix", "1,0,0,1", "--slip", "1,0", "--normal", "0,1"], "compatible"),
 ], ids=["outer", "compat"])
-def test_huge_tol_squares_to_inf_in_the_stretch_test(capsys, tmp_path, monkeypatch, argv, code):
+def test_huge_tol_squares_to_inf_in_the_stretch_test(capsys, tmp_path, monkeypatch, argv, key):
     # (1 + 1e200)^2 leaves the float range; as a power it raised OverflowError.
-    # The full outer bound decomposes F, which a tol above |F s| = 1 forbids.
+    # With 1 - tol < 0 every normal clears the rank-one inequality.
     monkeypatch.chdir(tmp_path)
     (tmp_path / "quadrant.json").write_text(json.dumps(polycrystal_to_dict(quadrant_disk())))
-    assert run(argv + ["--tol", "1e200"]) == code
-    captured = capsys.readouterr()
-    if code == 0:
-        assert json.loads(captured.out)["compatible"] is True
-    else:
-        assert captured.err.startswith("error: ")
+    payload, _ = _run_json(capsys, argv + ["--tol", "1e200"])
+    assert payload[key] is True
 
 
 def test_outer_on_a_sliver_keeps_the_contract(capsys, tmp_path):
@@ -402,13 +398,12 @@ _UNDERFLOWS = ["--matrix", "1e-170,0,0,1e170", "--tol", "0"]  # |F e1|^2 underfl
     ["member", "--angles", "0,1", *_UNDERFLOWS],
     ["member", "--angles", "0,1", "--space", "M", *_UNDERFLOWS],
     ["compat", "--slip", "1,0", "--normal", "0.6,0.8", *_UNDERFLOWS],
-    ["outer", "--polycrystal", "quadrant.json", *_UNDERFLOWS],
     ["member", "--angles", "0,1e-200", "--matrix", "1,0,0,1", "--tol", "0"],
     # (c beta)^2 overflows in the compatibility inequality (was an OverflowError)
     ["compat", "--matrix", "1e150,0,0,1e-150", "--slip", "1,0", "--normal", "1e-5,1"],
     # |Fs|^2 overflows, so beta = inf (was exit 0 with NaN in the connection)
     ["compat", "--matrix", "1e160,0,0,1e-160", "--slip", "1,0", "--normal", "0.6,0.8"],
-], ids=["laminate-q2", "member", "member-M", "compat", "outer", "member-theta",
+], ids=["laminate-q2", "member", "member-M", "compat", "member-theta",
         "compat-inequality-overflows", "compat-stretch-overflows"])
 def test_float_degenerate_input_is_domain_error(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -418,6 +413,25 @@ def test_float_degenerate_input_is_domain_error(capsys, tmp_path, monkeypatch, a
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert len(captured.err.splitlines()) == 1
+
+
+def test_outer_decides_a_stretch_whose_square_underflows(capsys, tmp_path):
+    # |F e1|^2 underflows to 0 and |F e2|^2 overflows; the texture pi/2 grains
+    # have perpendicular points, where |F e2| > 1 fails both bounds
+    path = tmp_path / "quadrant.json"
+    path.write_text(json.dumps(polycrystal_to_dict(quadrant_disk())))
+    payload, _ = _run_json(capsys, ["outer", "--polycrystal", str(path), *_UNDERFLOWS])
+    assert payload["member_full"] is False
+    assert payload["member_perp"] is False
+
+
+@pytest.mark.parametrize("slip", ["0.6,0.8", "0.6000000000000001,0.8"])
+def test_compat_huge_stretch_across_the_stretched_axis_is_incompatible(capsys, slip):
+    # |F nu_perp|^2 = 1e-40 against (s.nu)^2 = 0.36: incompatible by a wide margin,
+    # though the window of normal angles this once used was narrower than a float
+    payload, _ = _run_json(capsys, ["compat", "--matrix", "1e20,0,0,1e-20",
+                                    "--slip", slip, "--normal", "1,0"])
+    assert payload == {"compatible": False, "connection": None}
 
 
 @pytest.mark.parametrize("slip2", ["1,1e-6", "1,1e-8"])

@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from helpers import connector_search, exact_compatibility_slack, rand_sl2, rand_unit
+from helpers import (connector_search, exact_compatibility_slack, exact_image_slack, rand_sl2,
+                     rand_unit)
 from polyslip.cli import _parse_unit, run
 from polyslip.compat import LaminateSplit, find_connection, laminate_split, nu_compatible
 from polyslip.errors import DegenerateBeta, NotSL2, ParallelSlips
-from polyslip.mat2 import E1, E2, Mat2, ShearFrame, Vec2, decompose
+from polyslip.mat2 import E1, E2, Mat2, ShearFrame, Vec2, decompose, rotation
 from polyslip.slip import in_M, in_N, psi
 
 DIAG = Mat2(2, 0, 0, 0.5)
@@ -122,20 +123,30 @@ def test_density_characterization():
         assert everywhere == in_N(F, s)
 
 
-def test_find_connection_decomposes_once(monkeypatch):
-    from polyslip import compat
-    calls = []
+def test_compatibility_needs_no_shear_frame(monkeypatch):
+    # the image form needs no decompose and no stretch_shear: each answer
+    # stands when both raise, and neither compat nor geometry imports them
+    from polyslip import compat, geometry, mat2
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return decompose(*args, **kwargs)
+    def refuse(*args, **kwargs):
+        raise AssertionError("shear frame used")
 
-    monkeypatch.setattr(compat, "decompose", counted)
+    for name in ("decompose", "stretch_shear", "_stretch_shear"):
+        monkeypatch.setattr(mat2, name, refuse)
+        assert not hasattr(compat, name) and not hasattr(geometry, name)
     # a built connection, the zero connection of a member of M, and no connection
-    for F, nu in ((psi(0.5, 3.0), NU45), (psi(1.0, 3.0), NU45), (DIAG, E1)):
-        calls.clear()
-        find_connection(F, E1, nu)
-        assert len(calls) == 1
+    for F, nu, want in ((psi(0.5, 3.0), NU45, True), (psi(1.0, 3.0), NU45, True),
+                        (DIAG, E1, False)):
+        assert nu_compatible(F, E1, nu) is want
+        assert (find_connection(F, E1, nu) is not None) is want
+    pc = geometry.halfdisk_bicrystal(0.3, 1.9)
+    normals = geometry.boundary_samples(pc, 90).normals
+    for F in (Mat2.identity(), DIAG, psi(0.9, 0.2)):
+        assert isinstance(geometry.outer_bound_full_member(F, pc), bool)
+        for gid, rows in normals.items():
+            assert isinstance(geometry.compatible_with_normals(
+                F, pc.grain_by_id(gid).theta, rows), bool)
+    assert not geometry.outer_bound_full_member(DIAG, pc)
 
 
 def _scaled_sl2(rng, tol):
@@ -180,6 +191,39 @@ def test_matches_exact_inequality_at_any_scale():
         checked += 1
         outcomes.append(got)
     assert checked > 1500 and 200 < outcomes.count(False) < checked - 200
+
+
+def test_huge_strains_answer_as_the_exact_image_inequality():
+    # diag(lam, 1/lam), or a rotation of it, lam = 10^1..10^150, random slips,
+    # normals e1, e2 or (0.6, 0.8), against the image form in exact rationals;
+    # a window of normal angles answered some 9% of these draws wrongly, and
+    # built targets with det -1.6e-16 where it called F compatible
+    rng = np.random.default_rng(36)
+    tol = 1e-9
+    normals = (E1, E2, Vec2(0.6, 0.8))
+    wrong, roundoff, outcomes = [], 0, []
+    for i in range(6000):
+        lam = 10.0 ** float(rng.uniform(1.0, 150.0))
+        F = Mat2(lam, 0.0, 0.0, 1 / lam)
+        if i % 2:
+            F = rotation(float(rng.uniform(0.0, 2.0 * math.pi))) @ F
+        s, nu = rand_unit(rng), normals[int(rng.integers(3))]
+        if abs(s.dot(nu)) <= tol:
+            continue
+        slack, scale = exact_image_slack(F, s, nu, tol)
+        if abs(slack) <= 1e-15 * scale:
+            roundoff += 1
+            continue
+        got = nu_compatible(F, s, nu, tol)
+        outcomes.append(got)
+        if got != (slack >= 0):
+            wrong.append((F, s, nu))
+        if got:  # its connection's target: det 1 and |Gs| = 1, to the roundoff of its entries
+            G = find_connection(F, s, nu, tol).target
+            assert abs(G.det() - 1) <= 1e-12 * (abs(G.a11 * G.a22) + abs(G.a12 * G.a21))
+            assert abs((G @ s).norm() - 1) <= tol + 1e-12 * G.max_abs()
+    assert wrong == []
+    assert roundoff <= 10 and 1000 < outcomes.count(False) < len(outcomes) - 1000
 
 
 def test_huge_stretch_decides_compatibility():

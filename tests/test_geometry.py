@@ -723,8 +723,22 @@ def test_segment_boundaries_match_sampling_both_ways():
             assert exact == sampled_full_member(F, pc, samples=samples)
             seen.add(exact)
         assert seen == {True, False}
-    # a shear whose window holds the square's one normal angle, atan(3)
+    # a shear that forbids the line of the square's one normal angle, atan(3)
     assert not outer_bound_full_member(Mat2(1.5, 4.5, 0.0, 2 / 3), sheared_square_polycrystal())
+
+
+def test_huge_stretch_rejects_a_side_normal_in_the_narrow_cone():
+    # slip (0.6, 0.8), no perpendicular point, and the side x = 1 with normal e1:
+    # |F e2|^2 = lam^-2 against (s.e1)^2 = 0.36, though the forbidden normals of
+    # diag(lam, 1/lam) are a cone about e1 only about 1/lam wide
+    pts = [Vec2(0.0, 0.0), Vec2(1.0, -1.0), Vec2(1.0, 1.0)]
+    sides = tuple(Segment(p, q) for p, q in zip(pts, pts[1:] + pts[:1]))
+    pc = Polycrystal(domain=sides, grains=(Grain(1, sides, math.atan2(0.8, 0.6)),))
+    assert analyze_boundary(pc).J == frozenset()
+    assert [k for k in range(1, 151)
+            if outer_bound_full_member(Mat2(10.0 ** k, 0.0, 0.0, 10.0 ** -k), pc)] == []
+    # compressed along x instead, every side's edge is stretched: no normal fails
+    assert outer_bound_full_member(Mat2(1e-150, 0.0, 0.0, 1e150), pc) is True
 
 
 @pytest.mark.parametrize("heights, thetas, entries", FALSE_SAMPLED_MEMBERS)

@@ -5,7 +5,7 @@
   inside ``TaylorBound.member`` and ``taylor_M_member``;
 * ``slip.image_norm2`` against ``(F @ s).norm2()``;
 * ``OuterBound.member`` against ``in_N`` per direction;
-* the rows of ``BoundaryAnalysis.grain_rows`` against the grains they stand for.
+* the rows of ``BoundaryAnalysis.grain_rows`` against the grains and curves they stand for.
 """
 
 import math
@@ -18,8 +18,9 @@ import pytest
 from helpers import rand_sl2, rand_unit, rotations_batch, mat_of
 from polyslip import taylor
 from polyslip.errors import PolyslipError
-from polyslip.geometry import (OuterBound, analyze_boundary, chord_disk, halfdisk_bicrystal,
-                               quadrant_disk, random_chord_disk, sheared_square_polycrystal)
+from polyslip.geometry import (OuterBound, Segment, analyze_boundary, chord_disk,
+                               halfdisk_bicrystal, quadrant_disk, random_chord_disk,
+                               sheared_square_polycrystal)
 from polyslip.mat2 import E1, Mat2, Vec2, decompose, is_sl2
 from polyslip.slip import image_norm2, in_N, slip_direction
 from polyslip.taylor import normalize, reduce_angles, taylor_M_member
@@ -146,8 +147,25 @@ def test_grain_rows_hold_each_boundary_grains_slip_and_spans():
     for pc in stock + [random_chord_disk(rng, int(rng.integers(2, 7))) for _ in range(10)]:
         analysis = analyze_boundary(pc)
         assert len(analysis.grain_rows) == len(analysis.boundary_grains)
-        for gid, (c, s, in_j, spans) in zip(analysis.boundary_grains, analysis.grain_rows):
+        for gid, (c, s, in_j, lines, arcs) in zip(analysis.boundary_grains,
+                                                   analysis.grain_rows):
             theta = pc.grain_by_id(gid).theta
             assert (_bits(c), _bits(s)) == (_bits(math.cos(theta)), _bits(math.sin(theta)))
             assert in_j == (gid in analysis.J)
-            assert spans == analysis.normal_spans[gid]
+            assert (lines, arcs) == analysis.normal_spans[gid]
+            # a segment's edge vector; an arc's end tangents, and its end
+            # normals (up to sign) with whether it sweeps half a turn or more
+            want_lines, want_arcs = [], []
+            for curve in analysis.outer_curves[gid]:
+                if isinstance(curve, Segment):
+                    want_lines.append((curve.q - curve.p).to_floats())
+                    continue
+                ends = [curve.normal_at(u).to_floats() for u in (0.0, 1.0)]
+                if not curve.ccw:
+                    ends = [(-x, -y) for x, y in reversed(ends)]
+                want_lines += [(-y, x) for x, y in ends]
+                want_arcs.append((*ends[0], *ends[1], curve.sweep() >= math.pi))
+            assert lines == pytest.approx(want_lines, abs=1e-15)
+            assert [row[4] for row in arcs] == [row[4] for row in want_arcs]
+            assert [row[:4] for row in arcs] == pytest.approx(
+                [row[:4] for row in want_arcs], abs=1e-15)
