@@ -106,7 +106,8 @@ def emit_lambda_plot(thetas, grid: int):
             count += max(0, bisect_right(gammas, hi) - bisect_left(gammas, lo))
         filled.append(count)
         st = math.sin(theta)
-        betas = [st + (1.0 - st) * i / grid for i in range(grid + 1)]
+        # gamma_pm grow like sqrt(beta - sin(theta)): quadratic steps trace the tip evenly
+        betas = [st + (1.0 - st) * (i / grid) ** 2 for i in range(grid + 1)]
         rows = [(b, *gamma_bounds(theta, min(b, 1.0))) for b in betas]
         csv_lines += [f"{theta!r},{b!r},{lo!r},{hi!r}" for b, lo, hi in rows]
         # up the gamma_- curve, back down the gamma_+ curve

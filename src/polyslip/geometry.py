@@ -431,12 +431,11 @@ class BoundaryAnalysis:
     J_prime: frozenset
     #: gid -> the grain's outer curves; read-only in ``analyze_boundary`` results
     outer_curves: Mapping = field(default_factory=dict, compare=False)
-    #: gid -> (lines, arcs) of the grain's outer curves (``_normal_lines``):
+    #: ((cos theta, sin theta, in J, lines, arcs), ...), one row per boundary
+    #: grain in ``boundary_grains`` order: what ``outer_bound_full_member`` reads;
+    #: (lines, arcs) are those of the grain's outer curves (``_normal_lines``):
     #: the vectors whose normals ``compat._clears`` tests, and the arcs' end
     #: normals for the test whether an arc's normals hold a given line
-    normal_spans: Mapping = field(default_factory=dict, compare=False)
-    #: ((cos theta, sin theta, in J, lines, arcs), ...), one row per boundary
-    #: grain in ``boundary_grains`` order: what ``outer_bound_full_member`` reads
     grain_rows: tuple = field(default=(), compare=False)
 
 
@@ -536,12 +535,10 @@ def _analyze_boundary(pc: Polycrystal, angular_tol: float) -> BoundaryAnalysis:
 
     perp: list[tuple[Vec2, int]] = []
     perps = _PointIndex()
-    spans: dict[int, tuple[tuple, tuple]] = {}
     for gid in boundary_grains:
         g = pc.grain_by_id(gid)
         s = g.slip()
         s_angle = math.atan2(float(s.y), float(s.x))
-        spans[gid] = _normal_lines(outer[gid])
         for c in outer[gid]:
             if isinstance(c, Segment):
                 if abs(float(c.normal_at(0.5).dot(s))) <= angular_tol:
@@ -560,22 +557,25 @@ def _analyze_boundary(pc: Polycrystal, angular_tol: float) -> BoundaryAnalysis:
     j = frozenset(gid for _, gid in perp)
     j_prime = frozenset(gid for gid in boundary_grains
                         if _normals_cover_circle(outer[gid], angular_tol))
-    rows = tuple((*pc.grain_by_id(gid).slip().to_floats(), gid in j, *spans[gid])
+    rows = tuple((*pc.grain_by_id(gid).slip().to_floats(), gid in j, *_normal_lines(outer[gid]))
                  for gid in boundary_grains)
     return BoundaryAnalysis(boundary_grains=boundary_grains,
                             dual_points=tuple(dual),
                             perp_points=tuple(perp),
                             J=j, J_prime=j_prime,
                             outer_curves=MappingProxyType(outer),
-                            normal_spans=MappingProxyType(spans),
                             grain_rows=rows)
 
 
 def _normal_lines(curves) -> tuple[tuple, tuple]:
     """``(lines, arcs)`` of outer curves, for the rank-one test of their normals.
 
-    ``lines``: a segment's edge vector q - p, unnormalized, and an arc's two
-    end tangents, each standing for the normal it is a quarter turn of.
+    ``lines``: a segment's edge vector q - p, scaled by a power of two to a
+    largest entry in [1/2, 1), and an arc's two end tangents, each standing
+    for the normal it is a quarter turn of.  The scaling keeps (s x e)^2 <= 1,
+    so it cannot overflow beside |F e|^2 (inf >= inf once cleared every normal
+    of a long segment), and it is exact short of the subnormals, so every
+    comparison keeps its bits.
     ``arcs``: per arc ``(ax, ay, bx, by, wide)``, its end normals read
     counterclockwise from a to b and whether it sweeps pi or more.  Only the
     line of a normal counts, so a clockwise arc is stored by its radii.
@@ -583,7 +583,9 @@ def _normal_lines(curves) -> tuple[tuple, tuple]:
     lines, arcs = [], []
     for c in curves:
         if isinstance(c, Segment):
-            lines.append((c.q - c.p).to_floats())
+            ex, ey = (c.q - c.p).to_floats()
+            k = -math.frexp(max(abs(ex), abs(ey)))[1]
+            lines.append((math.ldexp(ex, k), math.ldexp(ey, k)))
         else:
             start, sweep = c.ccw_span()
             (ax, ay), (bx, by) = ((math.cos(t), math.sin(t)) for t in (start, start + sweep))

@@ -79,7 +79,10 @@ class Vec2:
         return self.x * self.x + self.y * self.y
 
     def norm(self) -> float:
-        return math.sqrt(float(self.norm2()))
+        n2 = float(self.norm2())
+        if sys.float_info.min <= n2 < math.inf:
+            return math.sqrt(n2)
+        return math.hypot(float(self.x), float(self.y))  # the square under- or overflowed
 
     def unit(self) -> "Vec2":
         """self / |self|; ``ZeroDivisionError`` for the zero vector.

@@ -12,14 +12,15 @@ for beta in [sin(theta), 1].  All angle sets are normalized to [0, pi)
 with first element 0; the applied shift is recorded so callers can rotate
 results back.
 
-``_window`` is the one home of gamma_pm and ``_straddles`` the one home
-of the triviality test.  The (beta, gamma) frame of a matrix has its one
-home in ``mat2._stretch_shear``, and its stretch test, on |F e1|^2 as in
-``slip.in_N``/``in_M``, in ``mat2.norm2_at_most_one``/``norm2_is_one``;
-so the bound of a single crystal is its relaxed set.  (``shear_interval``
-and ``gamma_bounds`` test beta <= 1 + tol on the coordinate beta.)  All of
-these run on floats and on numpy arrays, so ``taylor_member_batch``
-repeats ``taylor_member`` bit for bit.
+``_window`` is the one home of gamma_pm, exact at beta = 1, ``_straddles``
+of the triviality test, and ``TaylorBound._admits`` of the decision, which
+``taylor_M_member`` runs at beta = 1.  The (beta, gamma) frame of a matrix
+has its one home in ``mat2._stretch_shear``, and its stretch test, on
+|F e1|^2 as in ``slip.in_N``/``in_M``, in ``mat2.norm2_at_most_one`` and
+``norm2_is_one``; so the bound of a single crystal is its relaxed set.
+(``shear_interval`` and ``gamma_bounds`` test beta <= 1 + tol on the
+coordinate beta.)  All of these run on floats and on numpy arrays, so
+``taylor_member_batch`` repeats ``taylor_member`` bit for bit.
 """
 
 from __future__ import annotations
@@ -104,14 +105,25 @@ def normalize(angles, tol: float = DEFAULT_TOL) -> AngleSet:
     return AngleSet(thetas=shifted, shift=shift)
 
 
-def _window(theta: float, beta, sqrt=math.sqrt, maximum=max):
-    """(center, root) with gamma_pm = center -+ root; for an array beta pass numpy's ufuncs."""
+def _window(theta: float, beta, sqrt=math.sqrt, maximum=max, ones=None):
+    """(center, root) with gamma_pm = center -+ root.
+
+    At beta == 1, where the root sqrt(1/sin^2 - 1) is |cot theta| = |center|,
+    both are taken from edge = -1/tan(theta): one end is exactly 0 and the
+    other -2/tan(theta).  For an array beta pass numpy's ufuncs and ``ones``,
+    the indices of its rows equal to 1, which take the float window's values.
+    """
     st = math.sin(theta)
     if st * st < sys.float_info.min:
         raise DomainError(f"theta = {theta!r}: sin(theta)^2 underflows")
+    if ones is None and beta == 1.0:
+        edge = -1.0 / math.tan(theta)
+        return edge, abs(edge)
     b = maximum(beta, st)  # the root is 0 for beta <= sin(theta)
     root = sqrt(maximum(0.0, 1.0 / (st * st) - 1.0 / (b * b)))
     center = -beta * math.cos(theta) / st
+    if ones is not None:
+        center[ones], root[ones] = _window(theta, 1.0)
     return center, root
 
 
@@ -119,8 +131,7 @@ def gamma_bounds(theta: float, beta: float, tol: float = DEFAULT_TOL) -> tuple[f
     """Admissible shear interval [gamma_-, gamma_+] at stretch beta.
 
     Requires theta in (0, pi) and beta in [sin(theta), 1] up to tol.  At
-    beta = 1 the interval is [-2*cot(theta), 0] for theta < pi/2 and
-    [0, -2*cot(theta)] for theta >= pi/2.
+    beta = 1 one end is exactly 0 and the other is -2/tan(theta).
     """
     if not THETA_MIN < theta < math.pi - THETA_MIN:
         raise DomainError(f"theta = {theta!r} outside (0, pi)")
@@ -166,7 +177,11 @@ class TaylorBound:
     angles: tuple[float, ...]
 
     def member(self, F: Mat2, tol: float = DEFAULT_TOL) -> bool:
-        n2, beta, gamma = _frame_e1(F, tol)
+        n2, beta, gamma = _frame_e1(F, tol)  # unpacked: a *args call slows this hot path
+        return self._admits(n2, beta, gamma, tol)
+
+    def _admits(self, n2, beta, gamma, tol: float) -> bool:
+        """The decision on the e1 frame: n2 = |F e1|^2, stretch beta, shear gamma."""
         if _trivial(self.angles, tol):  # rotations only, as in taylor_member_batch
             return norm2_is_one(n2, tol) and abs(gamma) <= tol
         if not norm2_at_most_one(n2, tol):
@@ -239,8 +254,9 @@ def taylor_member_batch(F: np.ndarray, angles: AngleSet, tol: float = DEFAULT_TO
                 ok = norm2_is_one(n2, tol) & (np.abs(gamma) <= tol)
             else:
                 ok = norm2_at_most_one(n2, tol)
+                ones = np.flatnonzero(beta == 1.0)  # found once per block, not per angle
                 for a in bound.angles[1:]:
-                    center, root = _window(a, beta, np.sqrt, np.maximum)
+                    center, root = _window(a, beta, np.sqrt, np.maximum, ones)
                     ok &= ((beta >= math.sin(a) - tol) & (gamma >= center - root - tol)
                            & (gamma <= center + root + tol))
             out[i:i + _BLOCK_ROWS] = ok
@@ -253,11 +269,9 @@ def _straddles(a, b, tol):
 
 
 def _trivial(thetas, tol: float) -> bool:
-    """Some consecutive pair of the sorted angles straddles pi/2 (``_straddles``).
-
-    Bisection skips the pairs below pi/2 - tol; the scan stops once the
-    lower angle passes pi/2 + tol, where no later pair can straddle.
-    """
+    """Some consecutive pair of the sorted angles straddles pi/2 (``_straddles``);
+    bisection skips the pairs below pi/2 - tol, and the scan stops once the
+    lower angle passes pi/2 + tol, where no later pair can straddle."""
     j = max(1, bisect_left(thetas, HALF_PI - tol))
     while j < len(thetas) and thetas[j - 1] <= HALF_PI + tol:
         if _straddles(thetas[j - 1], thetas[j], tol):
@@ -267,31 +281,17 @@ def _trivial(thetas, tol: float) -> bool:
 
 
 def is_trivial(angles: AngleSet, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the Taylor bound of the texture is exactly the rotations.
-
-    Holds iff some consecutive pair of angles straddles pi/2 while being
-    at most pi/2 apart, each comparison within tol.
-    """
+    """True iff the Taylor bound of the texture is exactly the rotations: some consecutive
+    pair of angles straddles pi/2 while at most pi/2 apart, each comparison within tol."""
     return _trivial(angles.thetas, tol)
 
 
 def taylor_M_member(F: Mat2, angles: AngleSet, tol: float = DEFAULT_TOL) -> bool:
     """Constant-strain attainability without relaxation.
 
-    Membership forces the stretch to be 1 (``norm2_is_one``); the shear
-    must lie in the full-stretch interval of every nonzero orientation,
-    which is [-2*cot(theta), 0] below pi/2 and [0, -2*cot(theta)] above
-    (the beta = 1 case of ``gamma_bounds``, angle first, stretch second).
-    The first interval shrinks and the second grows as theta increases, so
-    the binding ones are those of theta_n < pi/2 <= theta_n+1, the angles
-    of the reduced bound, which is all this reads.
+    Membership forces the stretch to be 1 (``norm2_is_one``); the shear is then
+    decided by ``TaylorBound``'s own test at beta = 1: rotations only for a
+    trivial texture, else the full-stretch intervals of the reduced bound.
     """
     n2, _, gamma = _frame_e1(F, tol)
-    if not norm2_is_one(n2, tol):
-        return False
-    for theta in angles._bound.angles[1:]:
-        edge = -2.0 / math.tan(theta)
-        lo, hi = (edge, 0.0) if theta < HALF_PI else (0.0, edge)
-        if not lo - tol <= gamma <= hi + tol:
-            return False
-    return True
+    return norm2_is_one(n2, tol) and angles._bound._admits(n2, 1.0, gamma, tol)

@@ -127,11 +127,17 @@ def all_angle_taylor_M_member(F: Mat2, angles, tol: float = DEFAULT_TOL) -> bool
     """Unrelaxed Taylor membership with the shear interval of every angle of the texture.
 
     The interval at stretch 1 is [-2 cot(theta), 0] below pi/2 and
-    [0, -2 cot(theta)] from pi/2 on, each widened by tol.
+    [0, -2 cot(theta)] from pi/2 on, each widened by tol.  A trivial texture
+    (``scan_trivial``) admits the rotations only, as the paper states: the
+    intervals on the two sides of pi/2 meet only at 0.  Without that branch
+    a texture holding fl(pi/2) would admit no rotation at tol 0: the angle is
+    not below math.pi / 2, yet its cotangent is positive, so [0, -2 cot] is empty.
     """
     frame = decompose(F, E1, tol)
     if not (1 - tol) ** 2 <= (F @ E1).norm2() <= (1 + tol) ** 2:
         return False
+    if scan_trivial(angles.thetas):
+        return abs(frame.gamma) <= tol
     for theta in angles.thetas[1:]:
         edge = -2.0 / math.tan(theta)
         lo, hi = (edge, 0.0) if theta < math.pi / 2 else (0.0, edge)
@@ -246,11 +252,14 @@ def exact_image_slack(F: Mat2, s: Vec2, nu: Vec2, tol: float = DEFAULT_TOL):
 def point_on_curve(p: Vec2, c, tol: float = POS_TOL) -> bool:
     """Is p within tol of the curve c (a segment or an arc)?"""
     if isinstance(c, Segment):
-        d = c.q - c.p
-        l2 = float(d.norm2())
-        if l2 == 0.0:
+        dx, dy = (c.q - c.p).to_floats()
+        if dx == dy == 0.0:
             return (p - c.p).norm() <= tol
-        u = float((p - c.p).dot(d)) / l2
+        # p - c.p and d scaled by one power of two, so neither product overflows
+        k = -math.frexp(max(abs(dx), abs(dy)))[1]
+        (ex, ey), (fx, fy) = ((math.ldexp(x, k), math.ldexp(y, k))
+                              for x, y in ((p - c.p).to_floats(), (dx, dy)))
+        u = (ex * fx + ey * fy) / (fx * fx + fy * fy)
         u = min(1.0, max(0.0, u))
         return (p - c.point_at(u)).norm() <= tol
     r = (p - c.center).norm()

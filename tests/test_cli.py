@@ -146,7 +146,7 @@ def test_lambda_plot_degenerate_point():
 
 def test_lambda_plot_curve_extent():
     # the quarter-angle region spans stretches [sqrt(2)/2, 1] and its
-    # full-stretch edge carries shears [-2, 0]
+    # full-stretch edge carries shears [-2, 0], the 0 exactly
     _, csv_text, _ = emit_lambda_plot([PI / 4], grid=100)
     rows = [line.split(",") for line in csv_text.splitlines()[1:]]
     betas = [float(r[1]) for r in rows]
@@ -154,7 +154,8 @@ def test_lambda_plot_curve_extent():
     assert max(betas) == pytest.approx(1.0)
     last = rows[-1]
     assert float(last[2]) == pytest.approx(-2.0)
-    assert float(last[3]) == pytest.approx(0.0, abs=1e-12)
+    assert float(last[1]) == 1.0
+    assert float(last[3]) == 0.0  # exact at beta = 1
 
 
 def test_shear_gamma_parsing_forms(capsys):
@@ -340,6 +341,21 @@ def test_outer_huge_strain_fails_a_normal_along_the_slip(capsys, tmp_path, matri
     assert payload["member_full"] is False
 
 
+def test_outer_keeps_a_boundary_segment_whose_square_overflows(capsys, tmp_path):
+    # a single grain with texture pi/2 on a 1e160 x 1e-160 rectangle: the long
+    # sides once had length inf and were dropped, and |F e|^2 and (s x e)^2 of
+    # their edge vectors both overflowed; their normals +-e2 lie along the slip,
+    # where |F e1| = 0.5 < 1 fails the rank-one test
+    corners = ((0.0, 0.0), (1e160, 0.0), (1e160, 1e-160), (0.0, 1e-160))
+    poly = _triangle_polycrystal(*corners)
+    poly["grains"][0]["theta"] = math.pi / 2
+    path = tmp_path / "rectangle.json"
+    path.write_text(json.dumps(poly))
+    payload, _ = _run_json(capsys, ["outer", "--polycrystal", str(path), "--matrix", "0.5,0,0,2"])
+    assert payload["boundary_grains"] == [1]
+    assert payload["member_full"] is False
+
+
 def test_csv_format(capsys):
     code = run(["taylor", "--angles", "0,1.0", "--format", "csv"])
     out = capsys.readouterr().out
@@ -474,6 +490,18 @@ def test_member_rotated_orthogonal_texture(capsys):
         payload, _ = _run_json(capsys, ["member", "--angles", angles,
                                         "--matrix", "1.0000000009,3e-5,0,0.9999999991"])
         assert payload["member"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ["--angles", "0,0.6,2.4"],
+    ["--angles", "0,1.5707963267948966", "--space", "M"],
+    ["--angles", "0,90", "--degrees", "--space", "M"],
+], ids=["N", "M", "M-degrees"])
+def test_identity_is_a_member_at_tol_zero(capsys, argv):
+    # at beta = 1 one end of the shear interval is exactly 0; it once rounded
+    # past 0 (N), and the angle fl(pi/2) once picked an empty interval (M)
+    payload, _ = _run_json(capsys, ["member", "--matrix", "1,0,0,1", "--tol", "0", *argv])
+    assert payload["member"] is True
 
 
 def test_compat_connection_only_when_compatible(capsys):

@@ -7,7 +7,10 @@ before the closed forms were merged into one kernel each, so any change
 in these bytes is a behaviour change, not a refactor.  The two
 lambda-plot SVG digests (``r.svg``, ``d.svg``) were re-recorded when the
 regions changed from one rectangle per raster cell to one polygon per
-angle; the CSV digests and stdout of those cases did not change.
+angle; the CSV digests and stdout of those cases did not change.  All
+five lambda-plot file digests were re-recorded once more when the shear
+interval became exact at beta = 1 (each curve's top row ends at 0.0) and the
+rows came to be sampled quadratically toward the tip; stdout did not change.
 """
 
 import hashlib

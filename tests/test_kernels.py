@@ -152,13 +152,18 @@ def test_grain_rows_hold_each_boundary_grains_slip_and_spans():
             theta = pc.grain_by_id(gid).theta
             assert (_bits(c), _bits(s)) == (_bits(math.cos(theta)), _bits(math.sin(theta)))
             assert in_j == (gid in analysis.J)
-            assert (lines, arcs) == analysis.normal_spans[gid]
-            # a segment's edge vector; an arc's end tangents, and its end
+            # a segment's edge vector, times a power of two that puts its
+            # largest entry in [1/2, 1); an arc's end tangents, and its end
             # normals (up to sign) with whether it sweeps half a turn or more
             want_lines, want_arcs = [], []
             for curve in analysis.outer_curves[gid]:
                 if isinstance(curve, Segment):
-                    want_lines.append((curve.q - curve.p).to_floats())
+                    ex, ey = (curve.q - curve.p).to_floats()
+                    x, y = lines[len(want_lines)]
+                    r = x / ex if ex else y / ey
+                    assert math.frexp(r)[0] == 0.5 and 0.5 <= max(abs(x), abs(y)) < 1.0
+                    assert (x, y) == (ex * r, ey * r)
+                    want_lines.append((x, y))
                     continue
                 ends = [curve.normal_at(u).to_floats() for u in (0.0, 1.0)]
                 if not curve.ccw:

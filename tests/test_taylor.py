@@ -239,6 +239,24 @@ def _edge_placed_batch(rng, aset, n, tol):
     return out
 
 
+def _unit_stretch_rows(rng, aset, n, tol):
+    """(n, 2, 2) quarter turns times psi(1, gamma): |F e1|^2 and det F are exactly 1.
+
+    The first quarter of the rows are rotations (gamma = 0); the rest put gamma
+    at 0 or at an end -2/tan(theta) of the reduced bound's beta = 1 intervals,
+    moved by -2 to 2 ulps or by tol.
+    """
+    ends = [0.0] + [-2.0 / math.tan(a) for a in reduce_angles(aset).angles[1:]]
+    gamma = rng.choice(ends, n)
+    ulps = rng.integers(-2, 3, n) * np.array([math.ulp(g) for g in gamma])
+    gamma += np.where(rng.uniform(size=n) < 0.5, ulps, rng.choice([-tol, tol], n))
+    gamma[:n // 4] = 0.0
+    c, s = np.array([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)])[rng.integers(0, 4, n)].T
+    out = np.empty((n, 2, 2))
+    out[:, 0, 0], out[:, 0, 1], out[:, 1, 0], out[:, 1, 1] = c, c * gamma - s, s, s * gamma + c
+    return out
+
+
 def _scalar_answers(F, aset, tol):
     """``taylor_member`` row by row; False where it raises ``DegenerateBeta``."""
     def one(row):
@@ -263,15 +281,19 @@ def test_batch_equals_scalar_on_the_region_edge(angles, tol):
     # batch shared the scalar's (beta, gamma) arithmetic, hundreds of these rows
     # came out differently.  20,000 more lie on its stretch edge, and the
     # degenerate rows must stay False where only the stretch test follows ({0}).
+    # 2,000 rows at beta = 1 exactly, where the window takes its exact ends,
+    # hold 500 rotations, members of every texture.
     aset = normalize(angles)
     rng = np.random.default_rng(int(tol * 1e9) + len(angles))
     open_region = len(angles) > 1 and not is_trivial(aset)
     parts = [_edge_placed_batch(rng, aset, 20_000, tol)] if open_region else []
-    parts += [stretch_edge_batch(rng, 20_000, tol), _DEGENERATE_ROWS]
+    parts += [_unit_stretch_rows(rng, aset, 2_000, tol), stretch_edge_batch(rng, 20_000, tol),
+              _DEGENERATE_ROWS]
     F = np.concatenate(parts)
     want = _scalar_answers(F, aset, tol)
     if open_region:
         assert 1000 < sum(want[:20_000]) < 19_000
+    assert all(want[-22_003:-21_503])
     assert 1000 < sum(want[-20_003:-3]) < 19_000
     assert not any(want[-3:])
     assert taylor_member_batch(F, aset, tol).tolist() == want
@@ -296,8 +318,7 @@ def test_batch_equals_scalar_where_the_square_leaves_the_float_range(angles, tol
         got = taylor_member_batch(F, aset, tol)
     assert got.tolist() == want
     assert not got[:5].any()
-    if tol > 0.0:  # at tol = 0 roundoff can put beta = 1, gamma = 0 outside an open region
-        assert got[5:7].all()
+    assert got[5:7].all()  # rotations, at beta = 1 exactly
 
 
 def test_scalar_member_reduces_the_texture_once(monkeypatch):
@@ -556,6 +577,38 @@ def test_unrelaxed_membership_reads_the_reduced_bound(tol):
             assert taylor_M_member(F, aset, tol) == want
             answers.append(want)
     assert 500 < sum(answers) < len(answers) - 500
+
+
+def test_identity_is_a_member_of_every_pair_texture_at_tol_zero():
+    # at beta = 1 the window once rounded one of gamma_pm across 0, so the
+    # identity failed 265 of these textures on the scalar and the batch path,
+    # and fl(pi/2) gave taylor_M_member an empty interval
+    identity, rows = Mat2.identity(), np.eye(2)[None]
+    for k in range(1, 1000):
+        aset = normalize([0.0, k * PI / 1000], 0.0)
+        assert taylor_member(identity, aset, 0.0), k
+        assert taylor_member_batch(rows, aset, 0.0).tolist() == [True], k
+        assert taylor_M_member(identity, aset, 0.0), k
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9])
+def test_unrelaxed_implies_relaxed_at_unit_stretch(tol):
+    # with |F e1|^2 == 1 exactly both bounds read the beta = 1 intervals, so
+    # M is inside N; random textures, half of them holding 0 and pi/2
+    rng = np.random.default_rng(171)
+    m_members = 0
+    for _ in range(300):
+        raw = rng.uniform(0.0, PI, int(rng.integers(1, 6))).tolist()
+        if rng.uniform() < 0.5:
+            raw += [0.0, PI / 2]
+        aset = normalize(raw, tol)
+        for row in _unit_stretch_rows(rng, aset, 20, tol):
+            F = mat_of(row)
+            assert (F @ E1).norm2() == 1.0
+            if taylor_M_member(F, aset, tol):
+                m_members += 1
+                assert taylor_member(F, aset, tol)
+    assert 1500 < m_members < 5500
 
 
 def test_unrelaxed_trivial_when_angles_straddle():
