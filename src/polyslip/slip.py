@@ -76,5 +76,7 @@ def psi(beta, gamma) -> Mat2:
     """
     if not 0 < beta <= 1:
         raise DomainError(f"beta = {beta!r} outside (0, 1]")
+    if not -INFINITY < gamma < INFINITY:
+        raise DomainError(f"gamma = {gamma!r} is not finite")
     return Mat2(beta, gamma, 0, 1 / beta)
 

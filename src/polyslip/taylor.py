@@ -13,14 +13,15 @@ with first element 0; the applied shift is recorded so callers can rotate
 results back.
 
 ``_window`` is the one home of gamma_pm, exact at beta = 1, ``_straddles``
-of the triviality test, and ``TaylorBound._admits`` of the decision, which
-``taylor_M_member`` runs at beta = 1.  The (beta, gamma) frame of a matrix
-has its one home in ``mat2._stretch_shear``, and its stretch test, on
-|F e1|^2 as in ``slip.in_N``/``in_M``, in ``mat2.norm2_at_most_one`` and
-``norm2_is_one``; so the bound of a single crystal is its relaxed set.
-(``shear_interval`` and ``gamma_bounds`` test beta <= 1 + tol on the
-coordinate beta.)  All of these run on floats and on numpy arrays, so
-``taylor_member_batch`` repeats ``taylor_member`` bit for bit.
+of the triviality test, and ``TaylorBound._admits`` of the decision:
+``taylor_member`` runs it on floats, ``taylor_M_member`` at beta = 1 and
+``taylor_member_batch`` on numpy arrays, so the batch repeats the scalar
+bit for bit.  The (beta, gamma) frame of a matrix has its one home in
+``mat2._stretch_shear``, and its stretch test, on |F e1|^2 as in
+``slip.in_N``/``in_M``, in ``mat2.norm2_at_most_one`` and ``norm2_is_one``;
+so the bound of a single crystal is its relaxed set.  (``shear_interval``,
+for ``in_lambda`` and the lambda-plot raster, and ``gamma_bounds`` test
+beta <= 1 + tol on the coordinate beta.)
 """
 
 from __future__ import annotations
@@ -88,12 +89,15 @@ def normalize(angles, tol: float = DEFAULT_TOL) -> AngleSet:
 
     Orientations are line-like (a slip direction and its negative act
     identically), hence the mod-pi reduction; duplicates are merged
-    circularly so values just below pi collapse onto 0.
+    circularly so values just below pi collapse onto 0.  A NaN or infinite
+    angle raises ``DomainError``.
     """
-    values = list(angles)
+    values = [float(a) for a in angles]
     if not values:
         raise EmptyInput("no angles given")
-    reduced = sorted(mod_pi(float(a)) for a in values)
+    if not all(map(math.isfinite, values)):
+        raise DomainError(f"angles {values!r} must be finite")
+    reduced = sorted(map(mod_pi, values))
     deduped = [reduced[0]]
     for r in reduced[1:]:
         if r - deduped[-1] > tol:
@@ -136,7 +140,7 @@ def gamma_bounds(theta: float, beta: float, tol: float = DEFAULT_TOL) -> tuple[f
     if not THETA_MIN < theta < math.pi - THETA_MIN:
         raise DomainError(f"theta = {theta!r} outside (0, pi)")
     st = math.sin(theta)
-    if beta < st - tol or beta > 1 + tol:
+    if not st - tol <= beta <= 1 + tol:
         raise DomainError(f"beta = {beta!r} outside [sin(theta), 1] = [{st!r}, 1]")
     center, root = _window(theta, beta)
     return (center - root, center + root)
@@ -147,7 +151,7 @@ def shear_interval(theta: float, beta: float, tol: float = DEFAULT_TOL) -> tuple
 
     Empty (lo > hi) when beta lies outside [sin(theta), 1] up to tol.
     """
-    if beta <= 0.0 or beta < math.sin(theta) - tol or beta > 1.0 + tol:
+    if beta <= 0.0 or not math.sin(theta) - tol <= beta <= 1.0 + tol:
         return math.inf, -math.inf
     center, root = _window(theta, beta)
     return center - root - tol, center + root + tol
@@ -180,17 +184,19 @@ class TaylorBound:
         n2, beta, gamma = _frame_e1(F, tol)  # unpacked: a *args call slows this hot path
         return self._admits(n2, beta, gamma, tol)
 
-    def _admits(self, n2, beta, gamma, tol: float) -> bool:
-        """The decision on the e1 frame: n2 = |F e1|^2, stretch beta, shear gamma."""
-        if _trivial(self.angles, tol):  # rotations only, as in taylor_member_batch
-            return norm2_is_one(n2, tol) and abs(gamma) <= tol
-        if not norm2_at_most_one(n2, tol):
-            return False
+    def _admits(self, n2, beta, gamma, tol: float, sqrt=math.sqrt, maximum=max, ones=None):
+        """The decision on the e1 frame: n2 = |F e1|^2, stretch beta, shear gamma; elementwise,
+        given ``_window``'s ufuncs and ``ones`` on arrays.  Trivial: rotations only."""
+        if _trivial(self.angles, tol):
+            return norm2_is_one(n2, tol) & (abs(gamma) <= tol)
+        ok = norm2_at_most_one(n2, tol)
         for a in self.angles[1:]:
-            lo, hi = shear_interval(a, beta, tol)
-            if not lo <= gamma <= hi:
-                return False
-        return True
+            ok &= beta >= math.sin(a) - tol
+            if ok is False:  # a float stops at its first failed test; arrays run them all
+                return ok
+            center, root = _window(a, beta, sqrt, maximum, ones)
+            ok &= (gamma >= center - root - tol) & (gamma <= center + root + tol)
+        return ok
 
 
 def reduce_angles(angles: AngleSet) -> TaylorBound:
@@ -228,8 +234,8 @@ def taylor_member(F: Mat2, angles: AngleSet, tol: float = DEFAULT_TOL) -> bool:
 def taylor_member_batch(F: np.ndarray, angles: AngleSet, tol: float = DEFAULT_TOL) -> np.ndarray:
     """``taylor_member`` over an (n, 2, 2) array of matrices, row for row and bit for bit.
 
-    Runs the scalar's own operations elementwise: the det test,
-    ``stretch_shear`` at s = e1 and the comparisons of ``TaylorBound.member``.
+    Runs the scalar's own code elementwise: the det test, ``stretch_shear``
+    at s = e1 and the decision ``TaylorBound._admits`` itself.
     It walks the rows in blocks of ``_BLOCK_ROWS``, so its temporaries stay
     in cache whatever n is.  Raises ``NotSL2`` if any row fails the det test;
     a row on which the scalar raises ``DegenerateBeta`` is False.
@@ -237,7 +243,6 @@ def taylor_member_batch(F: np.ndarray, angles: AngleSet, tol: float = DEFAULT_TO
     import numpy as np  # only the batch path needs numpy; scalar callers skip it
     F = np.asarray(F, dtype=float)
     bound = angles._bound
-    trivial = _trivial(bound.angles, tol)
     out = np.empty(F.shape[0], dtype=bool)
     # Python floats overflow to inf and give NaN silently, and so do these rows
     with np.errstate(over="ignore", invalid="ignore"):
@@ -250,16 +255,8 @@ def taylor_member_batch(F: np.ndarray, angles: AngleSet, tol: float = DEFAULT_TO
             # products by 1 and 0 change no value, at most the sign of a zero
             n2, beta, gamma, _, _ = _stretch_shear(rows.a11, rows.a21, rows.a12, rows.a22, tol,
                                                    np.sqrt, _settle_betas)
-            if trivial:
-                ok = norm2_is_one(n2, tol) & (np.abs(gamma) <= tol)
-            else:
-                ok = norm2_at_most_one(n2, tol)
-                ones = np.flatnonzero(beta == 1.0)  # found once per block, not per angle
-                for a in bound.angles[1:]:
-                    center, root = _window(a, beta, np.sqrt, np.maximum, ones)
-                    ok &= ((beta >= math.sin(a) - tol) & (gamma >= center - root - tol)
-                           & (gamma <= center + root + tol))
-            out[i:i + _BLOCK_ROWS] = ok
+            ones = np.flatnonzero(beta == 1.0)  # the rows whose window takes its exact ends
+            out[i:i + _BLOCK_ROWS] = bound._admits(n2, beta, gamma, tol, np.sqrt, np.maximum, ones)
     return out
 
 

@@ -83,6 +83,9 @@ def test_psi_examples():
         psi(1.5, 0.0)
     with pytest.raises(DomainError):
         psi(0.0, 0.0)
+    for gamma in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            psi(0.5, gamma)
 
 
 def test_M_subset_N():

@@ -12,7 +12,7 @@ from polyslip.mat2 import E1, Mat2, decompose, is_SO2, rotation
 from polyslip.slip import psi
 from polyslip.taylor import (AngleSet, PAIR, SINGLE_CRYSTAL, TRIPLE, gamma_bounds,
                              in_lambda, is_trivial, normalize, reduce_angles,
-                             taylor_M_member, taylor_member, taylor_member_batch)
+                             shear_interval, taylor_M_member, taylor_member, taylor_member_batch)
 
 PI = math.pi
 
@@ -51,6 +51,13 @@ def test_gamma_bounds_domain_errors():
         gamma_bounds(0.0, 1.0)
     with pytest.raises(DomainError):
         gamma_bounds(PI, 1.0)
+    with pytest.raises(DomainError):
+        gamma_bounds(0.5, math.nan)
+
+
+def test_nan_stretch_is_outside_every_shear_interval():
+    assert shear_interval(0.5, math.nan) == (math.inf, -math.inf)
+    assert not in_lambda(0.5, math.nan, 0.0)
 
 
 def test_in_lambda_examples():
@@ -116,6 +123,14 @@ def test_normalize_dedup():
 def test_normalize_circular_dedup():
     aset = normalize([1e-12, PI - 1e-12])
     assert aset.N == 1
+
+
+@pytest.mark.parametrize("angles", [[math.nan, 0.0, 1.0], [0.0, math.nan], [math.inf],
+                                    [0.3, -math.inf]])
+def test_normalize_rejects_non_finite_angles(angles):
+    # a NaN must neither become the shift nor vanish in the merge
+    with pytest.raises(DomainError):
+        normalize(angles)
 
 
 def test_normalize_empty():
@@ -319,6 +334,26 @@ def test_batch_equals_scalar_where_the_square_leaves_the_float_range(angles, tol
     assert got.tolist() == want
     assert not got[:5].any()
     assert got[5:7].all()  # rotations, at beta = 1 exactly
+
+
+@pytest.mark.parametrize("tol", [0.05, 0.3, 0.75, 1.5, 3.0])
+@pytest.mark.parametrize("angles", [[0.0, 0.6, 2.4], [0.0, 1.2, 1.9], [0.0]],
+                         ids=["open", "trivial", "single"])
+def test_batch_equals_scalar_at_large_tol(angles, tol):
+    # each texture normalized at the default tol and at this one, which merges
+    # the open texture into one crystal from 0.75 on; the open texture is
+    # trivial from 0.3 on, above 1 norm2_is_one clamps its lower edge at 0,
+    # and every |F e1| < tol is degenerate
+    rng = np.random.default_rng(int(tol * 100) + len(angles))
+    for aset in (normalize(angles), normalize(angles, tol)):
+        single = aset._bound.kind == SINGLE_CRYSTAL
+        parts = [] if single else [_edge_placed_batch(rng, aset, 1000, tol)]
+        parts += [_unit_stretch_rows(rng, aset, 1000, tol), stretch_edge_batch(rng, 1000, tol),
+                  rand_sl2_batch(rng, 1000, 0.05, 4.0, -6.0, 6.0)]
+        F = np.concatenate(parts)
+        want = _scalar_answers(F, aset, tol)
+        assert True in want and False in want
+        assert taylor_member_batch(F, aset, tol).tolist() == want
 
 
 def test_scalar_member_reduces_the_texture_once(monkeypatch):
