@@ -23,35 +23,38 @@ too close to split in floating point raise ``ParallelSlips``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError, ParallelSlips
-from .mat2 import DEFAULT_TOL, Mat2, Vec2, norm2_at_most_one, require_sl2
+from .mat2 import DEFAULT_TOL, Mat2, Value, Vec2, norm2_at_most_one, require_sl2
 from .slip import image_norm2, in_M, in_N
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class RankOneConnection:
+class RankOneConnection(Value):
     """Immutable-by-contract witness of compatibility: target = A + a(x)nu is in the target set."""
 
-    a: Vec2
-    nu: Vec2
-    target: Mat2
+    __slots__ = _fields = ("a", "nu", "target")
+
+    def __init__(self, a: Vec2, nu: Vec2, target: Mat2):
+        self.a = a
+        self.nu = nu
+        self.target = target
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class LaminateSplit:
+class LaminateSplit(Value):
     """F = lam * F_plus + (1 - lam) * F_minus with rank(F_plus - F_minus) <= 1.
 
     ``t_plus`` and ``t_minus`` are the parameters of the two endpoints on
     the rank-one line through F (t = 0).  Immutable by contract.
     """
 
-    F_plus: Mat2
-    F_minus: Mat2
-    lam: float
-    t_plus: float
-    t_minus: float
+    __slots__ = _fields = ("F_plus", "F_minus", "lam", "t_plus", "t_minus")
+
+    def __init__(self, F_plus: Mat2, F_minus: Mat2, lam: float, t_plus: float, t_minus: float):
+        self.F_plus = F_plus
+        self.F_minus = F_minus
+        self.lam = lam
+        self.t_plus = t_plus
+        self.t_minus = t_minus
 
 
 def _clears(v2, sn2, tol):

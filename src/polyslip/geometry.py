@@ -44,14 +44,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Optional, Union
 
 from .compat import _clears
 from .errors import DomainError, InvalidPolycrystal
-from .mat2 import (ANGULAR_TOL, DEFAULT_TOL, Mat2, Vec2, is_sl2, mod_pi, norm2_at_most_one,
-                   require_sl2)
+from .mat2 import (ANGULAR_TOL, DEFAULT_TOL, FrozenValue, Mat2, Vec2, is_sl2, mod_pi,
+                   norm2_at_most_one, require_sl2)
 from .slip import image_norm2, slip_direction
 
 if TYPE_CHECKING:
@@ -73,12 +72,14 @@ def _wrap(x: float, period: float) -> float:
 # boundary curves
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class Segment:
+class Segment(FrozenValue):
     """Straight boundary piece from p to q."""
 
-    p: Vec2
-    q: Vec2
+    __slots__ = _fields = ("p", "q")
+
+    def __init__(self, p: Vec2, q: Vec2):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
 
     @property
     def start(self) -> Vec2:
@@ -104,8 +105,7 @@ class Segment:
         return Segment(R @ self.p, R @ self.q)
 
 
-@dataclass(frozen=True, slots=True)
-class Arc:
+class Arc(FrozenValue):
     """Circular boundary piece.
 
     The sweep runs from ``from_angle`` to ``to_angle`` in the orientation
@@ -113,17 +113,17 @@ class Arc:
     from 0 to 2*pi counterclockwise).
     """
 
-    center: Vec2
-    radius: float
-    from_angle: float
-    to_angle: float
-    ccw: bool = True
-    # fixed at construction: the sweep and the two endpoints
-    _sweep: float = field(init=False, repr=False, compare=False)
-    _start: Vec2 = field(init=False, repr=False, compare=False)
-    _end: Vec2 = field(init=False, repr=False, compare=False)
+    # _sweep and the two endpoints _start, _end are fixed at construction
+    __slots__ = ("center", "radius", "from_angle", "to_angle", "ccw", "_sweep", "_start", "_end")
+    _fields = __slots__[:5]
 
-    def __post_init__(self):
+    def __init__(self, center: Vec2, radius: float, from_angle: float, to_angle: float,
+                 ccw: bool = True):
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "from_angle", from_angle)
+        object.__setattr__(self, "to_angle", to_angle)
+        object.__setattr__(self, "ccw", ccw)
         if self.radius <= 0:
             raise InvalidPolycrystal(f"arc radius {self.radius!r} must be positive")
         raw = self.to_angle - self.from_angle if self.ccw else self.from_angle - self.to_angle
@@ -253,13 +253,15 @@ def curve_overlap_length(a: Curve, b: Curve) -> float:
 # polycrystal data model
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class Grain:
+class Grain(FrozenValue):
     """A grain: a closed ccw boundary loop plus a texture angle in [0, pi)."""
 
-    id: int
-    boundary: tuple[Curve, ...]
-    theta: float
+    __slots__ = _fields = ("id", "boundary", "theta")
+
+    def __init__(self, id: int, boundary: tuple[Curve, ...], theta: float):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "boundary", boundary)
+        object.__setattr__(self, "theta", theta)
 
     def slip(self) -> Vec2:
         return slip_direction(self.theta)
@@ -268,17 +270,24 @@ class Grain:
         return _loop_area(list(self.boundary))
 
 
-@dataclass(frozen=True)
-class Polycrystal:
-    """Domain boundary loop plus grains partitioning the domain."""
+class Polycrystal(FrozenValue):
+    """Domain boundary loop plus grains partitioning the domain.
 
-    domain: tuple[Curve, ...]
-    grains: tuple[Grain, ...]
-    _by_id: dict = field(init=False, repr=False, compare=False)
-    #: angular_tol -> BoundaryAnalysis, filled by ``analyze_boundary``
-    _analyses: dict = field(init=False, repr=False, compare=False)
+    ``_by_id`` maps grain ids to grains; ``_analyses`` maps angular_tol to
+    the ``BoundaryAnalysis`` that ``analyze_boundary`` keeps.  A pickle
+    holds the curves only: the analyses' read-only views do not pickle.
+    """
+
+    __slots__ = ("domain", "grains", "_by_id", "_analyses")
+    _fields = ("domain", "grains")
+
+    def __init__(self, domain: tuple[Curve, ...], grains: tuple[Grain, ...]):
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "grains", grains)
+        self.__post_init__()
 
     def __post_init__(self):
+        """The validation, run by ``__init__`` once the fields are set; fills the caches."""
         _check_closed(list(self.domain), "domain")
         dom_area = _loop_area(list(self.domain))
         if not math.isfinite(dom_area):
@@ -312,10 +321,6 @@ class Polycrystal:
         if pairs:
             g, h = (self.grains[k] for k in pairs[0])
             raise InvalidPolycrystal(f"adjacent grains {g.id} and {h.id} share texture angle")
-
-    def __reduce__(self):
-        # pickle the curves only: the memo's read-only views (mappingproxy) do not pickle
-        return Polycrystal, (self.domain, self.grains)
 
     def grain_by_id(self, gid: int) -> Grain:
         return self._by_id[gid]
@@ -420,23 +425,35 @@ def _grains_adjacent(g: Grain, h: Grain) -> bool:
 # boundary analysis
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundaryAnalysis:
-    """Structure of the domain boundary relative to the grain textures."""
+class BoundaryAnalysis(FrozenValue):
+    """Structure of the domain boundary relative to the grain textures.
 
-    boundary_grains: tuple[int, ...]
-    dual_points: tuple[Vec2, ...]
-    perp_points: tuple[tuple[Vec2, int], ...]
-    J: frozenset
-    J_prime: frozenset
-    #: gid -> the grain's outer curves; read-only in ``analyze_boundary`` results
-    outer_curves: Mapping = field(default_factory=dict, compare=False)
-    #: ((cos theta, sin theta, in J, lines, arcs), ...), one row per boundary
-    #: grain in ``boundary_grains`` order: what ``outer_bound_full_member`` reads;
-    #: (lines, arcs) are those of the grain's outer curves (``_normal_lines``):
-    #: the vectors whose normals ``compat._clears`` tests, and the arcs' end
-    #: normals for the test whether an arc's normals hold a given line
-    grain_rows: tuple = field(default=(), compare=False)
+    ``outer_curves`` (gid -> the grain's outer curves; read-only in
+    ``analyze_boundary`` results) and ``grain_rows`` print but do not compare.
+    ``grain_rows`` is ((cos theta, sin theta, in J, lines, arcs), ...), one row
+    per boundary grain in ``boundary_grains`` order: what
+    ``outer_bound_full_member`` reads; (lines, arcs) are those of the grain's
+    outer curves (``_normal_lines``): the vectors whose normals
+    ``compat._clears`` tests, and the arcs' end normals for the test whether
+    an arc's normals hold a given line.
+    """
+
+    __slots__ = _fields = ("boundary_grains", "dual_points", "perp_points", "J", "J_prime",
+                           "outer_curves", "grain_rows")
+
+    def __init__(self, boundary_grains: tuple[int, ...], dual_points: tuple[Vec2, ...],
+                 perp_points: tuple[tuple[Vec2, int], ...], J: frozenset, J_prime: frozenset,
+                 outer_curves: Optional[Mapping] = None, grain_rows: tuple = ()):
+        object.__setattr__(self, "boundary_grains", boundary_grains)
+        object.__setattr__(self, "dual_points", dual_points)
+        object.__setattr__(self, "perp_points", perp_points)
+        object.__setattr__(self, "J", J)
+        object.__setattr__(self, "J_prime", J_prime)
+        object.__setattr__(self, "outer_curves", {} if outer_curves is None else outer_curves)
+        object.__setattr__(self, "grain_rows", grain_rows)
+
+    def _key(self) -> tuple:
+        return (self.boundary_grains, self.dual_points, self.perp_points, self.J, self.J_prime)
 
 
 def _outer_curves_of(pc: Polycrystal, g: Grain) -> list[Curve]:
@@ -633,12 +650,14 @@ def _normals_cover_circle(curves, angular_tol: float) -> bool:
 # outer bounds
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OuterBound:
+class OuterBound(FrozenValue):
     """Finite intersection of relaxed slip sets, or all of SL(2) if empty."""
 
-    slip_directions: tuple[Vec2, ...]
-    trivial_flag: bool
+    __slots__ = _fields = ("slip_directions", "trivial_flag")
+
+    def __init__(self, slip_directions: tuple[Vec2, ...], trivial_flag: bool):
+        object.__setattr__(self, "slip_directions", slip_directions)
+        object.__setattr__(self, "trivial_flag", trivial_flag)
 
     def member(self, F: Mat2, tol: float = DEFAULT_TOL) -> bool:
         """F in every relaxed set of the directions: ``in_N`` with one det check."""
@@ -669,12 +688,14 @@ def outer_bound_perp(pc: Polycrystal, angular_tol: float = ANGULAR_TOL) -> Outer
                       trivial_flag=len(directions) == 0)
 
 
-@dataclass(frozen=True)
-class _BoundarySamples:
+class _BoundarySamples(FrozenValue):
     """Per-grain boundary sample normals, perpendicular points included."""
 
-    normals: dict  # gid -> (m, 2) float array
-    analysis: BoundaryAnalysis
+    __slots__ = _fields = ("normals", "analysis")
+
+    def __init__(self, normals: dict, analysis: BoundaryAnalysis):
+        object.__setattr__(self, "normals", normals)  # normals: gid -> (m, 2) float array
+        object.__setattr__(self, "analysis", analysis)
 
 
 def boundary_samples(pc: Polycrystal, n_samples: int = 720,

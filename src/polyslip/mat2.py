@@ -16,17 +16,20 @@ det F = 1; ``norm2_at_most_one`` and ``norm2_is_one`` for |v| <= 1 and
 |v| = 1 within tol, tested on |v|^2, never on its root; and
 ``_stretch_shear`` for (beta, gamma), with the |Fs|^2 that beta is the root of.
 
-``Vec2``, ``Mat2`` and ``ShearFrame`` are immutable by contract, not
-enforced: their fields are plain slots, so construction skips the
-per-field ``object.__setattr__`` of a frozen dataclass.  They compare and
-hash by value, so never assign to a field of one after it is built.
+``Value`` is the one base of the package's value types: ``==``, ``hash``,
+``repr`` and pickling over a class's ``_fields``, with no code generated at
+import.  ``Vec2``, ``Mat2``, ``ShearFrame``, ``TaylorBound``,
+``RankOneConnection`` and ``LaminateSplit`` are immutable by contract, not
+enforced: their fields are plain slots, so construction is one store per
+field.  They compare and hash by value, so never assign to a field of one
+after it is built.  Every other value type derives from ``FrozenValue``,
+whose ``__setattr__`` raises ``AttributeError``: it is read-only.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
 from .errors import DegenerateBeta, NotSL2
@@ -43,12 +46,60 @@ DEFAULT_TOL = 1e-9
 ANGULAR_TOL = 1e-6
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Vec2:
+class Value:
+    """Base of the value types: ``==``, ``hash``, ``repr`` and pickling over ``_fields``.
+
+    ``_fields`` names the constructor's arguments in order; slots outside it
+    are caches that compare, hash and print nothing.  ``==`` holds between
+    instances of one class with equal ``_key`` tuples (``NotImplemented`` for
+    any other class), ``hash`` is that of the tuple, ``repr`` reads
+    ``Name(field=value, ...)``, and a pickle rebuilds through the constructor.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        """What ``==`` and ``hash`` compare: every field, unless a class says less."""
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, name) for name in self._fields])
+
+
+class FrozenValue(Value):
+    """A read-only ``Value``: ``__init__`` writes each slot with ``object.__setattr__``,
+    past the ``__setattr__`` that refuses every later write."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a frozen {type(self).__name__}")
+
+
+class Vec2(Value):
     """A point or direction in the plane."""
 
-    x: Scalar
-    y: Scalar
+    __slots__ = _fields = ("x", "y")
+
+    def __init__(self, x: Scalar, y: Scalar):
+        self.x = x
+        self.y = y
 
     def __add__(self, other: "Vec2") -> "Vec2":
         return Vec2(self.x + other.x, self.y + other.y)
@@ -105,14 +156,16 @@ E1 = Vec2(1.0, 0.0)
 E2 = Vec2(0.0, 1.0)
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Mat2:
+class Mat2(Value):
     """A real 2x2 matrix in row-major layout."""
 
-    a11: Scalar
-    a12: Scalar
-    a21: Scalar
-    a22: Scalar
+    __slots__ = _fields = ("a11", "a12", "a21", "a22")
+
+    def __init__(self, a11: Scalar, a12: Scalar, a21: Scalar, a22: Scalar):
+        self.a11 = a11
+        self.a12 = a12
+        self.a21 = a21
+        self.a22 = a22
 
     @staticmethod
     def identity() -> "Mat2":
@@ -234,8 +287,7 @@ def is_SO2(F: Mat2, tol: float = DEFAULT_TOL) -> bool:
     return g.max_abs() <= tol and is_sl2(F, tol)
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class ShearFrame:
+class ShearFrame(Value):
     """Rotation/stretch/shear coordinates of an SL(2) matrix.
 
     ``reconstruct`` returns R(rho) applied to the matrix that stretches by
@@ -243,10 +295,13 @@ class ShearFrame:
     ``gamma`` in the ``s`` direction across planes normal to ``perp(s)``.
     """
 
-    rho: float
-    beta: float
-    gamma: float
-    s: Vec2 = E1
+    __slots__ = _fields = ("rho", "beta", "gamma", "s")
+
+    def __init__(self, rho: float, beta: float, gamma: float, s: Vec2 = E1):
+        self.rho = rho
+        self.beta = beta
+        self.gamma = gamma
+        self.s = s
 
     def reconstruct(self) -> Mat2:
         s, sp = self.s, self.s.perp()

@@ -11,11 +11,11 @@ pi/2, certifying triviality of the generated texture.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
+from .mat2 import FrozenValue
 from .taylor import HALF_PI, _straddles
 
 #: Angles per Monte Carlo block: bounded memory, 64 KiB arrays that stay in cache.
@@ -27,26 +27,28 @@ MAX_K = 1000
 MAX_SAMPLES = 10 ** 6
 
 
-@dataclass(frozen=True, slots=True)
-class McConfig:
+class McConfig(FrozenValue):
     """Monte Carlo setup: k random angles per draw, sample count, RNG seed."""
 
-    k: int
-    n_samples: int
-    seed: int
+    __slots__ = _fields = ("k", "n_samples", "seed")
 
-    def __post_init__(self):
+    def __init__(self, k: int, n_samples: int, seed: int):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "n_samples", n_samples)
+        object.__setattr__(self, "seed", seed)
         if not 1 <= self.k <= MAX_K:
             raise DomainError(f"k = {self.k!r} outside [1, {MAX_K}]")
         if not 1 <= self.n_samples <= MAX_SAMPLES:
             raise DomainError(f"n_samples = {self.n_samples!r} outside [1, {MAX_SAMPLES}]")
 
 
-@dataclass(frozen=True, slots=True)
-class McResult:
-    estimate: float
-    std_error: float
-    analytic: float
+class McResult(FrozenValue):
+    __slots__ = _fields = ("estimate", "std_error", "analytic")
+
+    def __init__(self, estimate: float, std_error: float, analytic: float):
+        object.__setattr__(self, "estimate", estimate)
+        object.__setattr__(self, "std_error", std_error)
+        object.__setattr__(self, "analytic", analytic)
 
 
 def trivial_probability(k: int) -> float:

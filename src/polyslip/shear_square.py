@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .errors import GammaOutOfRange
-from .mat2 import E1, E2, Mat2, Vec2, det_is_one, is_SO2
+from .mat2 import E1, E2, FrozenValue, Mat2, Vec2, det_is_one, is_SO2
 from .slip import in_N
 from .svg import SvgCanvas
 from .taylor import is_trivial, normalize
@@ -80,14 +79,16 @@ _EDGE_OWNERS = tuple(
     for a, b in zip(DOMAIN_CORNERS, DOMAIN_CORNERS[1:] + DOMAIN_CORNERS[:1]))
 
 
-@dataclass(frozen=True, slots=True)
-class Cell:
+class Cell(FrozenValue):
     """One affine piece x -> A x + b on a convex polygon."""
 
-    name: str
-    vertices: tuple[Vec2, ...]
-    A: Mat2
-    b: Vec2
+    __slots__ = _fields = ("name", "vertices", "A", "b")
+
+    def __init__(self, name: str, vertices: tuple[Vec2, ...], A: Mat2, b: Vec2):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "b", b)
 
     def value(self, p: Vec2) -> Vec2:
         return self.A @ p + self.b
@@ -98,11 +99,13 @@ class Cell:
         return twice / 2 if isinstance(twice, (float,)) else Fraction(twice, 2)
 
 
-@dataclass(frozen=True, slots=True)
-class PwAffineMap:
+class PwAffineMap(FrozenValue):
     """A continuous piecewise-affine map given by its affine cells."""
 
-    cells: tuple[Cell, ...]
+    __slots__ = _fields = ("cells",)
+
+    def __init__(self, cells: tuple[Cell, ...]):
+        object.__setattr__(self, "cells", cells)
 
     def cell(self, name: str) -> Cell:
         for c in self.cells:
@@ -116,11 +119,13 @@ class PwAffineMap:
         return [(by_name[n1], by_name[n2], Vec2(*p), Vec2(*q)) for n1, n2, p, q in _INTERFACES]
 
 
-@dataclass(frozen=True, slots=True)
-class ShearSquareBuild:
-    gamma: object
-    map: PwAffineMap
-    F_gamma: Mat2
+class ShearSquareBuild(FrozenValue):
+    __slots__ = _fields = ("gamma", "map", "F_gamma")
+
+    def __init__(self, gamma, map: PwAffineMap, F_gamma: Mat2):
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "map", map)
+        object.__setattr__(self, "F_gamma", F_gamma)
 
     @property
     def exact(self) -> bool:
@@ -204,16 +209,19 @@ def build(gamma, pre_rotation: Optional[Mat2] = None) -> ShearSquareBuild:
 _CHECKS = ("continuity", "determinant", "membership", "boundary_trace", "rank_one_jumps")
 
 
-@dataclass(frozen=True, slots=True)
-class VerificationReport:
+class VerificationReport(FrozenValue):
     """Outcome of the five structural checks on a build."""
 
-    continuity: bool
-    determinant: bool
-    membership: bool
-    boundary_trace: bool
-    rank_one_jumps: bool
-    failures: tuple[str, ...] = ()
+    __slots__ = _fields = (*_CHECKS, "failures")
+
+    def __init__(self, continuity: bool, determinant: bool, membership: bool,
+                 boundary_trace: bool, rank_one_jumps: bool, failures: tuple[str, ...] = ()):
+        object.__setattr__(self, "continuity", continuity)
+        object.__setattr__(self, "determinant", determinant)
+        object.__setattr__(self, "membership", membership)
+        object.__setattr__(self, "boundary_trace", boundary_trace)
+        object.__setattr__(self, "rank_one_jumps", rank_one_jumps)
+        object.__setattr__(self, "failures", failures)
 
     @property
     def all_passed(self) -> bool:

@@ -29,12 +29,12 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, EmptyInput, NotSL2
-from .mat2 import (DEFAULT_TOL, Mat2, _settle_betas, _stretch_shear, det_is_one, mod_pi,
-                   norm2_at_most_one, norm2_is_one, require_sl2, stretch_shear)
+from .mat2 import (DEFAULT_TOL, FrozenValue, Mat2, Value, _settle_betas, _stretch_shear,
+                   det_is_one, mod_pi, norm2_at_most_one, norm2_is_one, require_sl2,
+                   stretch_shear)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -53,8 +53,7 @@ PAIR = "pair"
 TRIPLE = "triple"
 
 
-@dataclass(frozen=True, slots=True)
-class AngleSet:
+class AngleSet(FrozenValue):
     """Normalized orientation angles: sorted, distinct, in [0, pi), first 0.
 
     ``shift`` is the rotation removed during normalization; bounds computed
@@ -63,11 +62,12 @@ class AngleSet:
     membership tests of many matrices share it.
     """
 
-    thetas: tuple[float, ...]
-    shift: float = 0.0
-    _bound: TaylorBound = field(init=False, repr=False, compare=False)
+    __slots__ = ("thetas", "shift", "_bound")
+    _fields = ("thetas", "shift")
 
-    def __post_init__(self):
+    def __init__(self, thetas: tuple[float, ...], shift: float = 0.0):
+        object.__setattr__(self, "thetas", thetas)
+        object.__setattr__(self, "shift", shift)
         if not self.thetas:
             raise EmptyInput("angle set is empty")
         if self.thetas[0] != 0.0:
@@ -173,12 +173,14 @@ def _frame_e1(F: Mat2, tol: float):
     return n2, beta, gamma
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class TaylorBound:
+class TaylorBound(Value):
     """The at-most-three orientations of the Taylor bound, 0 first; immutable by contract."""
 
-    kind: str
-    angles: tuple[float, ...]
+    __slots__ = _fields = ("kind", "angles")
+
+    def __init__(self, kind: str, angles: tuple[float, ...]):
+        self.kind = kind
+        self.angles = angles
 
     def member(self, F: Mat2, tol: float = DEFAULT_TOL) -> bool:
         n2, beta, gamma = _frame_e1(F, tol)  # unpacked: a *args call slows this hot path

@@ -64,3 +64,24 @@ def test_star_import():
     namespace = {}
     exec("from polyslip import *", namespace)
     assert set(polyslip.__all__) <= set(namespace)
+
+
+def test_no_subcommand_loads_dataclasses_or_inspect(tmp_path):
+    path = tmp_path / "quadrant.json"
+    path.write_text(json.dumps(polycrystal_to_dict(quadrant_disk())))
+    subcommands = {
+        "taylor": ["taylor", "--angles", "0,1"],
+        "member": ["member", "--angles", "0,1", "--matrix", "1,0,0,1"],
+        "member-M": ["member", "--angles", "0,1", "--matrix", "1,0,0,1", "--space", "M"],
+        "compat": ["compat", "--matrix", "2,0,0,0.5", "--slip", "1,0", "--normal", "1,0"],
+        "laminate": ["laminate", "--matrix", "2,0,0,0.5", "--slip", "1,0", "--slip2", "1,1"],
+        "lambda-plot": ["lambda-plot", "--thetas", "0.314,2.827", "--grid", "8",
+                        "--svg", str(tmp_path / "r.svg")],
+        "outer": ["outer", "--polycrystal", str(path), "--matrix", "1,0,0,1"],
+        "shear": ["shear", "--gamma", "1/2", "--verify"],
+        "mc": ["mc", "--k", "3", "--n", "100", "--seed", "1"],
+    }
+    for name, argv in subcommands.items():
+        # numpy imports inspect, so mc, the one subcommand that loads numpy, is exempt from it
+        watch = ("dataclasses",) if name == "mc" else ("dataclasses", "inspect")
+        assert _run_fresh(argv, watch) == {"status": 0, "loaded": []}, name

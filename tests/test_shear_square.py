@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -13,6 +12,13 @@ from polyslip.shear_square import (_CELL_VERTICES, _EDGE_OWNERS, _INTERFACES, DO
 from polyslip.slip import in_N
 
 HALF = Fraction(1, 2)
+
+
+def _replace(obj, **changes):
+    """A copy of the value ``obj``, rebuilt from its fields with ``changes`` applied."""
+    fields = {name: getattr(obj, name) for name in obj._fields}
+    fields.update(changes)
+    return type(obj)(**fields)
 
 
 def test_boundary_matrix_half():
@@ -99,7 +105,7 @@ def test_verify_at_range_boundary_float():
 def test_tampered_build_fails_checks():
     good = build(HALF)
     bad_cells = tuple(
-        dataclasses.replace(c, A=Mat2(Fraction(1), HALF, Fraction(1, 10), Fraction(1)))
+        _replace(c, A=Mat2(Fraction(1), HALF, Fraction(1, 10), Fraction(1)))
         if c.name == "S" else c
         for c in good.map.cells)
     bad = ShearSquareBuild(gamma=good.gamma, map=PwAffineMap(cells=bad_cells),
@@ -111,9 +117,9 @@ def test_tampered_build_fails_checks():
 
 
 def _tampered(build_, name, **changes):
-    cells = tuple(dataclasses.replace(c, **changes) if c.name == name else c
+    cells = tuple(_replace(c, **changes) if c.name == name else c
                   for c in build_.map.cells)
-    return dataclasses.replace(build_, map=PwAffineMap(cells=cells))
+    return _replace(build_, map=PwAffineMap(cells=cells))
 
 
 _GOOD = build(HALF)
@@ -122,7 +128,7 @@ _TAMPERED = {
     # T8 owns the edge (0,0)-(3,-1): all three of its probes move
     "shift_T8": (_tampered(_GOOD, "T8", b=_GOOD.map.cell("T8").b + _TENTH_E1),
                  {"continuity", "boundary_trace"}),
-    "double_F": (dataclasses.replace(_GOOD, F_gamma=_GOOD.F_gamma * 2), {"boundary_trace"}),
+    "double_F": (_replace(_GOOD, F_gamma=_GOOD.F_gamma * 2), {"boundary_trace"}),
     # det 1, but e1 is stretched by 2: outside N(e1)
     "stretch_S": (_tampered(_GOOD, "S", A=Mat2(Fraction(2), HALF, Fraction(0), HALF)),
                   {"continuity", "membership", "rank_one_jumps"}),
