@@ -22,28 +22,32 @@ from rank-one compatibility along the domain boundary:
 
 Both bounds test that membership, |Fs| <= 1 + tol, on |Fs|^2 through its
 one home ``mat2.norm2_at_most_one``, so the full bound lies inside the
-perpendicular-point bound at every tol.
-
-Both rest on ``analyze_boundary``, which is computed once per polycrystal
-and angular tolerance and kept on the (immutable) polycrystal; every entry
-point then shares that one read-only result.  Arcs likewise fix their sweep
-and endpoints when they are built.
-
-``boundary_samples`` and ``compatible_with_normals`` test compatibility at
-sampled normals instead, through the same inequality; they are the only
-users of numpy here.
+perpendicular-point bound at every tol.  Both rest on ``analyze_boundary``,
+which is computed once per polycrystal and angular tolerance and kept on the
+(immutable) polycrystal; every entry point then shares that one read-only
+result.  ``boundary_samples`` and ``compatible_with_normals`` test
+compatibility at sampled normals instead, through the same inequality; they
+are the only users of numpy here.
 
 Grain boundary curves must be split wherever they transition between the
 domain boundary and the interior; each curve is classified as a whole: it
 lies on the domain boundary when it is longer than POS_TOL and shares all of
 its length but POS_TOL with the domain curves (``curve_overlap_length``,
 which is 0 between a segment and an arc, however flat the arc).
+
+Arcs fix their sweep, endpoints and the (cos, sin) of both ends when they are
+built; the checks of a new polycrystal and the analysis then work on plain
+float coordinates.  Shared lengths are measured only between curves whose
+boxes meet (``_box_pairs``), and endpoints meet in grid cells of side 2
+POS_TOL (``_near``), so the analysis is linear in the boundary curves unless
+many curve boxes overlap along the sweep's axis.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Optional, Union
 
@@ -113,26 +117,34 @@ class Arc(FrozenValue):
     from 0 to 2*pi counterclockwise).
     """
 
-    # _sweep and the two endpoints _start, _end are fixed at construction
-    __slots__ = ("center", "radius", "from_angle", "to_angle", "ccw", "_sweep", "_start", "_end")
+    # fixed at construction: _sweep, the endpoints _start and _end, and _trig, the
+    # (cos, sin) of angle_at(0.0) and of angle_at(1.0) that give them
+    __slots__ = ("center", "radius", "from_angle", "to_angle", "ccw", "_sweep", "_start", "_end",
+                 "_trig")
     _fields = __slots__[:5]
 
     def __init__(self, center: Vec2, radius: float, from_angle: float, to_angle: float,
                  ccw: bool = True):
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "radius", radius)
-        object.__setattr__(self, "from_angle", from_angle)
-        object.__setattr__(self, "to_angle", to_angle)
-        object.__setattr__(self, "ccw", ccw)
-        if self.radius <= 0:
-            raise InvalidPolycrystal(f"arc radius {self.radius!r} must be positive")
-        raw = self.to_angle - self.from_angle if self.ccw else self.from_angle - self.to_angle
+        put = object.__setattr__
+        put(self, "center", center)
+        put(self, "radius", radius)
+        put(self, "from_angle", from_angle)
+        put(self, "to_angle", to_angle)
+        put(self, "ccw", ccw)
+        if radius <= 0:
+            raise InvalidPolycrystal(f"arc radius {radius!r} must be positive")
+        raw = to_angle - from_angle if ccw else from_angle - to_angle
         s = _wrap(raw, TAU)
-        if abs(raw) > math.pi and s <= 4.0 * math.ulp(abs(self.from_angle) + abs(self.to_angle)):
+        if abs(raw) > math.pi and s <= 4.0 * math.ulp(abs(from_angle) + abs(to_angle)):
             s = TAU  # a full turn, also when its end angle rounded past it (phi, phi + 2 pi)
-        object.__setattr__(self, "_sweep", s)
-        object.__setattr__(self, "_start", self.point_at(0.0))
-        object.__setattr__(self, "_end", self.point_at(1.0))
+        put(self, "_sweep", s)
+        t0, t1 = self.angle_at(0.0), self.angle_at(1.0)
+        c0, s0, c1, s1 = trig = (math.cos(t0), math.sin(t0), math.cos(t1), math.sin(t1))
+        put(self, "_trig", trig)
+        # the float operations of point_at(0.0) and point_at(1.0), without their Vec2s
+        cx, cy = center.x, center.y
+        put(self, "_start", Vec2(cx + c0 * radius, cy + s0 * radius))
+        put(self, "_end", Vec2(cx + c1 * radius, cy + s1 * radius))
 
     def sweep(self) -> float:
         return self._sweep
@@ -188,13 +200,11 @@ def _loop_area(curves) -> float:
         if isinstance(c, Segment):
             total += 0.5 * float(c.p.cross(c.q))
         else:
-            t0 = c.from_angle
+            # _trig is at from_angle (+0.0 for -0.0, which leaves both differences) and + sw
+            c0, s0, c1, s1 = c._trig
             sw = c.sweep() * (1.0 if c.ccw else -1.0)
-            t1 = t0 + sw
             r, cx, cy = c.radius, float(c.center.x), float(c.center.y)
-            total += 0.5 * (r * r * sw
-                            + cx * r * (math.sin(t1) - math.sin(t0))
-                            - cy * r * (math.cos(t1) - math.cos(t0)))
+            total += 0.5 * (r * r * sw + cx * r * (s1 - s0) - cy * r * (c1 - c0))
     return total
 
 
@@ -202,8 +212,17 @@ def _check_closed(curves, what: str) -> None:
     if not curves:
         raise InvalidPolycrystal(f"{what}: empty boundary loop")
     for c, d in zip(curves, curves[1:] + [curves[0]]):
-        if (c.end - d.start).norm() > POS_TOL:
-            raise InvalidPolycrystal(f"{what}: loop does not close at {c.end.to_floats()}")
+        e, s = c.end, d.start
+        if (e.x != s.x or e.y != s.y) and _norm(e.x - s.x, e.y - s.y) > POS_TOL:
+            raise InvalidPolycrystal(f"{what}: loop does not close at {e.to_floats()}")
+
+
+def _norm(dx: float, dy: float) -> float:
+    """|(dx, dy)| on plain floats, with the operations of ``Vec2.norm``."""
+    n2 = dx * dx + dy * dy
+    if sys.float_info.min <= n2 < math.inf:
+        return math.sqrt(n2)
+    return math.hypot(dx, dy)  # the square under- or overflowed
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +235,7 @@ def _segment_overlap_length(a: Segment, b: Segment) -> float:
     if la < POS_TOL or db.norm() < POS_TOL:
         return 0.0
     ua = da * (1.0 / la)
-    if abs(ua.cross(db)) > POS_TOL * max(1.0, db.norm()):
-        # directions not parallel
+    if abs(ua.cross(db)) > POS_TOL * max(1.0, db.norm()):  # directions not parallel
         return 0.0
     if abs(ua.cross(b.p - a.p)) > POS_TOL:
         return 0.0
@@ -227,7 +245,8 @@ def _segment_overlap_length(a: Segment, b: Segment) -> float:
 
 
 def _arc_overlap_length(a: Arc, b: Arc) -> float:
-    if (a.center - b.center).norm() > POS_TOL or abs(a.radius - b.radius) > POS_TOL:
+    ca, cb = a.center, b.center
+    if _norm(ca.x - cb.x, ca.y - cb.y) > POS_TOL or abs(a.radius - b.radius) > POS_TOL:
         return 0.0
     lo_a, sweep_a = a.ccw_span()
     lo_b, sweep_b = b.ccw_span()
@@ -315,8 +334,7 @@ class Polycrystal(FrozenValue):
                 raise InvalidPolycrystal(f"grain {g.id}: theta outside [0, pi)")
             total += a
         if not abs(total - dom_area) <= 1e-6 * dom_area:  # also when the sum overflows
-            raise InvalidPolycrystal(
-                f"grain areas sum to {total!r}, domain area is {dom_area!r}")
+            raise InvalidPolycrystal(f"grain areas sum to {total!r}, domain area is {dom_area!r}")
         pairs = _adjacent_equal_texture_pairs(self.grains)
         if pairs:
             g, h = (self.grains[k] for k in pairs[0])
@@ -371,12 +389,10 @@ def _equal_texture_pairs(thetas, tol: float = DEFAULT_TOL) -> list[tuple[int, in
 def _adjacent_equal_texture_pairs(grains) -> list[tuple[int, int]]:
     """Sorted index pairs (i, j), i < j, of adjacent grains that ``_textures_equal``.
 
-    Only grains with an equal-texture partner get a bounding box: in
-    ascending angle order that partner is a neighbour, or the first or last
-    angle (the wrap at pi).  A sweep over those boxes, sorted by lower y and
-    dropping boxes whose upper y it has passed, pairs equal textures whose
-    boxes, widened by POS_TOL, meet; only these reach ``_grains_adjacent``.
-    """
+    Only grains with an equal-texture partner get a bounding box: in ascending
+    angle order that partner is a neighbour, or the first or last angle (the wrap
+    at pi).  Equal textures whose boxes, widened by POS_TOL, meet (``_box_pairs``)
+    reach ``_grains_adjacent``."""
     thetas = [g.theta for g in grains]
     order = sorted(range(len(thetas)), key=thetas.__getitem__)
     n = len(order)
@@ -384,30 +400,42 @@ def _adjacent_equal_texture_pairs(grains) -> list[tuple[int, int]]:
     for a, i in enumerate(order):
         if any(_textures_equal(thetas[i], thetas[order[b]])
                for b in {a - 1, a + 1, 0, n - 1} - {a} if 0 <= b < n):
-            boxes[i] = _grain_box(grains[i])
-    near, active = [], []
-    for i in sorted(boxes, key=lambda k: boxes[k][1]):
-        x0, y0, x1, y1 = boxes[i]
-        active = [k for k in active if boxes[k][3] >= y0 - 2.0 * POS_TOL]
-        near += [(min(i, k), max(i, k)) for k in active
-                 if boxes[k][0] <= x1 + 2.0 * POS_TOL and x0 <= boxes[k][2] + 2.0 * POS_TOL
-                 and _textures_equal(thetas[i], thetas[k])]
+            x0s, y0s, x1s, y1s = zip(*map(_curve_box, grains[i].boundary))
+            boxes[i] = (min(x0s), min(y0s), max(x1s), max(y1s))
+    near = sorted((min(i, k), max(i, k)) for i, k in _box_pairs(boxes, 2.0 * POS_TOL)
+                  if _textures_equal(thetas[i], thetas[k]))
+    return [(i, j) for i, j in near if _grains_adjacent(grains[i], grains[j])]
+
+
+def _box_pairs(boxes: dict, gap: float) -> list[tuple]:
+    """Pairs of keys of ``boxes`` ((x0, y0, x1, y1) each) whose boxes lie within gap.
+
+    A sweep along the axis in which the boxes are thinner in sum, dropping those whose
+    upper end it has passed: the cost grows with the boxes overlapping along it."""
+    widths, heights = (sum(b[a + 2] - b[a] for b in boxes.values()) for a in (0, 1))
+    a, o = (1, 0) if widths >= heights else (0, 1)
+    pairs, active = [], []
+    for i in sorted(boxes, key=lambda k: boxes[k][a]):
+        b = boxes[i]
+        active = [k for k in active if boxes[k][a + 2] >= b[a] - gap]
+        pairs += [(i, k) for k in active
+                  if boxes[k][o] <= b[o + 2] + gap and b[o] <= boxes[k][o + 2] + gap]
         active.append(i)
-    return [(i, j) for i, j in sorted(near) if _grains_adjacent(grains[i], grains[j])]
+    return pairs
 
 
-def _grain_box(g: Grain) -> tuple[float, float, float, float]:
-    """``(min x, min y, max x, max y)`` of the grain's boundary curves."""
-    xs, ys = [], []
-    for c in g.boundary:
-        xs += (float(c.start.x), float(c.end.x))
-        ys += (float(c.start.y), float(c.end.y))
-        if isinstance(c, Arc):  # the extreme points of the circle that the arc passes
-            cx, cy, r = float(c.center.x), float(c.center.y), c.radius
-            for k, (dx, dy) in enumerate(((1, 0), (0, 1), (-1, 0), (0, -1))):
-                if c.covers_angle(k * math.pi / 2):
-                    xs.append(cx + dx * r)
-                    ys.append(cy + dy * r)
+def _curve_box(c: Curve) -> tuple[float, float, float, float]:
+    """``(min x, min y, max x, max y)`` of the curve's points."""
+    (x0, y0), (x1, y1) = c.start.to_floats(), c.end.to_floats()
+    xs, ys = [x0, x1], [y0, y1]
+    if isinstance(c, Arc):  # the extreme points of the circle that the arc passes, or nearly
+        cx, cy, r = float(c.center.x), float(c.center.y), c.radius
+        lo, sweep = c.ccw_span()
+        q = _wrap(lo, TAU) / (math.pi / 2)  # in quarter turns from +x
+        for k in range(math.ceil(q - 1e-6), math.floor(q + sweep / (math.pi / 2) + 1e-6) + 1):
+            dx, dy = ((1, 0), (0, 1), (-1, 0), (0, -1))[k % 4]
+            xs.append(cx + dx * r)
+            ys.append(cy + dy * r)
     return min(xs), min(ys), max(xs), max(ys)
 
 
@@ -444,61 +472,59 @@ class BoundaryAnalysis(FrozenValue):
     def __init__(self, boundary_grains: tuple[int, ...], dual_points: tuple[Vec2, ...],
                  perp_points: tuple[tuple[Vec2, int], ...], J: frozenset, J_prime: frozenset,
                  outer_curves: Optional[Mapping] = None, grain_rows: tuple = ()):
-        object.__setattr__(self, "boundary_grains", boundary_grains)
-        object.__setattr__(self, "dual_points", dual_points)
-        object.__setattr__(self, "perp_points", perp_points)
-        object.__setattr__(self, "J", J)
-        object.__setattr__(self, "J_prime", J_prime)
-        object.__setattr__(self, "outer_curves", {} if outer_curves is None else outer_curves)
-        object.__setattr__(self, "grain_rows", grain_rows)
+        for name, value in zip(self._fields, (
+                boundary_grains, dual_points, perp_points, J, J_prime,
+                {} if outer_curves is None else outer_curves, grain_rows)):
+            object.__setattr__(self, name, value)
 
     def _key(self) -> tuple:
         return (self.boundary_grains, self.dual_points, self.perp_points, self.J, self.J_prime)
 
 
-def _outer_curves_of(pc: Polycrystal, g: Grain) -> list[Curve]:
-    """The curves of g longer than POS_TOL that the domain curves cover to within POS_TOL."""
-    return [c for c in g.boundary if (length := c.length()) > POS_TOL
-            and sum(curve_overlap_length(c, d) for d in pc.domain) >= length - POS_TOL]
+def _outer_curves(pc: Polycrystal) -> dict[int, list[Curve]]:
+    """gid -> the outer curves of each grain that has one, in grain order (see the module).
+
+    Curves of one kind share length only where their boxes meet once the domain
+    curve's is widened by POS_TOL times 3 plus its length (the parallel test of
+    ``_segment_overlap_length`` is relative to it) and 2^-40 of its coordinates:
+    the sums, in domain order, skip only terms that are 0."""
+    kinds = {t: [k for k, d in enumerate(pc.domain) if type(d) is t] for t in (Segment, Arc)}
+    curves = [(g.id, c, kinds.get(type(c), ())) for g in pc.grains for c in g.boundary]
+    n = len(curves)
+    meets = {i: ks for i, (_, _, ks) in enumerate(curves) if len(ks) == 1}  # needs no box
+    boxes = {i: _curve_box(c) for i, (_, c, ks) in enumerate(curves) if len(ks) > 1}
+    for k, d in enumerate(pc.domain):
+        if len(kinds[type(d)]) > 1:
+            x0, y0, x1, y1 = _curve_box(d)
+            pad = POS_TOL * (3.0 + d.length()) + 2.0 ** -40 * max(-x0, -y0, x1, y1)
+            boxes[n + k] = (x0 - pad, y0 - pad, x1 + pad, y1 + pad)
+    for i, k in map(sorted, _box_pairs(boxes, 0.0)):
+        if i < n <= k and type(curves[i][1]) is type(pc.domain[k - n]):
+            meets.setdefault(i, []).append(k - n)
+    outer: dict[int, list[Curve]] = {}
+    for i in sorted(meets):
+        gid, c, _ = curves[i]
+        if (length := c.length()) > POS_TOL and sum(curve_overlap_length(c, pc.domain[k])
+                                                    for k in sorted(meets[i])) >= length - POS_TOL:
+            outer.setdefault(gid, []).append(c)
+    return outer
 
 
-def _near(p: Vec2, q: Vec2, tol: float = POS_TOL) -> bool:
-    return (p - q).norm() <= tol
+def _cell(x: float, y: float) -> tuple:
+    """The grid cell of side 2 POS_TOL holding (x, y); a quotient that overflows stays +-inf."""
+    qx, qy = x / (2.0 * POS_TOL), y / (2.0 * POS_TOL)
+    return (math.floor(qx) if math.isfinite(qx) else qx,
+            math.floor(qy) if math.isfinite(qy) else qy)
 
 
-def _cell(v) -> float:
-    # floor(v / (2 POS_TOL)); a quotient that overflows stays +-inf
-    q = float(v) / (2.0 * POS_TOL)
-    return math.floor(q) if math.isfinite(q) else q
-
-
-class _PointIndex:
-    """Tagged points bucketed by grid cells of side 2 * POS_TOL.
-
-    Two points within POS_TOL lie in the same or neighbouring cells even
-    after rounding, so ``near`` only scans the 3 x 3 cells around a point;
-    ``_near`` stays the exact test.
-    """
-
-    def __init__(self, tagged=()):
-        self._cells: dict[tuple, list] = {}
-        for p, tag in tagged:
-            self.add(p, tag)
-
-    def add(self, p: Vec2, tag=None) -> None:
-        self._cells.setdefault((_cell(p.x), _cell(p.y)), []).append((p, tag))
-
-    def near(self, p: Vec2):
-        """Tags of the indexed points within POS_TOL of p."""
-        kx, ky = _cell(p.x), _cell(p.y)
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for q, tag in self._cells.get((kx + dx, ky + dy), ()):
-                    if _near(p, q):
-                        yield tag
-
-    def has_near(self, p: Vec2) -> bool:
-        return any(True for _ in self.near(p))
+def _near(cells: dict, x: float, y: float, key: tuple) -> list:
+    """Tags of the entries (qx, qy, tag) of ``cells`` (``_cell`` key -> entries) within POS_TOL
+    of (x, y), whose cell is ``key``, by the exact test of ``_norm``: the 3 x 3 cells around
+    ``key`` hold every such point, even after rounding."""
+    kx, ky = key
+    return [tag for dx in (-1, 0, 1) for dy in (-1, 0, 1)
+            for qx, qy, tag in cells.get((kx + dx, ky + dy), ())
+            if _norm(x - qx, y - qy) <= POS_TOL]
 
 
 def analyze_boundary(pc: Polycrystal, angular_tol: float = ANGULAR_TOL) -> BoundaryAnalysis:
@@ -518,11 +544,10 @@ def analyze_boundary(pc: Polycrystal, angular_tol: float = ANGULAR_TOL) -> Bound
     be finite and >= 0 (``DomainError`` otherwise).
 
     Outer curves are classified by their shared length with the domain
-    (``_outer_curves_of``).  Curve endpoints, dual points and accepted
-    perpendicular points are then looked up in grid-cell indexes
-    (``_PointIndex``), so that part is linear in the number of boundary
-    curves, not quadratic; dual points keep the order in which the
-    endpoints first meet them.
+    (``_outer_curves``).  Each distinct endpoint of them then gets its grid
+    cell and its neighbours once (``_near``): it is a dual point when none of
+    them is yet and they have two or more grains, so dual points keep the
+    order in which the endpoints first meet them.
     """
     if not 0.0 <= angular_tol < math.inf:
         raise DomainError(f"angular_tol must be finite and >= 0, got {angular_tol!r}")
@@ -533,55 +558,56 @@ def analyze_boundary(pc: Polycrystal, angular_tol: float = ANGULAR_TOL) -> Bound
 
 
 def _analyze_boundary(pc: Polycrystal, angular_tol: float) -> BoundaryAnalysis:
-    outer: dict[int, list[Curve]] = {}
-    for g in pc.grains:
-        curves = _outer_curves_of(pc, g)
-        if curves:
-            outer[g.id] = curves
+    outer = _outer_curves(pc)
     boundary_grains = tuple(sorted(outer))
 
-    endpoints = [(p, gid) for gid, curves in outer.items()
+    endpoints = [(p, gid, (p.x, p.y)) for gid, curves in outer.items()
                  for c in curves for p in (c.start, c.end)]
-    owners = _PointIndex(endpoints)
-    dual: list[Vec2] = []
-    duals = _PointIndex()
-    for p, _ in endpoints:
-        if not duals.has_near(p) and len(set(owners.near(p))) >= 2:
+    owners: dict[tuple, set] = {}  # each distinct endpoint (x, y) -> its grains
+    for _, gid, xy in endpoints:
+        owners.setdefault(xy, set()).add(gid)
+    keys = {xy: _cell(*xy) for xy in owners}
+    cells: dict[tuple, list] = {}
+    for xy, key in keys.items():
+        cells.setdefault(key, []).append((*xy, xy))
+    near = {xy: nb for xy, key in keys.items()  # where two grains meet: point -> neighbours
+            if len(set().union(*map(owners.get, nb := _near(cells, *xy, key)))) >= 2}
+    dual, flagged = [], set()
+    for p, _, xy in endpoints:
+        if xy in near and flagged.isdisjoint(near[xy]):
             dual.append(p)
-            duals.add(p)
+            flagged.add(xy)
+    duals: dict[tuple, list] = {}
+    for xy in flagged:
+        duals.setdefault(keys[xy], []).append((*xy, None))
 
     perp: list[tuple[Vec2, int]] = []
-    perps = _PointIndex()
+    perps: dict[tuple, list] = {}
     for gid in boundary_grains:
-        g = pc.grain_by_id(gid)
-        s = g.slip()
+        s = pc.grain_by_id(gid).slip()
         s_angle = math.atan2(float(s.y), float(s.x))
         for c in outer[gid]:
             if isinstance(c, Segment):
-                if abs(float(c.normal_at(0.5).dot(s))) <= angular_tol:
-                    mid = c.point_at(0.5)
-                    if not duals.has_near(mid):
-                        perp.append((mid, gid))
-                        perps.add(mid, gid)
+                normal = abs(float(c.normal_at(0.5).dot(s))) <= angular_tol
+                found = [c.point_at(0.5)] if normal else []
             else:
-                for t in (s_angle + math.pi / 2, s_angle - math.pi / 2):
-                    if c.covers_angle(t, angular_tol):
-                        pt = c.center + Vec2(math.cos(t), math.sin(t)) * c.radius
-                        if not duals.has_near(pt) and gid not in perps.near(pt):
-                            perp.append((pt, gid))
-                            perps.add(pt, gid)
+                found = [c.center + Vec2(math.cos(t), math.sin(t)) * c.radius
+                         for t in (s_angle + math.pi / 2, s_angle - math.pi / 2)
+                         if c.covers_angle(t, angular_tol)]
+            for pt in found:  # an arc's point is dropped next to one of its grain's too
+                (x, y), key = (pt.x, pt.y), _cell(pt.x, pt.y)
+                if not _near(duals, x, y, key) and (
+                        isinstance(c, Segment) or gid not in _near(perps, x, y, key)):
+                    perp.append((pt, gid))
+                    perps.setdefault(key, []).append((x, y, gid))
 
     j = frozenset(gid for _, gid in perp)
     j_prime = frozenset(gid for gid in boundary_grains
                         if _normals_cover_circle(outer[gid], angular_tol))
     rows = tuple((*pc.grain_by_id(gid).slip().to_floats(), gid in j, *_normal_lines(outer[gid]))
                  for gid in boundary_grains)
-    return BoundaryAnalysis(boundary_grains=boundary_grains,
-                            dual_points=tuple(dual),
-                            perp_points=tuple(perp),
-                            J=j, J_prime=j_prime,
-                            outer_curves=MappingProxyType(outer),
-                            grain_rows=rows)
+    return BoundaryAnalysis(boundary_grains, tuple(dual), tuple(perp), j, j_prime,
+                            MappingProxyType(outer), rows)
 
 
 def _normal_lines(curves) -> tuple[tuple, tuple]:
@@ -605,7 +631,9 @@ def _normal_lines(curves) -> tuple[tuple, tuple]:
             lines.append((math.ldexp(ex, k), math.ldexp(ey, k)))
         else:
             start, sweep = c.ccw_span()
-            (ax, ay), (bx, by) = ((math.cos(t), math.sin(t)) for t in (start, start + sweep))
+            t = start if c.ccw else start + sweep  # the other end is angle_at(1.0): _trig has it
+            a, b = (math.cos(t), math.sin(t)), c._trig[2:]
+            (ax, ay), (bx, by) = (a, b) if c.ccw else (b, a)
             lines += [(-ay, ax), (-by, bx)]
             arcs.append((ax, ay, bx, by, sweep >= math.pi))
     return tuple(lines), tuple(arcs)
@@ -627,23 +655,16 @@ def _normals_cover_circle(curves, angular_tol: float) -> bool:
             return True
         lo = _wrap(lo, math.pi)
         hi = lo + sweep
-        if hi <= math.pi:
-            pieces.append((lo, hi))
-        else:
-            pieces.append((lo, math.pi))
-            pieces.append((0.0, hi - math.pi))
+        pieces += [(lo, hi)] if hi <= math.pi else [(lo, math.pi), (0.0, hi - math.pi)]
     if not pieces:
         return False
     pieces.sort()
-    merged = [list(pieces[0])]
+    reach = pieces[0][1]  # the end of the merged run from pieces[0]
     for lo, hi in pieces[1:]:
-        if lo <= merged[-1][1] + angular_tol:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    if len(merged) > 1:
-        return False
-    return merged[0][0] <= angular_tol and merged[0][1] >= math.pi - angular_tol
+        if not lo <= reach + angular_tol:
+            return False  # a second run
+        reach = max(reach, hi)
+    return pieces[0][0] <= angular_tol and reach >= math.pi - angular_tol
 
 
 # ---------------------------------------------------------------------------
@@ -684,8 +705,7 @@ def outer_bound_perp(pc: Polycrystal, angular_tol: float = ANGULAR_TOL) -> Outer
         if i not in dropped:
             dropped.add(j)  # an earlier kept texture equals it
     directions = [slip_direction(t) for k, t in enumerate(thetas) if k not in dropped]
-    return OuterBound(slip_directions=tuple(directions),
-                      trivial_flag=len(directions) == 0)
+    return OuterBound(slip_directions=tuple(directions), trivial_flag=len(directions) == 0)
 
 
 class _BoundarySamples(FrozenValue):
@@ -729,10 +749,8 @@ def boundary_samples(pc: Polycrystal, n_samples: int = 720,
         s = pc.grain_by_id(gid).slip()
         n = Vec2(-float(s.y), float(s.x))
         blocks[gid].append(np.array([[n.x, n.y], [-n.x, -n.y]]))
-    return _BoundarySamples(
-        normals={gid: np.concatenate(rows) for gid, rows in blocks.items()},
-        analysis=analysis,
-    )
+    return _BoundarySamples(normals={gid: np.concatenate(rows) for gid, rows in blocks.items()},
+                            analysis=analysis)
 
 
 def compatible_with_normals(F: Mat2, theta: float, normals: np.ndarray,
@@ -919,13 +937,9 @@ def quadrant_disk() -> Polycrystal:
     for i in range(4):
         a = math.pi / 4 + i * math.pi / 2
         b = a + math.pi / 2
-        pa = Vec2(math.cos(a), math.sin(a))
-        pb = Vec2(math.cos(b), math.sin(b))
-        grains.append(Grain(
-            id=i + 1,
-            boundary=(Segment(o, pa), Arc(o, 1.0, a, b, True), Segment(pb, o)),
-            theta=0.0 if i % 2 == 0 else math.pi / 2,
-        ))
+        pa, pb = Vec2(math.cos(a), math.sin(a)), Vec2(math.cos(b), math.sin(b))
+        grains.append(Grain(i + 1, (Segment(o, pa), Arc(o, 1.0, a, b, True), Segment(pb, o)),
+                            0.0 if i % 2 == 0 else math.pi / 2))
     domain = (Arc(o, 1.0, 0.0, TAU, True),)
     return Polycrystal(domain=domain, grains=tuple(grains))
 
@@ -943,35 +957,21 @@ def chord_disk(heights, thetas) -> Polycrystal:
     if len(thetas) != len(hs) + 1:
         raise InvalidPolycrystal("need one texture angle per band")
     o = Vec2(0.0, 0.0)
-
-    def chord_pts(h):
+    ends = []  # per chord, and the points -1 and 1: its left and right ends and their angles
+    for h in [-1.0] + hs + [1.0]:
         x = math.sqrt(max(0.0, 1.0 - h * h))
-        return Vec2(-x, h), Vec2(x, h)
-
-    def ang(p: Vec2) -> float:
-        return math.atan2(float(p.y), float(p.x))
-
+        ends.append((Vec2(-x, h), Vec2(x, h), math.atan2(float(h), -x), math.atan2(float(h), x)))
     grains = []
-    bounds = [-1.0] + hs + [1.0]
     for i, theta in enumerate(thetas):
-        a, b = bounds[i], bounds[i + 1]
-        curves: list[Curve] = []
-        if a == -1.0:
-            lt, rt = chord_pts(b)
-            curves.append(Arc(o, 1.0, ang(lt), ang(rt), True))
-            curves.append(Segment(rt, lt))
-        elif b == 1.0:
-            la, ra = chord_pts(a)
-            curves.append(Segment(la, ra))
-            curves.append(Arc(o, 1.0, ang(ra), ang(la), True))
+        (la, ra, ala, ara), (lb, rb, alb, arb) = ends[i], ends[i + 1]
+        if i == 0:
+            curves = (Arc(o, 1.0, alb, arb, True), Segment(rb, lb))
+        elif i == len(hs):
+            curves = (Segment(la, ra), Arc(o, 1.0, ara, ala, True))
         else:
-            la, ra = chord_pts(a)
-            lb, rb = chord_pts(b)
-            curves.append(Segment(la, ra))
-            curves.append(Arc(o, 1.0, ang(ra), ang(rb), True))
-            curves.append(Segment(rb, lb))
-            curves.append(Arc(o, 1.0, ang(lb), ang(la), True))
-        grains.append(Grain(id=i + 1, boundary=tuple(curves), theta=float(theta)))
+            curves = (Segment(la, ra), Arc(o, 1.0, ara, arb, True),
+                      Segment(rb, lb), Arc(o, 1.0, alb, ala, True))
+        grains.append(Grain(id=i + 1, boundary=curves, theta=float(theta)))
     domain = (Arc(o, 1.0, 0.0, TAU, True),)
     return Polycrystal(domain=domain, grains=tuple(grains))
 

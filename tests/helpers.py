@@ -33,7 +33,7 @@ import numpy as np
 from scipy.optimize import bracket as _downhill_bracket
 from scipy.optimize import brentq, minimize_scalar
 
-from polyslip.geometry import (POS_TOL, BoundaryAnalysis, Segment, _grains_adjacent, _near,
+from polyslip.geometry import (POS_TOL, BoundaryAnalysis, Segment, _grains_adjacent,
                                _normals_cover_circle, _textures_equal, analyze_boundary,
                                boundary_samples, compatible_with_normals)
 from polyslip.mat2 import ANGULAR_TOL, DEFAULT_TOL, E1, Mat2, ShearFrame, Vec2, decompose
@@ -287,6 +287,11 @@ def probe_outer_curves(pc, g, designed: bool = False) -> list:
         if all(any(point_on_curve(p, d) for d in domain) for p in probes):
             out.append(c)
     return out
+
+
+def _near(p: Vec2, q: Vec2) -> bool:
+    """The exact coincidence test of the boundary analysis: |p - q| <= POS_TOL."""
+    return (p - q).norm() <= POS_TOL
 
 
 def brute_force_boundary_analysis(pc, angular_tol: float = ANGULAR_TOL,

@@ -74,6 +74,13 @@ def test_rotated_full_circle_keeps_its_sweep():
     (Arc(Vec2(0.0, 0.0), 1.0, 0.0, TAU), TAU),
     (Arc(Vec2(0.0, 0.0), 1.0, 0.0, TAU).rotated(4.569589314312426), TAU),
     (Arc(Vec2(0.0, 0.0), 1.0, 4.569589314312426 + TAU, 4.569589314312426, False), TAU),
+    (Arc(Vec2(0.0, 0.0), 1.0, 4.569589314312426, 4.569589314312426 + TAU), TAU),
+    (Arc(Vec2(0.0, 0.0), 1.0, 0.0, TAU, False), TAU),
+    (Arc(Vec2(0.0, 0.0), 1.0, -PI, PI), TAU),
+    (Arc(Vec2(0.0, 0.0), 1.0, 0.5, PI), PI - 0.5),
+    (Arc(Vec2(0.0, 0.0), 1.0, math.nextafter(PI, 4.0), 2.0, False), 1.1415926535897936),
+    (Arc(Vec2(1e6, -3e5), 0.25, 1.0, 2.0), 1.0),
+    (Arc(Vec2(0.0, -0.0), 1.0, -0.0, 1.0), 1.0),
 ])
 def test_arc_geometry_is_fixed_at_construction(arc, sweep):
     assert arc.sweep() == sweep
@@ -83,7 +90,33 @@ def test_arc_geometry_is_fixed_at_construction(arc, sweep):
     for point, t in ((arc.start, arc.from_angle), (arc.end, arc.from_angle + sign * sweep)):
         assert point == arc.center + Vec2(math.cos(t), math.sin(t)) * arc.radius
     assert (arc.start, arc.end) == (arc.point_at(0.0), arc.point_at(1.0))
+    ends = (arc.start, arc.end, arc.point_at(0.0), arc.point_at(1.0))
+    bits = [[x.hex() for x in p.to_floats()] for p in ends]
+    assert bits[:2] == bits[2:]  # the signs of zeros too
     assert "_sweep" not in repr(arc)
+
+
+_PHI = 4.569589314312426
+
+
+@pytest.mark.parametrize("arc, area", [
+    (Arc(Vec2(0.0, 0.0), 1.0, PI / 3, -PI / 4, False), -0.916297857297023),
+    (Arc(Vec2(0.5, 0.25), 2.0, 2.5, -3.0, False), -11.322583855818534),
+    (Arc(Vec2(0.0, 0.0), 1.0, _PHI, _PHI + TAU), 3.141592653589793),
+    (Arc(Vec2(0.0, 0.0), 1.0, _PHI + TAU, _PHI, False), -3.141592653589793),
+    (Arc(Vec2(0.0, 0.0), 1.0, 0.0, TAU, False), -3.141592653589793),
+    (Arc(Vec2(0.0, 0.0), 1.0, -PI, PI), 3.141592653589793),
+    (Arc(Vec2(0.0, 0.0), 1.0, 0.5, PI), 1.3207963267948966),
+    (Arc(Vec2(0.0, 0.0), 1.0, -PI, -0.5), 1.3207963267948966),
+    (Arc(Vec2(0.0, 0.0), 1.0, math.nextafter(PI, 4.0), 2.0, False), -0.5707963267948968),
+    (Arc(Vec2(1e6, -3e5), 0.25, 1.0, 2.0), -27388.50633834993),
+    (Arc(Vec2(-7.5e8, 1e9), 3.0, -2.0, 2.5, False), -1118745606.8204894),
+    (Arc(Vec2(0.0, -0.0), 1.0, -0.0, 1.0), 0.5),
+])
+def test_arc_area_keeps_its_bits(arc, area):
+    # the Green's-theorem area of the arc alone, pinned bit for bit
+    assert Grain(1, (arc,), 0.0).area().hex() == area.hex()
+    assert (arc.start, arc.end) == (arc.point_at(0.0), arc.point_at(1.0))
 
 
 def test_segment_normal_of_a_tiny_segment():
@@ -245,6 +278,23 @@ def _tiling(domain, cells, thetas, turn=False):
                                     for k, (c, t) in enumerate(zip(cells, thetas))))
 
 
+def _banded_square(bands, split=False):
+    """The unit square cut into horizontal bands of textures 0 and pi/2.
+
+    All endpoints lie on its two vertical sides.  With ``split`` the domain's
+    vertical sides are split at every band corner, as JSON input may give them.
+    """
+    ys = [k / bands for k in range(bands + 1)]
+    pc = _tiling((0.0, 0.0, 1.0, 1.0), [(0.0, a, 1.0, b) for a, b in zip(ys, ys[1:])],
+                 [0.0 if k % 2 == 0 else PI / 2 for k in range(bands)])
+    if not split:
+        return pc
+    right = [Segment(Vec2(1.0, a), Vec2(1.0, b)) for a, b in zip(ys, ys[1:])]
+    left = [Segment(Vec2(0.0, b), Vec2(0.0, a)) for a, b in zip(ys, ys[1:])]
+    return Polycrystal((Segment(Vec2(0.0, 0.0), Vec2(1.0, 0.0)), *right,
+                        Segment(Vec2(1.0, 1.0), Vec2(0.0, 1.0)), *left[::-1]), pc.grains)
+
+
 def _chord_inputs(rng, bands, thetas=None):
     heights = np.sort(rng.uniform(-0.95, 0.95, bands - 1)).tolist()
     if thetas is None:
@@ -297,6 +347,10 @@ def _oracle_cases():
                     Segment(Vec2(-1.0, 0.0), Vec2(1.0, 0.0))), 0.0)
     bottom = Grain(2, (Arc(o, 1.0, PI, 2 * PI), Segment(Vec2(1.0, 0.0), Vec2(-1.0, 0.0))), PI / 2)
     cases.append(("split-arc", Polycrystal((Arc(o, 1.0, 0.0, 2 * PI),), (top, bottom))))
+    # the largest sizes the quadratic oracle allows, on both kinds of many-band input
+    disk = chord_disk(*_chord_inputs(np.random.default_rng(53), 100))
+    cases += [("chord100", disk), ("chord100-rot", disk.rotated(0.37))]
+    cases += [("bands40", _banded_square(40)), ("bands40-split", _banded_square(40, True))]
     return cases
 
 
@@ -442,23 +496,40 @@ def test_equal_texture_error_names_first_adjacent_pair(heights, thetas, pair):
         chord_disk(heights, thetas)
 
 
-def test_near_calls_grow_linearly(monkeypatch):
+def _analysis_calls(monkeypatch, name, polycrystals):
+    """Calls of ``geometry.<name>`` made by ``analyze_boundary`` on each polycrystal."""
     calls = [0]
-    near = geometry._near
+    fn = getattr(geometry, name)
 
-    def counted(p, q, tol=POS_TOL):
+    def counted(*args):
         calls[0] += 1
-        return near(p, q, tol)
+        return fn(*args)
 
-    monkeypatch.setattr(geometry, "_near", counted)
+    monkeypatch.setattr(geometry, name, counted)
     counts = []
-    for bands in (100, 400):
-        rng = np.random.default_rng(bands)
-        pc = chord_disk(*_chord_inputs(rng, bands))
+    for pc in polycrystals:
         calls[0] = 0
         analyze_boundary(pc)
         counts.append(calls[0])
-    assert counts[1] <= 6 * counts[0]  # linear is 4x; all pairs is about 16x
+    return counts
+
+
+def test_near_calls_grow_linearly(monkeypatch):
+    # _norm makes the exact test |p - q| <= POS_TOL of every neighbour query
+    polycrystals = []
+    for bands in (100, 400):
+        polycrystals += [chord_disk(*_chord_inputs(np.random.default_rng(bands), bands)),
+                         _banded_square(bands), _banded_square(bands, True)]
+    counts = _analysis_calls(monkeypatch, "_norm", polycrystals)
+    for small, large in zip(counts[:3], counts[3:]):
+        assert 0 < large <= 6 * small  # linear is 4x; all pairs is about 16x
+
+
+def test_overlap_calls_grow_linearly(monkeypatch):
+    # the split square's domain grows with it: pairing every curve with it grows 16x
+    counts = _analysis_calls(monkeypatch, "curve_overlap_length",
+                             [_banded_square(100, True), _banded_square(400, True)])
+    assert 0 < counts[1] <= 6 * counts[0]
 
 
 def test_thousand_band_disk_builds_and_analyzes():
