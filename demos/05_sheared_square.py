@@ -18,7 +18,7 @@ print(f"gamma = {gamma}, boundary strain F =")
 for row in b.F_gamma.to_rows():
     print(f"   {row}")
 
-report = verify(b)  # tol = 0: every check is exact rational arithmetic
+report = verify(b)  # tol = 0: every check is an identity between ints over one denominator
 print("\nexact checks:")
 for name, ok in report.as_dict().items():
     print(f"  {name:15s} {ok}")

@@ -13,11 +13,15 @@ Since the texture {e1, e2} pins the constant-strain bound to rotations
 while F_gamma is a rotation only at gamma = 0, every nonzero gamma in
 range exhibits an attainable boundary strain outside that bound.
 
-With rational gamma the whole construction is rational and ``verify``
-checks continuity, incompressibility, membership, boundary trace and the
-jump conditions with zero arithmetic error.  The cell layout does not
-depend on gamma: its interfaces, and the one cell owning each domain edge
-(where the boundary trace is probed), are derived once at import.
+With rational gamma, and a rational pre-rotation if any, the map is
+rational; ``build`` assembles it on ints, and ``verify`` checks
+continuity, incompressibility, membership, boundary trace and the jump
+conditions as identities between ints over one common denominator D, the
+least common multiple of the denominators of every cell's A and b and of
+F_gamma: zero arithmetic error.  Float and mixed builds, and any tol > 0,
+keep the tolerance semantics.  The cell layout does not depend on gamma:
+its interfaces, the translation walk and the one cell owning each domain
+edge (where the boundary trace is probed) are derived once at import.
 """
 
 from __future__ import annotations
@@ -28,8 +32,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import GammaOutOfRange
-from .mat2 import E1, E2, FrozenValue, Mat2, Vec2, det_is_one, is_SO2
-from .slip import in_N
+from .mat2 import FrozenValue, Mat2, Vec2, is_SO2
+from .slip import image_norm2
 from .svg import SvgCanvas
 from .taylor import is_trivial, normalize
 
@@ -78,6 +82,40 @@ _EDGE_OWNERS = tuple(
     (a, b, next(name for name, vv in _CELL_VERTICES.items() if a in vv and b in vv))
     for a, b in zip(DOMAIN_CORNERS, DOMAIN_CORNERS[1:] + DOMAIN_CORNERS[:1]))
 
+#: ``_INTERFACES`` with the common vertices as integer vectors.
+_INTERFACE_VECS = tuple((n1, n2, Vec2(*p), Vec2(*q)) for n1, n2, p, q in _INTERFACES)
+
+#: The vertices of each cell as integer vectors.
+_CELL_VECS = {name: tuple(Vec2(x, y) for x, y in vv) for name, vv in _CELL_VERTICES.items()}
+
+#: Index into ``_gradients`` of each cell's gradient.
+_GRADIENT_OF_CELL = {"S": 0, "T1": 1, "T5": 1, "T3": 2, "T7": 2, "T2": 3, "T6": 3, "T4": 4, "T8": 4}
+
+
+def _translation_walk() -> tuple:
+    """(cell, next cell, common vertex) steps reaching every cell from S across interfaces."""
+    seen, queue, steps = {"S"}, ["S"], []
+    while queue:
+        cur = queue.pop()
+        for n1, n2, p, _ in _INTERFACE_VECS:
+            nxt = n2 if n1 == cur else n1 if n2 == cur else None
+            if nxt is not None and nxt not in seen:
+                seen.add(nxt)
+                steps.append((cur, nxt, p))
+                queue.append(nxt)
+    return tuple(steps)
+
+
+_WALK = _translation_walk()
+
+#: (cell, 3p) for the start corner and the two interior third points p of each
+#: domain edge; 3p is an integer vector.
+_TRACE_POINTS = tuple((owner, Vec2(3 * ax + k * (bx - ax), 3 * ay + k * (by - ay)))
+                      for (ax, ay), (bx, by), owner in _EDGE_OWNERS for k in range(3))
+
+#: The slip direction of each grain as an integer column.
+_SLIP = {"e1": Vec2(1, 0), "e2": Vec2(0, 1)}
+
 
 class Cell(FrozenValue):
     """One affine piece x -> A x + b on a convex polygon."""
@@ -116,7 +154,7 @@ class PwAffineMap(FrozenValue):
     def interfaces(self) -> list[tuple[Cell, Cell, Vec2, Vec2]]:
         """Pairs of cells sharing an edge, with the shared endpoints."""
         by_name = {c.name: c for c in self.cells}
-        return [(by_name[n1], by_name[n2], Vec2(*p), Vec2(*q)) for n1, n2, p, q in _INTERFACES]
+        return [(by_name[n1], by_name[n2], p, q) for n1, n2, p, q in _INTERFACE_VECS]
 
 
 class ShearSquareBuild(FrozenValue):
@@ -144,20 +182,15 @@ def _checked_gamma(gamma):
     return gamma
 
 
-def _gradients(gamma) -> dict[str, Mat2]:
+def _gradients(gamma) -> tuple[Mat2, ...]:
+    """The five distinct cell gradients, indexed by ``_GRADIENT_OF_CELL``."""
     one = Fraction(1) if not isinstance(gamma, float) else 1.0
     h = one / 2
-    a15 = Mat2(1 + gamma, 3 * gamma - 1, one, 3 * one) * h
-    a37 = Mat2(3 + gamma, gamma - 1, one, one) * h
-    a26 = Mat2(1 + 3 * gamma, gamma - 1, 3 * one, one) * h
-    a48 = Mat2(1 + gamma, gamma - 3, one, one) * h
-    return {
-        "S": Mat2(one, gamma * one, 0 * one, one),
-        "T1": a15, "T5": a15,
-        "T3": a37, "T7": a37,
-        "T2": a26, "T6": a26,
-        "T4": a48, "T8": a48,
-    }
+    return (Mat2(one, gamma * one, 0 * one, one),
+            Mat2(1 + gamma, 3 * gamma - 1, one, 3 * one) * h,
+            Mat2(3 + gamma, gamma - 1, one, one) * h,
+            Mat2(1 + 3 * gamma, gamma - 1, 3 * one, one) * h,
+            Mat2(1 + gamma, gamma - 3, one, one) * h)
 
 
 def boundary_matrix(gamma) -> Mat2:
@@ -177,33 +210,46 @@ def build(gamma, pre_rotation: Optional[Mat2] = None) -> ShearSquareBuild:
     a cell would leave its strain set.
     """
     gamma = _checked_gamma(gamma)
-    grads = _gradients(gamma)
-    f_gamma = boundary_matrix(gamma)
+    mats = [*_gradients(gamma), boundary_matrix(gamma)]
     if pre_rotation is not None:
-        grads = {name: pre_rotation @ A for name, A in grads.items()}
-        f_gamma = pre_rotation @ f_gamma
-
-    verts = {name: tuple(Vec2(x, y) for x, y in vv) for name, vv in _CELL_VERTICES.items()}
-    zero = Vec2(0 * grads["S"].a11, 0 * grads["S"].a11)
+        mats.append(pre_rotation)
+    # A rational map is assembled on ints: each entry is multiplied once by
+    # D, the common denominator of the gradients, F_gamma and the rotation,
+    # so the walk below adds no Fractions; each entry is divided back at the end.
+    entries = [x for M in mats for x in (M.a11, M.a12, M.a21, M.a22)]
+    scaled = _one_denominator(entries)
+    d, entries = scaled or (1, entries)
+    mats = [Mat2(*entries[i:i + 4]) for i in range(0, len(entries), 4)]
+    if pre_rotation is not None:
+        rot = mats.pop()
+        mats = [rot @ M for M in mats]
+        d *= d  # (D R)(D A) = D^2 R A
+    grads = {name: mats[i] for name, i in _GRADIENT_OF_CELL.items()}
+    zero = Vec2(0 * mats[0].a11, 0 * mats[0].a11)
 
     # Translations follow from continuity: walk the interfaces from S and
     # match values at a shared vertex; finally shift so v(0,0) = (0,0).
     b = {"S": zero}
-    queue = ["S"]
-    while queue:
-        cur = queue.pop()
-        for n1, n2, p, _ in _INTERFACES:
-            nxt = n2 if n1 == cur else n1 if n2 == cur else None
-            if nxt is not None and nxt not in b:
-                pt = Vec2(*p)
-                b[nxt] = (grads[cur] @ pt + b[cur]) - grads[nxt] @ pt
-                queue.append(nxt)
+    for cur, nxt, p in _WALK:
+        b[nxt] = (grads[cur] @ p + b[cur]) - grads[nxt] @ p
     v00 = grads["T1"] @ zero + b["T1"]
     b = {name: bb - v00 for name, bb in b.items()}
+    if scaled:
+        mats = [Mat2(*[Fraction(x, d) for x in (M.a11, M.a12, M.a21, M.a22)]) for M in mats]
+        b = {name: Vec2(Fraction(bb.x, d), Fraction(bb.y, d)) for name, bb in b.items()}
 
-    cells = tuple(Cell(name=name, vertices=vv, A=grads[name], b=b[name])
-                  for name, vv in verts.items())
-    return ShearSquareBuild(gamma=gamma, map=PwAffineMap(cells=cells), F_gamma=f_gamma)
+    cells = tuple(Cell(name=name, vertices=vv, A=mats[_GRADIENT_OF_CELL[name]], b=b[name])
+                  for name, vv in _CELL_VECS.items())
+    return ShearSquareBuild(gamma=gamma, map=PwAffineMap(cells=cells), F_gamma=mats[-1])
+
+
+def _one_denominator(xs: list) -> Optional[tuple[int, list]]:
+    """(D, [D x for x in xs]) for the least common denominator D of xs, the
+    products as ints; None unless every x is an int or a ``Fraction``."""
+    if not all(isinstance(x, (int, Fraction)) for x in xs):
+        return None
+    d = math.lcm(*[x.denominator for x in xs])
+    return d, [x.numerator * (d // x.denominator) for x in xs]
 
 
 _CHECKS = ("continuity", "determinant", "membership", "boundary_trace", "rank_one_jumps")
@@ -232,54 +278,69 @@ class VerificationReport(FrozenValue):
 
 
 def verify(build_: ShearSquareBuild, tol: Optional[float] = None) -> VerificationReport:
-    """Run the five checks; exact (tol = 0) for rational builds.
+    """Run the five checks, on ints for a rational build.
 
-    (a) value agreement at both endpoints of all internal interfaces,
-    (b) unit determinant on every cell, (c) strain-set membership per
-    ``GRAIN_OF_CELL``, (d) boundary trace equal to x -> F_gamma x at the
-    start corner and the two interior third points of each domain edge,
-    evaluated in the one cell owning that edge,
-    (e) gradient jumps across interfaces annihilate the edge direction
-    (rank-one with the edge normal).
+    A build is rational when every entry of its cells' A and b and of
+    F_gamma is an int or a ``Fraction``.  At tol = 0, its default, each
+    entry is then multiplied once by D, the least common multiple of their
+    denominators, and each check is an identity between ints.  D is read off
+    the built map, so the check stays independent of ``build``.  A float or
+    mixed build, or any tol > 0, is checked on its own entries (D = 1), each
+    residual within tol (default 1e-9).
+
+    (a) continuity, D(A1 v + b1) = D(A2 v + b2) at both ends v of every
+    internal interface; (b) det(DA) = D^2 on every cell; (c) strain-set
+    membership per ``GRAIN_OF_CELL``, (b) and |DA s|^2 <= D^2 (1 + tol)^2
+    with the slip s an integer column; (d) the boundary trace x -> F_gamma x
+    at the start corner and the two interior third points p of each domain
+    edge, in the one cell owning that edge, on the integer point 3p:
+    DA(3p) + 3Db = DF(3p) within 3 tol; (e) gradient jumps annihilate the
+    edge direction (rank-one with the edge normal): D(A1 - A2)(q - p) = 0.
     """
+    cells, F = build_.map.cells, build_.F_gamma
+    entries = [x for c in cells for x in (c.A.a11, c.A.a12, c.A.a21, c.A.a22, c.b.x, c.b.y)]
+    entries += (F.a11, F.a12, F.a21, F.a22)
+    scaled = _one_denominator(entries)
     if tol is None:
-        tol = 0.0 if build_.exact else 1e-9
+        tol = 0 if scaled else 1e-9
+    d = 1
+    if scaled and tol == 0:
+        d, entries = scaled
+        tol = 0  # an int, so D^2 (1 + tol)^2 stays exact
+    A, b = {}, {}
+    for i, c in enumerate(cells):
+        a11, a12, a21, a22, bx, by = entries[6 * i:6 * i + 6]
+        A[c.name], b[c.name] = Mat2(a11, a12, a21, a22), Vec2(bx, by)
+    F = Mat2(*entries[-4:])
     failures = []
-    pam = build_.map
 
     continuity = True
     jumps = True
-    for c1, c2, p, q in pam.interfaces():
-        if not all(_within(c1.value(v) - c2.value(v), tol) for v in (p, q)):
+    for n1, n2, p, q in _INTERFACE_VECS:
+        if not all(_within(A[n1] @ v + b[n1] - (A[n2] @ v + b[n2]), tol) for v in (p, q)):
             continuity = False
-            failures.append(f"continuity: {c1.name}|{c2.name}")
-        jump = c1.A - c2.A
-        if not _within(jump @ (q - p), tol):
+            failures.append(f"continuity: {n1}|{n2}")
+        if not _within((A[n1] - A[n2]) @ (q - p), tol):
             jumps = False
-            failures.append(f"jump: {c1.name}|{c2.name}")
+            failures.append(f"jump: {n1}|{n2}")
 
     determinant = True
     membership = True
-    slip_of = {"e1": E1, "e2": E2}
-    for cell in pam.cells:
-        if not det_is_one(cell.A.det(), tol):
+    unit2 = d * d * (1 + tol) * (1 + tol)
+    for name, a in A.items():
+        det_ok = abs(a.det() - d * d) <= tol
+        if not det_ok:
             determinant = False
-            failures.append(f"det: {cell.name}")
-        s = slip_of[GRAIN_OF_CELL[cell.name]]
-        if not in_N(cell.A, s, tol):
+            failures.append(f"det: {name}")
+        if not (det_ok and image_norm2(a, _SLIP[GRAIN_OF_CELL[name]]) <= unit2):
             membership = False
-            failures.append(f"membership: {cell.name}")
+            failures.append(f"membership: {name}")
 
     boundary = True
-    thirds = (0, Fraction(1, 3), Fraction(2, 3)) if build_.exact else (0, 1 / 3, 2 / 3)
-    for a, bb, owner in _EDGE_OWNERS:
-        cell = pam.cell(owner)
-        a, bb = Vec2(*a), Vec2(*bb)
-        for lam in thirds:
-            p = a + (bb - a) * lam
-            if not _within(cell.value(p) - build_.F_gamma @ p, tol):
-                boundary = False
-                failures.append(f"boundary trace at {p.to_floats()}")
+    for owner, q in _TRACE_POINTS:
+        if not _within(A[owner] @ q + b[owner] * 3 - F @ q, 3 * tol):
+            boundary = False
+            failures.append(f"boundary trace at {(q.x / 3, q.y / 3)}")  # the floats nearest p
 
     return VerificationReport(continuity=continuity, determinant=determinant,
                               membership=membership, boundary_trace=boundary,
@@ -287,8 +348,8 @@ def verify(build_: ShearSquareBuild, tol: Optional[float] = None) -> Verificatio
 
 
 def _within(v: Vec2, tol) -> bool:
-    """|v.x| <= tol and |v.y| <= tol; False for NaN."""
-    return abs(float(v.x)) <= tol and abs(float(v.y)) <= tol
+    """|v.x| <= tol and |v.y| <= tol, compared exactly; False for NaN."""
+    return abs(v.x) <= tol and abs(v.y) <= tol
 
 
 def average_gradient(build_: ShearSquareBuild) -> Mat2:

@@ -42,12 +42,20 @@ def image_norm2(F: Mat2, s: Vec2):
 
 
 def in_M(F: Mat2, s: Vec2, tol: float = DEFAULT_TOL) -> bool:
-    """True iff det F = 1 and |Fs| = 1, within tol. Exact for tol=0."""
+    """True iff det F = 1 and |Fs| = 1, within tol.
+
+    Exact for tol=0 only when F and s both have exact (int or ``Fraction``)
+    entries; ``mat2.E1`` and ``E2`` are floats, so pass ``Vec2(1, 0)`` or
+    ``Vec2(0, 1)`` for an exact test.
+    """
     return is_sl2(F, tol) and norm2_is_one(image_norm2(F, s), tol)
 
 
 def in_N(F: Mat2, s: Vec2, tol: float = DEFAULT_TOL) -> bool:
-    """True iff det F = 1 within tol and |Fs| <= 1 + tol. Exact for tol=0."""
+    """True iff det F = 1 within tol and |Fs| <= 1 + tol.
+
+    Exact for tol=0 only when F and s both have exact entries, as for ``in_M``.
+    """
     return is_sl2(F, tol) and norm2_at_most_one(image_norm2(F, s), tol)
 
 

@@ -1,9 +1,10 @@
+import math
 from fractions import Fraction
 
 import pytest
 
 from polyslip.errors import GammaOutOfRange
-from polyslip.mat2 import E1, E2, Mat2, Vec2, is_SO2, rotation
+from polyslip.mat2 import E1, Mat2, Vec2, is_SO2, rotation
 from polyslip.shear_square import (_CELL_VERTICES, _EDGE_OWNERS, _INTERFACES, DOMAIN_CORNERS,
                                    GAMMA_MAX, GRAIN_OF_CELL, PwAffineMap, ShearSquareBuild,
                                    average_gradient, boundary_matrix, build,
@@ -139,7 +140,59 @@ _TAMPERED = {
     # every comparison with a NaN residual fails
     "nan_S": (_tampered(build(0.25), "S", A=Mat2(float("nan"), 0.25, 0.0, 1.0)),
               {"continuity", "determinant", "membership", "rank_one_jumps"}),
+    # a residual far below the smallest float still counts
+    "shift_T8_1e-400": (_tampered(_GOOD, "T8", b=_GOOD.map.cell("T8").b
+                                  + Vec2(Fraction(1, 10**400), Fraction(0))),
+                        {"continuity", "boundary_trace"}),
+    # det 1, and |A e1|^2 = 1 + 1e-20 rounds to 1 as a float
+    "stretch_S_1e-20": (_tampered(_GOOD, "S", A=Mat2(Fraction(1), HALF, Fraction(1, 10**10),
+                                                     1 + HALF / 10**10)),
+                        {"continuity", "membership", "rank_one_jumps"}),
 }
+
+
+def _denominator(build_) -> int:
+    """D: the lcm of the denominators of every cell's A and b and of F_gamma."""
+    entries = [*(x for c in build_.map.cells
+                 for x in (c.A.a11, c.A.a12, c.A.a21, c.A.a22, c.b.x, c.b.y)),
+               build_.F_gamma.a11, build_.F_gamma.a12, build_.F_gamma.a21, build_.F_gamma.a22]
+    return math.lcm(*(Fraction(x).denominator for x in entries))
+
+
+def _nudged(build_, check):
+    """``build_`` with one entry moved by 1/D^2 so that ``check`` fails, and the checks that fail."""
+    eps = Fraction(1, _denominator(build_) ** 2)
+    S = build_.map.cell("S")
+    a11, a12, a21, a22 = S.A.a11, S.A.a12, S.A.a21, S.A.a22
+    assert (a11, a21, a22) == (1, 0, 1)  # S = [[1, gamma], [0, 1]]
+    if check == "continuity":
+        return _tampered(build_, "S", b=S.b + Vec2(eps, 0)), {"continuity"}
+    if check == "determinant":  # det 1 + eps, so S leaves N(e1) too
+        return (_tampered(build_, "S", A=Mat2(a11, a12, a21, a22 + eps)),
+                {"continuity", "determinant", "membership", "rank_one_jumps"})
+    if check == "membership":  # |A e1|^2 = 1 + eps^2; a22 keeps det 1
+        return (_tampered(build_, "S", A=Mat2(a11, a12, a21 + eps, a22 + a12 * eps)),
+                {"continuity", "membership", "rank_one_jumps"})
+    if check == "boundary_trace":
+        F = build_.F_gamma
+        return _replace(build_, F_gamma=Mat2(F.a11 + eps, F.a12, F.a21, F.a22)), {"boundary_trace"}
+    assert check == "rank_one_jumps"  # the jump breaks continuity at an interface end too
+    return (_tampered(build_, "S", A=Mat2(a11, a12 + eps, a21, a22)),
+            {"continuity", "rank_one_jumps"})
+
+
+_NUDGE_GAMMAS = {"half": HALF, "denominator_1e200": Fraction(-7 * 10**199 + 3, 10**200 + 1)}
+
+
+@pytest.mark.parametrize("check", ["continuity", "determinant", "membership", "boundary_trace",
+                                   "rank_one_jumps"])
+@pytest.mark.parametrize("gamma", list(_NUDGE_GAMMAS))
+def test_each_check_catches_an_entry_moved_by_one_over_d_squared(gamma, check):
+    good = build(_NUDGE_GAMMAS[gamma])
+    assert verify(good).all_passed
+    bad, failing = _nudged(good, check)
+    failed = {name for name, ok in verify(bad).as_dict().items() if ok is False}
+    assert failed == failing | {"all_passed"}
 
 
 @pytest.mark.parametrize("name", list(_TAMPERED))
@@ -148,6 +201,58 @@ def test_each_check_fails_on_a_tampered_build(name):
     report = verify(bad)
     failed = {check for check, ok in report.as_dict().items() if ok is False}
     assert failed == failing | {"all_passed"}
+
+
+def test_failure_strings_are_pinned():
+    def failures(name):
+        return verify(_TAMPERED[name][0]).failures
+
+    assert failures("shift_T8") == (
+        "continuity: T1|T8", "continuity: T7|T8", "boundary trace at (0.0, 0.0)",
+        "boundary trace at (1.0, -0.3333333333333333)",
+        "boundary trace at (2.0, -0.6666666666666666)")
+    assert failures("double_F") == (
+        "boundary trace at (1.0, -0.3333333333333333)",
+        "boundary trace at (2.0, -0.6666666666666666)", "boundary trace at (3.0, -1.0)",
+        "boundary trace at (3.3333333333333335, 0.0)",
+        "boundary trace at (3.6666666666666665, 1.0)", "boundary trace at (4.0, 2.0)",
+        "boundary trace at (3.0, 2.3333333333333335)",
+        "boundary trace at (2.0, 2.6666666666666665)", "boundary trace at (1.0, 3.0)",
+        "boundary trace at (0.6666666666666666, 2.0)",
+        "boundary trace at (0.3333333333333333, 1.0)")
+    assert failures("stretch_S") == (
+        "continuity: S|T1", "jump: S|T1", "continuity: S|T3", "jump: S|T3",
+        "continuity: S|T5", "jump: S|T5", "continuity: S|T7", "jump: S|T7", "membership: S")
+    # a float build labels each trace probe by the same nearest floats to the true point
+    float_build = build(0.5)
+    assert verify(_replace(float_build, F_gamma=float_build.F_gamma * 2)).failures == \
+        failures("double_F")
+
+
+def _pythagorean(a, b, c):
+    return Mat2(Fraction(a, c), Fraction(-b, c), Fraction(b, c), Fraction(a, c))
+
+
+@pytest.mark.parametrize("gamma", [HALF, Fraction(-7, 10), Fraction(0),
+                                   Fraction(-5 * 10**11 + 7, 10**12 + 39)])
+def test_rational_pre_rotation_rotates_every_cell_exactly(gamma):
+    plain = build(gamma)
+    for R in (_pythagorean(3, 4, 5), _pythagorean(5, 12, 13) @ _pythagorean(8, 15, 17)):
+        rotated = build(gamma, pre_rotation=R)
+        assert rotated.F_gamma == R @ plain.F_gamma
+        for cell, ref in zip(rotated.map.cells, plain.map.cells):
+            assert (cell.name, cell.A, cell.b) == (ref.name, R @ ref.A, R @ ref.b)
+            assert all(type(x) is Fraction for x in (cell.A.a11, cell.A.a12, cell.A.a21,
+                                                     cell.A.a22, cell.b.x, cell.b.y))
+        assert verify(rotated).all_passed
+
+
+def test_mixed_build_is_checked_within_the_float_tolerance():
+    # rational gamma under a float rotation: float entries, so tol 1e-9 by default
+    b = build(HALF, pre_rotation=rotation(0.8))
+    assert isinstance(b.map.cell("S").A.a11, float)
+    assert verify(b).all_passed
+    assert not verify(b, tol=0).all_passed
 
 
 def test_conclusion_flags():
@@ -177,7 +282,7 @@ def test_center_and_flank_cells_agree_on_the_diagonal():
 def test_membership_split_by_grain():
     b = build(HALF)
     for cell in b.map.cells:
-        s = E1 if GRAIN_OF_CELL[cell.name] == "e1" else E2
+        s = Vec2(1, 0) if GRAIN_OF_CELL[cell.name] == "e1" else Vec2(0, 1)
         assert in_N(cell.A, s, tol=0)
 
 
