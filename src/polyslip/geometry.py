@@ -237,8 +237,8 @@ def _segment_overlap_length(a: Segment, b: Segment) -> float:
     ua = da * (1.0 / la)
     if abs(ua.cross(db)) > POS_TOL * max(1.0, db.norm()):  # directions not parallel
         return 0.0
-    if abs(ua.cross(b.p - a.p)) > POS_TOL:
-        return 0.0
+    if abs(ua.cross(b.p - a.p)) > POS_TOL or abs(ua.cross(b.q - a.p)) > POS_TOL:
+        return 0.0  # either end of b off a's line
     t1, t2 = ua.dot(b.p - a.p), ua.dot(b.q - a.p)
     lo, hi = min(t1, t2), max(t1, t2)
     return max(0.0, min(hi, la) - max(lo, 0.0))

@@ -13,15 +13,21 @@ Since the texture {e1, e2} pins the constant-strain bound to rotations
 while F_gamma is a rotation only at gamma = 0, every nonzero gamma in
 range exhibits an attainable boundary strain outside that bound.
 
-With rational gamma, and a rational pre-rotation if any, the map is
-rational; ``build`` assembles it on ints, and ``verify`` checks
-continuity, incompressibility, membership, boundary trace and the jump
-conditions as identities between ints over one common denominator D, the
-least common multiple of the denominators of every cell's A and b and of
-F_gamma: zero arithmetic error.  Float and mixed builds, and any tol > 0,
-keep the tolerance semantics.  The cell layout does not depend on gamma:
-its interfaces, the translation walk and the one cell owning each domain
-edge (where the boundary trace is probed) are derived once at import.
+The cell gradients and F_gamma are affine in gamma, written once in
+``_AFFINE``.  With rational gamma = p/q, and a rational pre-rotation if
+any, the map is rational: ``build`` forms the gradients as ints in p and q
+and assembles the map on ints.  Each build's map is lifted once to ints
+over one common denominator D, the least common multiple of the
+denominators of every cell's A and b and of F_gamma, read off the built
+map alone.  ``verify`` checks continuity, incompressibility, membership,
+boundary trace and the jump conditions on that lift as identities between
+ints: zero arithmetic error.  ``average_gradient`` sums the same lift, and
+``mesh_dict`` and ``render_svg`` evaluate each vertex on it, each float
+the one nearest the exact value.  Float and mixed builds take the same
+steps on their own entries (D = 1) and keep the tolerance semantics, as
+does any tol > 0.  The cell layout does not depend on gamma: its
+interfaces, areas, the translation walk and the one cell owning each
+domain edge (where the boundary trace is probed) are derived once at import.
 """
 
 from __future__ import annotations
@@ -88,7 +94,7 @@ _INTERFACE_VECS = tuple((n1, n2, Vec2(*p), Vec2(*q)) for n1, n2, p, q in _INTERF
 #: The vertices of each cell as integer vectors.
 _CELL_VECS = {name: tuple(Vec2(x, y) for x, y in vv) for name, vv in _CELL_VERTICES.items()}
 
-#: Index into ``_gradients`` of each cell's gradient.
+#: Index into ``_AFFINE`` of each cell's gradient.
 _GRADIENT_OF_CELL = {"S": 0, "T1": 1, "T5": 1, "T3": 2, "T7": 2, "T2": 3, "T6": 3, "T4": 4, "T8": 4}
 
 
@@ -107,6 +113,10 @@ def _translation_walk() -> tuple:
 
 
 _WALK = _translation_walk()
+
+#: Twice the area of each cell (the shoelace sum), an int.
+_TWICE_AREA = {name: sum(v.cross(w) for v, w in zip(vv, vv[1:] + vv[:1]))
+               for name, vv in _CELL_VECS.items()}
 
 #: (cell, 3p) for the start corner and the two interior third points p of each
 #: domain edge; 3p is an integer vector.
@@ -131,11 +141,6 @@ class Cell(FrozenValue):
     def value(self, p: Vec2) -> Vec2:
         return self.A @ p + self.b
 
-    def area(self):
-        verts = self.vertices
-        twice = sum(v.cross(verts[(i + 1) % len(verts)]) for i, v in enumerate(verts))
-        return twice / 2 if isinstance(twice, (float,)) else Fraction(twice, 2)
-
 
 class PwAffineMap(FrozenValue):
     """A continuous piecewise-affine map given by its affine cells."""
@@ -158,16 +163,39 @@ class PwAffineMap(FrozenValue):
 
 
 class ShearSquareBuild(FrozenValue):
-    __slots__ = _fields = ("gamma", "map", "F_gamma")
+    """A built map and its boundary strain; ``_lift`` caches ``_lifted`` outside ``_fields``."""
+
+    __slots__ = ("gamma", "map", "F_gamma", "_lift")
+    _fields = ("gamma", "map", "F_gamma")
 
     def __init__(self, gamma, map: PwAffineMap, F_gamma: Mat2):
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "map", map)
         object.__setattr__(self, "F_gamma", F_gamma)
+        object.__setattr__(self, "_lift", None)
 
     @property
     def exact(self) -> bool:
-        return not isinstance(self.gamma, float)
+        """True when every entry of the cells' A and b and of F_gamma is rational."""
+        return _lifted(self)[1] is not None
+
+
+def _lifted(build_: ShearSquareBuild) -> tuple:
+    """(entries, ``_one_denominator(entries)``), read once per build and kept on it.
+
+    The entries are each cell's A and b, six per cell in cell order, then
+    F_gamma's four: read off the built map, not the ints ``build`` assembled
+    it on, so a check of the lift is independent of ``build``.
+    """
+    lift = build_._lift
+    if lift is None:
+        F = build_.F_gamma
+        entries = [x for c in build_.map.cells
+                   for x in (c.A.a11, c.A.a12, c.A.a21, c.A.a22, c.b.x, c.b.y)]
+        entries += (F.a11, F.a12, F.a21, F.a22)
+        lift = (entries, _one_denominator(entries))
+        object.__setattr__(build_, "_lift", lift)
+    return lift
 
 
 def _checked_gamma(gamma):
@@ -182,22 +210,40 @@ def _checked_gamma(gamma):
     return gamma
 
 
-def _gradients(gamma) -> tuple[Mat2, ...]:
-    """The five distinct cell gradients, indexed by ``_GRADIENT_OF_CELL``."""
-    one = Fraction(1) if not isinstance(gamma, float) else 1.0
-    h = one / 2
-    return (Mat2(one, gamma * one, 0 * one, one),
-            Mat2(1 + gamma, 3 * gamma - 1, one, 3 * one) * h,
-            Mat2(3 + gamma, gamma - 1, one, one) * h,
-            Mat2(1 + 3 * gamma, gamma - 1, 3 * one, one) * h,
-            Mat2(1 + gamma, gamma - 3, one, one) * h)
+#: The five distinct cell gradients, indexed by ``_GRADIENT_OF_CELL``, then
+#: F_gamma: (s, entries) with each entry (u, v) standing for (u + v gamma) / s.
+_AFFINE = (
+    (1, ((1, 0), (0, 1), (0, 0), (1, 0))),
+    (2, ((1, 1), (-1, 3), (1, 0), (3, 0))),
+    (2, ((3, 1), (-1, 1), (1, 0), (1, 0))),
+    (2, ((1, 3), (-1, 1), (3, 0), (1, 0))),
+    (2, ((1, 1), (-3, 1), (1, 0), (1, 0))),
+    (5, ((4, 3), (-3, 4), (3, 0), (4, 0))),
+)
+
+
+def _affine(gamma, table=_AFFINE) -> tuple[int, list[Mat2]]:
+    """(d, matrices): d times each matrix of ``table`` at gamma.
+
+    Rational gamma = p/q gives d = 10q and the ints (10/s)(uq + vp); float
+    gamma gives d = 1 and the floats (u + v gamma) * (1/s), multiplied by
+    the float 1/s rather than divided by s, which fixes their last bits.
+    """
+    if isinstance(gamma, float):
+        return 1, [Mat2(*[(u + v * gamma) * (1 / s) for u, v in uvs]) for s, uvs in table]
+    p, q = gamma.numerator, gamma.denominator
+    return 10 * q, [Mat2(*[10 // s * (u * q + v * p) for u, v in uvs]) for s, uvs in table]
+
+
+def _over(M: Mat2, d: int) -> Mat2:
+    """The int matrix M divided by d, as ``Fraction``s."""
+    return Mat2(Fraction(M.a11, d), Fraction(M.a12, d), Fraction(M.a21, d), Fraction(M.a22, d))
 
 
 def boundary_matrix(gamma) -> Mat2:
     """Affine boundary strain of the construction."""
-    one = Fraction(1) if not isinstance(gamma, float) else 1.0
-    fifth = one / 5
-    return Mat2(3 * gamma + 4, 4 * gamma - 3, 3 * one, 4 * one) * fifth
+    d, (F,) = _affine(gamma, _AFFINE[-1:])
+    return F if isinstance(gamma, float) else _over(F, d)
 
 
 def build(gamma, pre_rotation: Optional[Mat2] = None) -> ShearSquareBuild:
@@ -210,20 +256,19 @@ def build(gamma, pre_rotation: Optional[Mat2] = None) -> ShearSquareBuild:
     a cell would leave its strain set.
     """
     gamma = _checked_gamma(gamma)
-    mats = [*_gradients(gamma), boundary_matrix(gamma)]
+    # A rational map is assembled on ints over one common denominator d, so
+    # the walk below adds no Fractions; each entry is divided back at the end.
+    d, mats = _affine(gamma)
+    exact = not isinstance(gamma, float)
     if pre_rotation is not None:
-        mats.append(pre_rotation)
-    # A rational map is assembled on ints: each entry is multiplied once by
-    # D, the common denominator of the gradients, F_gamma and the rotation,
-    # so the walk below adds no Fractions; each entry is divided back at the end.
-    entries = [x for M in mats for x in (M.a11, M.a12, M.a21, M.a22)]
-    scaled = _one_denominator(entries)
-    d, entries = scaled or (1, entries)
-    mats = [Mat2(*entries[i:i + 4]) for i in range(0, len(entries), 4)]
-    if pre_rotation is not None:
-        rot = mats.pop()
-        mats = [rot @ M for M in mats]
-        d *= d  # (D R)(D A) = D^2 R A
+        R = pre_rotation
+        scaled = _one_denominator([R.a11, R.a12, R.a21, R.a22]) if exact else None
+        if scaled:
+            r, entries = scaled
+            R, d = Mat2(*entries), d * r  # (r R)(d A) = r d R A
+        elif exact:  # a float rotation: the exact gradients times its floats
+            mats, d, exact = [_over(M, d) for M in mats], 1, False
+        mats = [R @ M for M in mats]
     grads = {name: mats[i] for name, i in _GRADIENT_OF_CELL.items()}
     zero = Vec2(0 * mats[0].a11, 0 * mats[0].a11)
 
@@ -234,8 +279,8 @@ def build(gamma, pre_rotation: Optional[Mat2] = None) -> ShearSquareBuild:
         b[nxt] = (grads[cur] @ p + b[cur]) - grads[nxt] @ p
     v00 = grads["T1"] @ zero + b["T1"]
     b = {name: bb - v00 for name, bb in b.items()}
-    if scaled:
-        mats = [Mat2(*[Fraction(x, d) for x in (M.a11, M.a12, M.a21, M.a22)]) for M in mats]
+    if exact:
+        mats = [_over(M, d) for M in mats]
         b = {name: Vec2(Fraction(bb.x, d), Fraction(bb.y, d)) for name, bb in b.items()}
 
     cells = tuple(Cell(name=name, vertices=vv, A=mats[_GRADIENT_OF_CELL[name]], b=b[name])
@@ -297,10 +342,8 @@ def verify(build_: ShearSquareBuild, tol: Optional[float] = None) -> Verificatio
     DA(3p) + 3Db = DF(3p) within 3 tol; (e) gradient jumps annihilate the
     edge direction (rank-one with the edge normal): D(A1 - A2)(q - p) = 0.
     """
-    cells, F = build_.map.cells, build_.F_gamma
-    entries = [x for c in cells for x in (c.A.a11, c.A.a12, c.A.a21, c.A.a22, c.b.x, c.b.y)]
-    entries += (F.a11, F.a12, F.a21, F.a22)
-    scaled = _one_denominator(entries)
+    cells = build_.map.cells
+    entries, scaled = _lifted(build_)
     if tol is None:
         tol = 0 if scaled else 1e-9
     d = 1
@@ -353,15 +396,23 @@ def _within(v: Vec2, tol) -> bool:
 
 
 def average_gradient(build_: ShearSquareBuild) -> Mat2:
-    """Area-weighted mean of the cell gradients; equals F_gamma."""
-    total = None
-    area_sum = None
-    for cell in build_.map.cells:
-        a = cell.area()
-        term = cell.A * a
-        total = term if total is None else total + term
-        area_sum = a if area_sum is None else area_sum + a
-    return total * (1 / area_sum)
+    """Area-weighted mean of the cell gradients; equals F_gamma.
+
+    Sums each cell's DA on the lift times twice its area, then makes one
+    ``Fraction`` per entry over D times twice the total area; a float build
+    sums its own entries and multiplies by the float 1/(twice the total).
+    """
+    entries, scaled = _lifted(build_)
+    d, xs = scaled or (1, entries)
+    sums, twice_total = None, 0
+    for i, cell in enumerate(build_.map.cells):
+        w = _TWICE_AREA[cell.name]
+        terms = [x * w for x in xs[6 * i:6 * i + 4]]
+        sums = terms if sums is None else [s + t for s, t in zip(sums, terms)]
+        twice_total += w
+    if scaled:
+        return Mat2(*[Fraction(s, d * twice_total) for s in sums])
+    return Mat2(*[s * (1 / twice_total) for s in sums])
 
 
 def grain_components(build_: ShearSquareBuild) -> list[tuple[str, frozenset]]:
@@ -392,10 +443,14 @@ def grain_components(build_: ShearSquareBuild) -> list[tuple[str, frozenset]]:
     return comps
 
 
+#: Whether the Taylor bound of the texture {e1, e2} is the rotations alone.
+_TAYLOR_TRIVIAL = is_trivial(normalize([0.0, math.pi / 2]))
+
+
 def conclusion(gamma) -> dict:
     """Summary flags: trivial bound, rotation boundary value, separation."""
     gamma = _checked_gamma(gamma)
-    taylor_trivial = is_trivial(normalize([0.0, math.pi / 2]))
+    taylor_trivial = _TAYLOR_TRIVIAL
     if isinstance(gamma, float):
         f_in_so2 = is_SO2(boundary_matrix(gamma), 1e-12)
     else:
@@ -407,25 +462,34 @@ def conclusion(gamma) -> dict:
     }
 
 
+def _image(lift: list, d, i: int, v: Vec2) -> tuple[float, float]:
+    """Cell i's image of v as floats, (DA v + Db) / D on the lift: int true
+    division rounds correctly; on a float build (D = 1) it is ``Cell.value``'s A v + b."""
+    a11, a12, a21, a22, bx, by = lift[6 * i:6 * i + 6]
+    return (a11 * v.x + a12 * v.y + bx) / d, (a21 * v.x + a22 * v.y + by) / d
+
+
 def render_svg(build_: ShearSquareBuild) -> str:
     """Reference and deformed configurations side by side, colored by grain."""
     pam = build_.map
     corners = [Vec2(float(x), float(y)) for x, y in DOMAIN_CORNERS]
     ref_pts = [v for c in pam.cells for v in c.vertices]
-    def_pts = [c.value(v) for c in pam.cells for v in c.vertices]
+    entries, scaled = _lifted(build_)
+    d, lift = scaled or (1, entries)
+    images = [[_image(lift, d, i, v) for v in c.vertices] for i, c in enumerate(pam.cells)]
+    def_pts = [p for cell_images in images for p in cell_images]
     xs = [float(p.x) for p in ref_pts]
-    ys = [float(p.y) for p in ref_pts + def_pts]
-    dxs = [float(p.x) for p in def_pts]
+    ys = [float(p.y) for p in ref_pts] + [y for _, y in def_pts]
+    dxs = [x for x, _ in def_pts]
     shift = max(xs) - min(dxs) + 1.0
     canvas = SvgCanvas(min(xs) - 0.2, min(ys) - 0.2,
                        max(dxs) + shift + 0.2, max(ys) + 0.2, width=900)
     fill = {"e1": "#f4a442", "e2": "#4d9fd6"}
-    for c in pam.cells:
+    for c, cell_images in zip(pam.cells, images):
         color = fill[GRAIN_OF_CELL[c.name]]
         canvas.polygon([p.to_floats() for p in c.vertices], fill=color,
                        stroke="black", stroke_width=0.02, opacity=0.9)
-        canvas.polygon([(float(c.value(v).x) + shift, float(c.value(v).y))
-                        for v in c.vertices], fill=color,
+        canvas.polygon([(x + shift, y) for x, y in cell_images], fill=color,
                        stroke="black", stroke_width=0.02, opacity=0.9)
     canvas.polygon([p.to_floats() for p in corners], fill="none",
                    stroke="black", stroke_width=0.04)
@@ -434,18 +498,20 @@ def render_svg(build_: ShearSquareBuild) -> str:
 
 def mesh_dict(build_: ShearSquareBuild) -> dict:
     """Reference and deformed vertex lists with cell connectivity."""
-    index: dict[tuple[float, float], int] = {}
+    entries, scaled = _lifted(build_)
+    d, lift = scaled or (1, entries)
+    index: dict[tuple, int] = {}
     ref: list[list[float]] = []
     deformed: list[list[float]] = []
     cells_out = []
-    for cell in build_.map.cells:
+    for i, cell in enumerate(build_.map.cells):
         ids = []
         for v in cell.vertices:
-            key = v.to_floats()
+            key = (v.x, v.y)
             if key not in index:
                 index[key] = len(ref)
-                ref.append(list(key))
-                deformed.append(list(cell.value(v).to_floats()))
+                ref.append([float(v.x), float(v.y)])
+                deformed.append(list(_image(lift, d, i, v)))
             ids.append(index[key])
         cells_out.append({"name": cell.name, "vertices": ids,
                           "grain": GRAIN_OF_CELL[cell.name]})

@@ -137,6 +137,15 @@ def test_curve_overlap():
     assert curve_overlap_length(a1, a2) == pytest.approx(PI / 4)
 
 
+def test_segment_overlap_tests_both_ends_of_the_second_segment():
+    # nearly parallel within POS_TOL * |db| and starting on a's line, but b
+    # ends 19 above it and passes about 9.5 above a
+    a = Segment(Vec2(0.0, 0.0), Vec2(1.0, 0.0))
+    b = Segment(Vec2(-1e10, 0.0), Vec2(1e10, 19.0))
+    assert curve_overlap_length(a, b) == 0.0
+    assert curve_overlap_length(a, Segment(b.q, b.p)) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------

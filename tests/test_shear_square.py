@@ -1,4 +1,6 @@
+import hashlib
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -9,7 +11,7 @@ from polyslip.shear_square import (_CELL_VERTICES, _EDGE_OWNERS, _INTERFACES, DO
                                    GAMMA_MAX, GRAIN_OF_CELL, PwAffineMap, ShearSquareBuild,
                                    average_gradient, boundary_matrix, build,
                                    conclusion, grain_components, mesh_dict,
-                                   verify)
+                                   render_svg, verify)
 from polyslip.slip import in_N
 
 HALF = Fraction(1, 2)
@@ -124,6 +126,7 @@ def _tampered(build_, name, **changes):
 
 
 _GOOD = build(HALF)
+_GOOD_FLOAT = build(0.25)
 _TENTH_E1 = Vec2(Fraction(1, 10), Fraction(0))
 _TAMPERED = {
     # T8 owns the edge (0,0)-(3,-1): all three of its probes move
@@ -138,7 +141,7 @@ _TAMPERED = {
                          @ _GOOD.map.cell("S").A),
                {"continuity", "rank_one_jumps"}),
     # every comparison with a NaN residual fails
-    "nan_S": (_tampered(build(0.25), "S", A=Mat2(float("nan"), 0.25, 0.0, 1.0)),
+    "nan_S": (_tampered(_GOOD_FLOAT, "S", A=Mat2(float("nan"), 0.25, 0.0, 1.0)),
               {"continuity", "determinant", "membership", "rank_one_jumps"}),
     # a residual far below the smallest float still counts
     "shift_T8_1e-400": (_tampered(_GOOD, "T8", b=_GOOD.map.cell("T8").b
@@ -203,6 +206,18 @@ def test_each_check_fails_on_a_tampered_build(name):
     assert failed == failing | {"all_passed"}
 
 
+@pytest.mark.parametrize("name", list(_TAMPERED))
+def test_tampered_builds_fail_after_their_original_was_verified(name):
+    # a tampered build shares cells, the map or F_gamma with its original;
+    # the original's kept lift must not stand in for its own
+    bad, failing = _TAMPERED[name]
+    original = _GOOD if bad.gamma == HALF else _GOOD_FLOAT
+    assert verify(original).all_passed
+    for copy in (bad, _replace(bad)):
+        failed = {check for check, ok in verify(copy).as_dict().items() if ok is False}
+        assert failed == failing | {"all_passed"}
+
+
 def test_failure_strings_are_pinned():
     def failures(name):
         return verify(_TAMPERED[name][0]).failures
@@ -255,6 +270,77 @@ def test_mixed_build_is_checked_within_the_float_tolerance():
     assert not verify(b, tol=0).all_passed
 
 
+def test_exact_reads_every_entry():
+    assert build(HALF).exact
+    assert build(HALF, pre_rotation=_pythagorean(3, 4, 5)).exact
+    assert build(0).exact
+    assert not build(0.25).exact
+    assert not build(0.25, pre_rotation=_pythagorean(3, 4, 5)).exact
+    # rational gamma under a float rotation: every entry is a float
+    assert not build(HALF, pre_rotation=rotation(0.8)).exact
+
+
+def test_a_verified_build_is_the_value_of_a_fresh_one():
+    for gamma, R in ((HALF, None), (HALF, _pythagorean(3, 4, 5)), (0.25, None)):
+        verified, fresh = build(gamma, R), build(gamma, R)
+        assert verify(verified).all_passed
+        average_gradient(verified)
+        mesh_dict(verified)
+        assert verified == fresh and hash(verified) == hash(fresh)
+        assert repr(verified) == repr(fresh)
+        assert pickle.dumps(verified) == pickle.dumps(fresh)
+        assert pickle.loads(pickle.dumps(verified)) == fresh
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+_R345 = _pythagorean(3, 4, 5)
+_G200 = Fraction(-7 * 10**199 + 3, 10**200 + 1)
+_PINNED_GAMMAS = {"float": 0.25, "minus_zero": -0.0, "plus_zero": 0.0,
+                  "rational": Fraction(-7, 10), "denominator_1e200": _G200}
+# sha256 prefixes of repr(average_gradient), repr(mesh_dict) and render_svg,
+# recorded before these outputs were computed on the integer lift
+_PINNED_OUTPUTS = {
+    ("float", "none"): ("221ca88ffe29262a", "f50caf7525d415ab", "69f47f4a501619ea"),
+    ("float", "r345"): ("cf0f6e86183b0785", "05cf4fa60324bda5", "76ae77dcbb32e2ca"),
+    ("minus_zero", "none"): ("1477c50e2906681b", "26d2603746910886", "4e7e7df9d6d33f43"),
+    ("minus_zero", "r345"): ("5d8221b9e57d08d3", "576eb5946cef529a", "b70ee24c23cca2a0"),
+    ("plus_zero", "none"): ("1477c50e2906681b", "26d2603746910886", "4e7e7df9d6d33f43"),
+    ("plus_zero", "r345"): ("5d8221b9e57d08d3", "576eb5946cef529a", "b70ee24c23cca2a0"),
+    ("rational", "none"): ("f7d0700fa7d801ea", "66f0d65b0822a433", "3243f280813f9787"),
+    ("rational", "r345"): ("e495ae0f79e05ad7", "1d46901c2e32e3e0", "0fc9e18a8f0f2507"),
+    ("denominator_1e200", "none"): ("9eeae89220c09e2e", "66f0d65b0822a433", "3243f280813f9787"),
+    ("denominator_1e200", "r345"): ("28bf3448c210e383", "1d46901c2e32e3e0", "0fc9e18a8f0f2507"),
+}
+
+
+@pytest.mark.parametrize("case", list(_PINNED_OUTPUTS))
+def test_outputs_are_pinned(case):
+    name, rot = case
+    b = build(_PINNED_GAMMAS[name], _R345 if rot == "r345" else None)
+    got = (_digest(repr(average_gradient(b))), _digest(repr(mesh_dict(b))),
+           _digest(render_svg(b)))
+    assert got == _PINNED_OUTPUTS[case]
+
+
+def test_float_and_mixed_outputs_are_pinned():
+    assert average_gradient(build(0.25)) == Mat2(0.9500000000000001, -0.4, 0.6000000000000001, 0.8)
+    assert mesh_dict(build(0.25))["vertices_deformed"] == [
+        [0.5, 2.0], [1.25, 1.0], [2.5, 2.0], [1.75, 3.0], [0.0, 0.0], [-0.25, 3.0], [3.0, 4.0],
+        [3.25, 1.0]]
+    mixed = build(HALF, pre_rotation=rotation(0.8))
+    assert average_gradient(mixed) == Mat2(0.3359637257421682, -0.7132262145890513,
+                                           1.2071157255977745, 0.4138941492978278)
+    got = (_digest(repr(mesh_dict(mixed))), _digest(render_svg(mixed)))
+    assert got == ("35cec27ba18791a0", "b53173bd516bc012")
+    # each deformed vertex of an exact build is the float nearest its exact value
+    assert mesh_dict(build(_G200, _R345))["vertices_deformed"] == [
+        [-2.44, 0.08], [-0.62, 0.84], [-1.24, 1.68], [-3.06, 0.92], [0.0, 0.0], [-4.26, -0.68],
+        [-3.68, 1.76], [0.58, 2.44]]
+
+
 def test_conclusion_flags():
     assert conclusion(HALF) == {"taylor_trivial": True, "F_in_SO2": False,
                                 "separates": True}
@@ -263,10 +349,12 @@ def test_conclusion_flags():
 
 
 def test_average_gradient_identity_exact():
-    b = build(HALF)
-    assert average_gradient(b) == b.F_gamma
-    b2 = build(Fraction(-2, 5))
-    assert average_gradient(b2) == b2.F_gamma
+    for gamma in (HALF, Fraction(-2, 5), _G200):
+        for R in (None, _R345):
+            b = build(gamma, R)
+            avg = average_gradient(b)
+            assert avg == b.F_gamma
+            assert all(type(x) is Fraction for x in (avg.a11, avg.a12, avg.a21, avg.a22))
 
 
 def test_center_and_flank_cells_agree_on_the_diagonal():
