@@ -25,9 +25,13 @@ ints: zero arithmetic error.  ``average_gradient`` sums the same lift, and
 ``mesh_dict`` and ``render_svg`` evaluate each vertex on it, each float
 the one nearest the exact value.  Float and mixed builds take the same
 steps on their own entries (D = 1) and keep the tolerance semantics, as
-does any tol > 0.  The cell layout does not depend on gamma: its
-interfaces, areas, the translation walk and the one cell owning each
-domain edge (where the boundary trace is probed) are derived once at import.
+does any tol > 0; a tol that is not None, finite and >= 0 is a
+``DomainError``.  One scalar helper, ``_apply``, evaluates every cell,
+A v + k b on its row (a11, a12, a21, a22, bx, by), for ``verify``, the
+translation walk of ``build`` and the mesh.  The cell layout does not
+depend on gamma: its interfaces, areas, the translation walk and the one
+cell owning each domain edge (where the boundary trace is probed) are
+derived once at import.
 """
 
 from __future__ import annotations
@@ -37,9 +41,8 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .errors import GammaOutOfRange
+from .errors import DomainError, GammaOutOfRange
 from .mat2 import FrozenValue, Mat2, Vec2, is_SO2
-from .slip import image_norm2
 from .svg import SvgCanvas
 from .taylor import is_trivial, normalize
 
@@ -88,9 +91,6 @@ _EDGE_OWNERS = tuple(
     (a, b, next(name for name, vv in _CELL_VERTICES.items() if a in vv and b in vv))
     for a, b in zip(DOMAIN_CORNERS, DOMAIN_CORNERS[1:] + DOMAIN_CORNERS[:1]))
 
-#: ``_INTERFACES`` with the common vertices as integer vectors.
-_INTERFACE_VECS = tuple((n1, n2, Vec2(*p), Vec2(*q)) for n1, n2, p, q in _INTERFACES)
-
 #: The vertices of each cell as integer vectors.
 _CELL_VECS = {name: tuple(Vec2(x, y) for x, y in vv) for name, vv in _CELL_VERTICES.items()}
 
@@ -98,33 +98,41 @@ _CELL_VECS = {name: tuple(Vec2(x, y) for x, y in vv) for name, vv in _CELL_VERTI
 _GRADIENT_OF_CELL = {"S": 0, "T1": 1, "T5": 1, "T3": 2, "T7": 2, "T2": 3, "T6": 3, "T4": 4, "T8": 4}
 
 
-def _translation_walk() -> tuple:
-    """(cell, next cell, common vertex) steps reaching every cell from S across interfaces."""
-    seen, queue, steps = {"S"}, ["S"], []
-    while queue:
-        cur = queue.pop()
-        for n1, n2, p, _ in _INTERFACE_VECS:
+def _walk(start: str, joined: tuple) -> tuple:
+    """(cell, next cell, common vertex) steps reaching every cell joined to
+    ``start`` across the interfaces ``joined``, entries of ``_INTERFACES``."""
+    seen, stack, steps = {start}, [start], []
+    while stack:
+        cur = stack.pop()
+        for n1, n2, p, _ in joined:
             nxt = n2 if n1 == cur else n1 if n2 == cur else None
             if nxt is not None and nxt not in seen:
                 seen.add(nxt)
                 steps.append((cur, nxt, p))
-                queue.append(nxt)
+                stack.append(nxt)
     return tuple(steps)
 
 
-_WALK = _translation_walk()
+#: The translation walk of ``build``: every cell from S across all interfaces.
+_WALK = _walk("S", _INTERFACES)
 
 #: Twice the area of each cell (the shoelace sum), an int.
 _TWICE_AREA = {name: sum(v.cross(w) for v, w in zip(vv, vv[1:] + vv[:1]))
                for name, vv in _CELL_VECS.items()}
 
 #: (cell, 3p) for the start corner and the two interior third points p of each
-#: domain edge; 3p is an integer vector.
-_TRACE_POINTS = tuple((owner, Vec2(3 * ax + k * (bx - ax), 3 * ay + k * (by - ay)))
+#: domain edge; 3p is an integer point, and 3p / 3 the floats nearest p.
+_TRACE_POINTS = tuple((owner, (3 * ax + k * (bx - ax), 3 * ay + k * (by - ay)))
                       for (ax, ay), (bx, by), owner in _EDGE_OWNERS for k in range(3))
 
-#: The slip direction of each grain as an integer column.
-_SLIP = {"e1": Vec2(1, 0), "e2": Vec2(0, 1)}
+
+def _apply(row, v, k=0):
+    """A v + k b on the cell row (a11, a12, a21, a22, bx, by) at v = (x, y), in the
+    order of ``A @ v + b``; at k = 0, A v alone from the row's first four entries."""
+    x, y = v
+    if k:
+        return row[0] * x + row[1] * y + k * row[4], row[2] * x + row[3] * y + k * row[5]
+    return row[0] * x + row[1] * y, row[2] * x + row[3] * y
 
 
 class Cell(FrozenValue):
@@ -159,7 +167,7 @@ class PwAffineMap(FrozenValue):
     def interfaces(self) -> list[tuple[Cell, Cell, Vec2, Vec2]]:
         """Pairs of cells sharing an edge, with the shared endpoints."""
         by_name = {c.name: c for c in self.cells}
-        return [(by_name[n1], by_name[n2], p, q) for n1, n2, p, q in _INTERFACE_VECS]
+        return [(by_name[n1], by_name[n2], Vec2(*p), Vec2(*q)) for n1, n2, p, q in _INTERFACES]
 
 
 class ShearSquareBuild(FrozenValue):
@@ -269,21 +277,23 @@ def build(gamma, pre_rotation: Optional[Mat2] = None) -> ShearSquareBuild:
         elif exact:  # a float rotation: the exact gradients times its floats
             mats, d, exact = [_over(M, d) for M in mats], 1, False
         mats = [R @ M for M in mats]
-    grads = {name: mats[i] for name, i in _GRADIENT_OF_CELL.items()}
-    zero = Vec2(0 * mats[0].a11, 0 * mats[0].a11)
+    grads = {name: (mats[i].a11, mats[i].a12, mats[i].a21, mats[i].a22)
+             for name, i in _GRADIENT_OF_CELL.items()}
+    zero = 0 * mats[0].a11
 
     # Translations follow from continuity: walk the interfaces from S and
     # match values at a shared vertex; finally shift so v(0,0) = (0,0).
-    b = {"S": zero}
+    b = {"S": (zero, zero)}
     for cur, nxt, p in _WALK:
-        b[nxt] = (grads[cur] @ p + b[cur]) - grads[nxt] @ p
-    v00 = grads["T1"] @ zero + b["T1"]
-    b = {name: bb - v00 for name, bb in b.items()}
+        (x, y), (ax, ay) = _apply(grads[cur] + b[cur], p, 1), _apply(grads[nxt], p)
+        b[nxt] = (x - ax, y - ay)
+    x0, y0 = _apply(grads["T1"] + b["T1"], (zero, zero), 1)
+    b = {name: (x - x0, y - y0) for name, (x, y) in b.items()}
     if exact:
         mats = [_over(M, d) for M in mats]
-        b = {name: Vec2(Fraction(bb.x, d), Fraction(bb.y, d)) for name, bb in b.items()}
+        b = {name: (Fraction(x, d), Fraction(y, d)) for name, (x, y) in b.items()}
 
-    cells = tuple(Cell(name=name, vertices=vv, A=mats[_GRADIENT_OF_CELL[name]], b=b[name])
+    cells = tuple(Cell(name=name, vertices=vv, A=mats[_GRADIENT_OF_CELL[name]], b=Vec2(*b[name]))
                   for name, vv in _CELL_VECS.items())
     return ShearSquareBuild(gamma=gamma, map=PwAffineMap(cells=cells), F_gamma=mats[-1])
 
@@ -331,7 +341,8 @@ def verify(build_: ShearSquareBuild, tol: Optional[float] = None) -> Verificatio
     denominators, and each check is an identity between ints.  D is read off
     the built map, so the check stays independent of ``build``.  A float or
     mixed build, or any tol > 0, is checked on its own entries (D = 1), each
-    residual within tol (default 1e-9).
+    residual within tol (default 1e-9).  tol must be None or finite and >= 0
+    (``DomainError`` otherwise).
 
     (a) continuity, D(A1 v + b1) = D(A2 v + b2) at both ends v of every
     internal interface; (b) det(DA) = D^2 on every cell; (c) strain-set
@@ -342,7 +353,8 @@ def verify(build_: ShearSquareBuild, tol: Optional[float] = None) -> Verificatio
     DA(3p) + 3Db = DF(3p) within 3 tol; (e) gradient jumps annihilate the
     edge direction (rank-one with the edge normal): D(A1 - A2)(q - p) = 0.
     """
-    cells = build_.map.cells
+    if tol is not None and not 0 <= tol < math.inf:
+        raise DomainError(f"tol must be None or finite and >= 0, got {tol!r}")
     entries, scaled = _lifted(build_)
     if tol is None:
         tol = 0 if scaled else 1e-9
@@ -350,49 +362,38 @@ def verify(build_: ShearSquareBuild, tol: Optional[float] = None) -> Verificatio
     if scaled and tol == 0:
         d, entries = scaled
         tol = 0  # an int, so D^2 (1 + tol)^2 stays exact
-    A, b = {}, {}
-    for i, c in enumerate(cells):
-        a11, a12, a21, a22, bx, by = entries[6 * i:6 * i + 6]
-        A[c.name], b[c.name] = Mat2(a11, a12, a21, a22), Vec2(bx, by)
-    F = Mat2(*entries[-4:])
-    failures = []
+    rows = {c.name: entries[6 * i:6 * i + 6] for i, c in enumerate(build_.map.cells)}
+    failed = []  # (check, failure string), in the report's order
 
-    continuity = True
-    jumps = True
-    for n1, n2, p, q in _INTERFACE_VECS:
-        if not all(_within(A[n1] @ v + b[n1] - (A[n2] @ v + b[n2]), tol) for v in (p, q)):
-            continuity = False
-            failures.append(f"continuity: {n1}|{n2}")
-        if not _within((A[n1] - A[n2]) @ (q - p), tol):
-            jumps = False
-            failures.append(f"jump: {n1}|{n2}")
+    for n1, n2, p, q in _INTERFACES:
+        r1, r2 = rows[n1], rows[n2]
+        if not all(_within(_apply(r1, v, 1), _apply(r2, v, 1), tol) for v in (p, q)):
+            failed.append(("continuity", f"continuity: {n1}|{n2}"))
+        jump = [x - y for x, y in zip(r1[:4], r2[:4])]
+        if not _within(_apply(jump, (q[0] - p[0], q[1] - p[1])), (0, 0), tol):
+            failed.append(("rank_one_jumps", f"jump: {n1}|{n2}"))
 
-    determinant = True
-    membership = True
     unit2 = d * d * (1 + tol) * (1 + tol)
-    for name, a in A.items():
-        det_ok = abs(a.det() - d * d) <= tol
+    for name, row in rows.items():
+        det_ok = abs(row[0] * row[3] - row[1] * row[2] - d * d) <= tol
         if not det_ok:
-            determinant = False
-            failures.append(f"det: {name}")
-        if not (det_ok and image_norm2(a, _SLIP[GRAIN_OF_CELL[name]]) <= unit2):
-            membership = False
-            failures.append(f"membership: {name}")
+            failed.append(("determinant", f"det: {name}"))
+        x, y = _apply(row, (1, 0) if GRAIN_OF_CELL[name] == "e1" else (0, 1))
+        if not (det_ok and x * x + y * y <= unit2):
+            failed.append(("membership", f"membership: {name}"))
 
-    boundary = True
     for owner, q in _TRACE_POINTS:
-        if not _within(A[owner] @ q + b[owner] * 3 - F @ q, 3 * tol):
-            boundary = False
-            failures.append(f"boundary trace at {(q.x / 3, q.y / 3)}")  # the floats nearest p
+        if not _within(_apply(rows[owner], q, 3), _apply(entries[-4:], q), 3 * tol):
+            failed.append(("boundary_trace", f"boundary trace at {(q[0] / 3, q[1] / 3)}"))
 
-    return VerificationReport(continuity=continuity, determinant=determinant,
-                              membership=membership, boundary_trace=boundary,
-                              rank_one_jumps=jumps, failures=tuple(failures))
+    failing = {check for check, _ in failed}
+    return VerificationReport(*(check not in failing for check in _CHECKS),
+                              failures=tuple(message for _, message in failed))
 
 
-def _within(v: Vec2, tol) -> bool:
-    """|v.x| <= tol and |v.y| <= tol, compared exactly; False for NaN."""
-    return abs(v.x) <= tol and abs(v.y) <= tol
+def _within(u: tuple, w: tuple, tol) -> bool:
+    """|u - w| <= tol in each coordinate, compared exactly; False for NaN."""
+    return abs(u[0] - w[0]) <= tol and abs(u[1] - w[1]) <= tol
 
 
 def average_gradient(build_: ShearSquareBuild) -> Mat2:
@@ -421,25 +422,12 @@ def grain_components(build_: ShearSquareBuild) -> list[tuple[str, frozenset]]:
     Two cells are joined when they share an edge and carry the same slip
     direction; the components are the grains of the induced polycrystal.
     """
-    neighbors = {c.name: set() for c in build_.map.cells}
-    for n1, n2, _, _ in _INTERFACES:
-        if GRAIN_OF_CELL[n1] == GRAIN_OF_CELL[n2]:
-            neighbors[n1].add(n2)
-            neighbors[n2].add(n1)
-    seen = set()
+    joined = tuple(e for e in _INTERFACES if GRAIN_OF_CELL[e[0]] == GRAIN_OF_CELL[e[1]])
     comps = []
-    for name in neighbors:
-        if name in seen:
-            continue
-        stack, comp = [name], set()
-        while stack:
-            cur = stack.pop()
-            if cur in comp:
-                continue
-            comp.add(cur)
-            stack.extend(neighbors[cur] - comp)
-        seen |= comp
-        comps.append((GRAIN_OF_CELL[name], frozenset(comp)))
+    for c in build_.map.cells:
+        if all(c.name not in comp for _, comp in comps):
+            walk = _walk(c.name, joined)
+            comps.append((GRAIN_OF_CELL[c.name], frozenset((c.name, *(n for _, n, _ in walk)))))
     return comps
 
 
@@ -465,8 +453,8 @@ def conclusion(gamma) -> dict:
 def _image(lift: list, d, i: int, v: Vec2) -> tuple[float, float]:
     """Cell i's image of v as floats, (DA v + Db) / D on the lift: int true
     division rounds correctly; on a float build (D = 1) it is ``Cell.value``'s A v + b."""
-    a11, a12, a21, a22, bx, by = lift[6 * i:6 * i + 6]
-    return (a11 * v.x + a12 * v.y + bx) / d, (a21 * v.x + a22 * v.y + by) / d
+    x, y = _apply(lift[6 * i:6 * i + 6], (v.x, v.y), 1)
+    return x / d, y / d
 
 
 def render_svg(build_: ShearSquareBuild) -> str:

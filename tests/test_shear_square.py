@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from polyslip.errors import GammaOutOfRange
+from polyslip.errors import DomainError, GammaOutOfRange
 from polyslip.mat2 import E1, Mat2, Vec2, is_SO2, rotation
 from polyslip.shear_square import (_CELL_VERTICES, _EDGE_OWNERS, _INTERFACES, DOMAIN_CORNERS,
                                    GAMMA_MAX, GRAIN_OF_CELL, PwAffineMap, ShearSquareBuild,
@@ -128,6 +128,13 @@ def _tampered(build_, name, **changes):
 _GOOD = build(HALF)
 _GOOD_FLOAT = build(0.25)
 _TENTH_E1 = Vec2(Fraction(1, 10), Fraction(0))
+
+
+def _float_shift(name, dx):
+    """``_GOOD_FLOAT`` with cell ``name``'s translation moved by (dx, 0)."""
+    return _tampered(_GOOD_FLOAT, name, b=_GOOD_FLOAT.map.cell(name).b + Vec2(dx, 0.0))
+
+
 _TAMPERED = {
     # T8 owns the edge (0,0)-(3,-1): all three of its probes move
     "shift_T8": (_tampered(_GOOD, "T8", b=_GOOD.map.cell("T8").b + _TENTH_E1),
@@ -151,6 +158,10 @@ _TAMPERED = {
     "stretch_S_1e-20": (_tampered(_GOOD, "S", A=Mat2(Fraction(1), HALF, Fraction(1, 10**10),
                                                      1 + HALF / 10**10)),
                         {"continuity", "membership", "rank_one_jumps"}),
+    # the float path at its default tol 1e-9: S's four interfaces move by 2e-9, and
+    # T8's three trace probes 3p by 6e-9, beyond 3 tol
+    "shift_S_2e-9_float": (_float_shift("S", 2e-9), {"continuity"}),
+    "shift_T8_2e-9_float": (_float_shift("T8", 2e-9), {"continuity", "boundary_trace"}),
 }
 
 
@@ -365,6 +376,28 @@ def test_center_and_flank_cells_agree_on_the_diagonal():
     expected = Vec2(Fraction(1) - HALF, Fraction(-1))
     for name in ("S", "T1", "T5"):
         assert b.map.cell(name).A @ v == expected
+
+
+@pytest.mark.parametrize("name", ["S", "T8"])
+def test_float_shifts_within_the_default_tol_pass(name):
+    assert verify(_float_shift(name, 5e-10)).all_passed
+
+
+def test_float_shift_failure_strings_are_pinned():
+    assert verify(_TAMPERED["shift_S_2e-9_float"][0]).failures == (
+        "continuity: S|T1", "continuity: S|T3", "continuity: S|T5", "continuity: S|T7")
+    assert verify(_TAMPERED["shift_T8_2e-9_float"][0]).failures == (
+        "continuity: T1|T8", "continuity: T7|T8", "boundary trace at (0.0, 0.0)",
+        "boundary trace at (1.0, -0.3333333333333333)",
+        "boundary trace at (2.0, -0.6666666666666666)")
+
+
+@pytest.mark.parametrize("build_, tol", [(_TAMPERED["double_F"][0], math.inf), (_GOOD, math.nan),
+                                         (_GOOD, -1e-9)], ids=["inf", "nan", "negative"])
+def test_verify_rejects_a_tol_that_is_not_finite_and_non_negative(build_, tol):
+    # an infinite tol would pass the doubled F_gamma, a NaN or negative one fail a valid build
+    with pytest.raises(DomainError):
+        verify(build_, tol=tol)
 
 
 def test_membership_split_by_grain():
