@@ -407,20 +407,23 @@ def _adjacent_equal_texture_pairs(grains) -> list[tuple[int, int]]:
     return [(i, j) for i, j in near if _grains_adjacent(grains[i], grains[j])]
 
 
-def _box_pairs(boxes: dict, gap: float) -> list[tuple]:
-    """Pairs of keys of ``boxes`` ((x0, y0, x1, y1) each) whose boxes lie within gap.
+def _box_pairs(boxes: dict, gap: float, split: Optional[int] = None) -> list[tuple]:
+    """Pairs of keys of ``boxes`` ((x0, y0, x1, y1) each) whose boxes lie within gap;
+    given ``split``, only the pairs of a key below it with a key at or above it.
 
     A sweep along the axis in which the boxes are thinner in sum, dropping those whose
-    upper end it has passed: the cost grows with the boxes overlapping along it."""
+    upper end it has passed: the cost grows with the boxes overlapping along it.  Without
+    ``split`` all keys are on one side; each box meets the active boxes of the other."""
     widths, heights = (sum(b[a + 2] - b[a] for b in boxes.values()) for a in (0, 1))
     a, o = (1, 0) if widths >= heights else (0, 1)
-    pairs, active = [], []
+    pairs, active = [], {False: [], True: []}
     for i in sorted(boxes, key=lambda k: boxes[k][a]):
         b = boxes[i]
-        active = [k for k in active if boxes[k][a + 2] >= b[a] - gap]
-        pairs += [(i, k) for k in active
+        mates = split is not None and i < split
+        active[mates] = [k for k in active[mates] if boxes[k][a + 2] >= b[a] - gap]
+        pairs += [(i, k) for k in active[mates]
                   if boxes[k][o] <= b[o + 2] + gap and b[o] <= boxes[k][o + 2] + gap]
-        active.append(i)
+        active[split is not None and i >= split].append(i)
     return pairs
 
 
@@ -498,8 +501,8 @@ def _outer_curves(pc: Polycrystal) -> dict[int, list[Curve]]:
             x0, y0, x1, y1 = _curve_box(d)
             pad = POS_TOL * (3.0 + d.length()) + 2.0 ** -40 * max(-x0, -y0, x1, y1)
             boxes[n + k] = (x0 - pad, y0 - pad, x1 + pad, y1 + pad)
-    for i, k in map(sorted, _box_pairs(boxes, 0.0)):
-        if i < n <= k and type(curves[i][1]) is type(pc.domain[k - n]):
+    for i, k in map(sorted, _box_pairs(boxes, 0.0, split=n)):
+        if type(curves[i][1]) is type(pc.domain[k - n]):
             meets.setdefault(i, []).append(k - n)
     outer: dict[int, list[Curve]] = {}
     for i in sorted(meets):

@@ -13,7 +13,9 @@ with first element 0; the applied shift is recorded so callers can rotate
 results back.
 
 ``_window`` is the one home of gamma_pm, exact at beta = 1, ``_straddles``
-of the triviality test, and ``TaylorBound._admits`` of the decision:
+of the triviality test (also for the Monte Carlo kernel of
+``random_textures``, on each row's pair bracketing pi/2), and
+``TaylorBound._admits`` of the decision:
 ``taylor_member`` runs it on floats, ``taylor_M_member`` at beta = 1 and
 ``taylor_member_batch`` on numpy arrays, so the batch repeats the scalar
 bit for bit.  The (beta, gamma) frame of a matrix has its one home in

@@ -430,6 +430,25 @@ def test_tiny_chord_is_not_domain_boundary():
     assert an == brute_force_boundary_analysis(pc, designed=True)
 
 
+@pytest.mark.parametrize("gap", [0.0, 0.5])
+def test_box_sweep_pairs_across_a_split_only(gap):
+    # integer corners, so boxes touch exactly and meet at gap 0 on an edge or a corner
+    rng = np.random.default_rng(53)
+    for _ in range(200):
+        n = int(rng.integers(1, 12))
+        lo = rng.integers(0, 6, size=(n, 2))
+        hi = lo + rng.integers(0, 3, size=(n, 2))
+        boxes = {i: (*map(float, lo[i]), *map(float, hi[i])) for i in range(n)}
+        near = {(i, k) for i in boxes for k in boxes if i < k
+                and all(boxes[i][a] <= boxes[k][a + 2] + gap and boxes[k][a] <= boxes[i][a + 2] + gap
+                        for a in (0, 1))}
+        assert set(map(tuple, map(sorted, geometry._box_pairs(boxes, gap)))) == near
+        split = int(rng.integers(0, n + 1))
+        got = [tuple(sorted(p)) for p in geometry._box_pairs(boxes, gap, split=split)]
+        assert len(got) == len(set(got))
+        assert set(got) == {(i, k) for i, k in near if i < split <= k}
+
+
 @pytest.mark.parametrize("make, phi", [
     (quadrant_disk, -1e-20), (lambda: chord_disk([0.0], [0.0, 1.0]), -1e-17),
     (quadrant_disk, -5e-324), (quadrant_disk, 1e17), (quadrant_disk, -1e300),

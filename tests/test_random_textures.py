@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import row_scan_trivial
+from polyslip import random_textures
 from polyslip.errors import DomainError
 from polyslip.random_textures import (MAX_K, MAX_SAMPLES, McConfig, _trivial_rows,
                                       estimate_trivial_probability, find_kl,
@@ -87,6 +88,76 @@ def test_estimate_pinned(k, n, seed, estimate, std_error):
     # must reproduce them bit for bit
     res = estimate_trivial_probability(McConfig(k=k, n_samples=n, seed=seed))
     assert (res.estimate, res.std_error) == (estimate, std_error)
+
+
+def _salted_block(rng, n, k):
+    """(n, k) angles on (0, pi), each row below pi/2 or above it, some set to ``_SALTS``."""
+    lo = rng.choice([0.0, 0.0, PI / 2], size=(n, 1))
+    hi = np.where(lo > 0, PI, rng.choice([PI, PI / 2], size=(n, 1)))
+    thetas = lo + (hi - lo) * rng.random((n, k))
+    salted = rng.random((n, k)) < min(0.5, 3.0 / k)
+    thetas[salted] = rng.choice(_SALTS, size=int(salted.sum()))
+    return thetas
+
+
+@pytest.mark.parametrize("k", [1, 3, 8, 1000])
+def test_trivial_rows_matches_row_scan_on_both_layouts(k):
+    # rows reduced over a transposed copy when they outnumber k, in place
+    # otherwise: both layouts and the shapes where they switch
+    rng = np.random.default_rng(900 + k)
+    for n in {1, k - 1, k, k + 1} - {0}:
+        for _ in range(max(1, 2000 // (n * k))):
+            thetas = _salted_block(rng, n, k)
+            kept = thetas.copy()
+            got = _trivial_rows(thetas)
+            assert got.dtype == bool and got.shape == (n,)
+            assert np.array_equal(got, row_scan_trivial(thetas))
+            assert np.array_equal(thetas, kept)
+
+
+def test_trivial_rows_bracket_without_an_angle_above_half_pi():
+    # U is then an angle lifted by pi, and U - L > pi/2 even from the largest
+    # float below pi/2
+    below = np.nextafter(PI / 2, 0.0)
+    thetas = np.array([[below, 5e-324, 0.0], [below, below, below], [0.0, 0.0, 0.0]])
+    assert _trivial_rows(thetas).tolist() == [False] * 3  # as many rows as k: in place
+    assert _trivial_rows(np.tile(thetas, (2, 1))).tolist() == [False] * 6  # transposed
+
+
+@pytest.mark.parametrize("k, n", [(3, 2 * 2730 + 2), (8, 1024 + 7), (20, 409 + 5),
+                                  (100, 3 * 81 + 4)])
+def test_estimate_with_a_last_block_shorter_than_k(k, n):
+    # the last block has fewer rows than k, so it is reduced in the other layout
+    seed = 11 + k
+    thetas = np.random.default_rng(seed).uniform(0.0, PI, size=(n, k))
+    res = estimate_trivial_probability(McConfig(k=k, n_samples=n, seed=seed))
+    assert res.estimate == np.count_nonzero(row_scan_trivial(thetas)) / n
+
+
+@pytest.mark.parametrize("k, n, seed, estimate, std_error", [
+    (100, 10_000, 5, 1.0, 0.0),
+    (1000, 3_000, 6, 1.0, 0.0),
+    (9, 1000, 10, 0.984, 0.00396787096564392),
+])
+def test_estimate_pinned_more_k(k, n, seed, estimate, std_error):
+    # values of the sort-and-scan kernel, which the bracket kernel must repeat
+    res = estimate_trivial_probability(McConfig(k=k, n_samples=n, seed=seed))
+    assert (res.estimate, res.std_error) == (estimate, std_error)
+
+
+@pytest.mark.parametrize("k, n", [(3, 3 * 2730 + 17), (1000, 20), (7, 1)])
+def test_estimate_draws_the_angles_of_uniform(k, n, monkeypatch):
+    # each block is pi * random(): the bits of uniform(0.0, pi) in the same order
+    blocks = []
+
+    def keep(block):
+        blocks.append(block.copy())
+        return _trivial_rows(block)
+
+    monkeypatch.setattr(random_textures, "_trivial_rows", keep)
+    estimate_trivial_probability(McConfig(k=k, n_samples=n, seed=31))
+    drawn = np.random.default_rng(31).uniform(0.0, PI, size=(n, k))
+    assert np.concatenate(blocks).tobytes() == drawn.tobytes()
 
 
 def test_estimate_memory_bounded():
