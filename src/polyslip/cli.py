@@ -15,7 +15,7 @@ import math
 import sys
 from bisect import bisect_left, bisect_right
 
-from .errors import DomainError, PolyslipError
+from .errors import PolyslipError
 from .mat2 import ANGULAR_TOL, Mat2, Vec2
 from .taylor import (gamma_bounds, is_trivial, normalize, reduce_angles, shear_interval,
                      taylor_M_member, taylor_member)
@@ -81,9 +81,6 @@ def emit_lambda_plot(thetas, grid: int):
     """
     from .svg import SvgCanvas
 
-    for t in thetas:
-        if not 0.0 < t < math.pi:
-            raise DomainError(f"theta = {t!r} outside (0, pi)")
     gmax = 0.0
     for t in thetas:
         lo, hi = gamma_bounds(t, 1.0)

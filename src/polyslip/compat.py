@@ -17,7 +17,7 @@ and no shear-frame decomposition.
 ``laminate_split`` writes any volume-preserving strain as a convex
 combination of two rank-one connected strains, each inside the union of
 the relaxed sets of two independent slip directions, in closed form; slips
-too close to split in floating point raise ``ParallelSlips``.
+that are parallel, or too close to split in floats, raise ``ParallelSlips``.
 """
 
 from __future__ import annotations
@@ -125,10 +125,11 @@ def laminate_split(F: Mat2, s: Vec2, s_prime: Vec2, tol: float = DEFAULT_TOL) ->
     Returns the trivial split (lam = 1, both factors F) when F already
     lies in either relaxed set, and when Fs . Fs' vanishes within tol
     (possible only alongside membership).  Raises ``ParallelSlips`` when
-    |s x s'| <= tol, or when the quadratic's leading coefficient underflows.
+    s x s' = 0, or when the quadratic's leading coefficient underflows, and
+    ``DomainError`` when an endpoint leaves the float range.
     """
     require_sl2(F, tol)
-    if abs(s.cross(s_prime)) <= tol:
+    if s.cross(s_prime) == 0.0:
         raise ParallelSlips("slip directions coincide up to sign")
     d = (F @ s).dot(F @ s_prime)
     if in_N(F, s, tol) or in_N(F, s_prime, tol) or abs(d) <= tol:
@@ -143,6 +144,8 @@ def laminate_split(F: Mat2, s: Vec2, s_prime: Vec2, tol: float = DEFAULT_TOL) ->
     dyad = Mat2.outer(a, b)
     f_plus = F @ (Mat2.identity() + dyad * t_plus)
     f_minus = F @ (Mat2.identity() + dyad * t_minus)
+    if not all(map(math.isfinite, f_plus._key() + f_minus._key())):
+        raise DomainError("laminate endpoints leave the float range")
     lam = abs(t_minus) / (t_plus - t_minus)  # +0.0, not -0.0, when t- is 0
     return LaminateSplit(F_plus=f_plus, F_minus=f_minus, lam=lam,
                          t_plus=t_plus, t_minus=t_minus)

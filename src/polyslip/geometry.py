@@ -47,13 +47,12 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Optional, Union
 
 from .compat import _clears
 from .errors import DomainError, InvalidPolycrystal
-from .mat2 import (ANGULAR_TOL, DEFAULT_TOL, FrozenValue, Mat2, Vec2, is_sl2, mod_pi,
+from .mat2 import (ANGULAR_TOL, DEFAULT_TOL, FrozenValue, Mat2, Vec2, is_sl2, length, mod_pi,
                    norm2_at_most_one, require_sl2)
 from .slip import image_norm2, slip_direction
 
@@ -218,11 +217,8 @@ def _check_closed(curves, what: str) -> None:
 
 
 def _norm(dx: float, dy: float) -> float:
-    """|(dx, dy)| on plain floats, with the operations of ``Vec2.norm``."""
-    n2 = dx * dx + dy * dy
-    if sys.float_info.min <= n2 < math.inf:
-        return math.sqrt(n2)
-    return math.hypot(dx, dy)  # the square under- or overflowed
+    """|(dx, dy)| on plain floats, by ``mat2.length`` as in ``Vec2.norm``."""
+    return length(dx, dy, dx * dx + dy * dy)
 
 
 # ---------------------------------------------------------------------------
@@ -230,16 +226,19 @@ def _norm(dx: float, dy: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _segment_overlap_length(a: Segment, b: Segment) -> float:
-    da, db = a.q - a.p, b.q - b.p
-    la = da.norm()
-    if la < POS_TOL or db.norm() < POS_TOL:
+    ax, ay, bx, by = a.p.x, a.p.y, b.p.x, b.p.y
+    dax, day, dbx, dby = a.q.x - ax, a.q.y - ay, b.q.x - bx, b.q.y - by
+    la, lb = _norm(dax, day), _norm(dbx, dby)
+    if la < POS_TOL or lb < POS_TOL:
         return 0.0
-    ua = da * (1.0 / la)
-    if abs(ua.cross(db)) > POS_TOL * max(1.0, db.norm()):  # directions not parallel
+    k = 1.0 / la
+    ux, uy = dax * k, day * k  # a's unit direction
+    if abs(ux * dby - uy * dbx) > POS_TOL * max(1.0, lb):  # directions not parallel
         return 0.0
-    if abs(ua.cross(b.p - a.p)) > POS_TOL or abs(ua.cross(b.q - a.p)) > POS_TOL:
+    px, py, qx, qy = bx - ax, by - ay, b.q.x - ax, b.q.y - ay  # b's ends from a.p
+    if abs(ux * py - uy * px) > POS_TOL or abs(ux * qy - uy * qx) > POS_TOL:
         return 0.0  # either end of b off a's line
-    t1, t2 = ua.dot(b.p - a.p), ua.dot(b.q - a.p)
+    t1, t2 = ux * px + uy * py, ux * qx + uy * qy
     lo, hi = min(t1, t2), max(t1, t2)
     return max(0.0, min(hi, la) - max(lo, 0.0))
 

@@ -13,8 +13,9 @@ when called with ``tol=0``.
 
 One home each, elementwise on numpy arrays too: ``det_is_one`` for
 det F = 1; ``norm2_at_most_one`` and ``norm2_is_one`` for |v| <= 1 and
-|v| = 1 within tol, tested on |v|^2, never on its root; and
-``_stretch_shear`` for (beta, gamma), with the |Fs|^2 that beta is the root of.
+|v| = 1 within tol, tested on |v|^2, never on its root; ``length`` for |v|
+(``Vec2.norm``, ``geometry._norm`` and beta = |Fs|); and ``_stretch_shear`` for
+(beta, gamma).  ``tol`` only widens: the one degenerate frame is that of Fs = 0.
 
 ``Value`` is the one base of the package's value types: ``==``, ``hash``,
 ``repr`` and pickling over a class's ``_fields``, with no code generated at
@@ -92,6 +93,14 @@ class FrozenValue(Value):
         raise AttributeError(f"cannot delete field {name!r} of a frozen {type(self).__name__}")
 
 
+def length(x, y, n2) -> float:
+    """|(x, y)| from its square n2 = x^2 + y^2: the root of n2 where that is a normal
+    float, else ``math.hypot``, which scales where the square under- or overflowed."""
+    if sys.float_info.min <= n2 < math.inf:
+        return math.sqrt(n2)
+    return math.hypot(x, y)
+
+
 class Vec2(Value):
     """A point or direction in the plane."""
 
@@ -130,10 +139,7 @@ class Vec2(Value):
         return self.x * self.x + self.y * self.y
 
     def norm(self) -> float:
-        n2 = float(self.norm2())
-        if sys.float_info.min <= n2 < math.inf:
-            return math.sqrt(n2)
-        return math.hypot(float(self.x), float(self.y))  # the square under- or overflowed
+        return length(self.x, self.y, float(self.norm2()))
 
     def unit(self) -> "Vec2":
         """self / |self|; ``ZeroDivisionError`` for the zero vector.
@@ -317,10 +323,10 @@ def decompose(F: Mat2, s: Vec2, tol: float = DEFAULT_TOL) -> ShearFrame:
     The frame has beta = |Fs| > 0 and R(rho) s = Fs / beta, and
     ``frame.reconstruct()`` equals F up to roundoff.  Raises ``NotSL2``
     unless det F = 1 within tol (see ``require_sl2``) and
-    ``DegenerateBeta`` if |Fs| < tol or |Fs|^2 underflows to 0.
+    ``DegenerateBeta`` if Fs = 0, which det F = 1 within tol allows only at tol >= 1.
     """
     require_sl2(F, tol)
-    _, beta, gamma, rx, ry = stretch_shear(F, s.x, s.y, tol)
+    _, beta, gamma, rx, ry = stretch_shear(F, s.x, s.y)
     rs = Vec2(rx, ry)
     rho = math.atan2(s.cross(rs), s.dot(rs))
     if rho < 0.0:
@@ -328,40 +334,37 @@ def decompose(F: Mat2, s: Vec2, tol: float = DEFAULT_TOL) -> ShearFrame:
     return ShearFrame(rho=rho, beta=beta, gamma=gamma, s=s)
 
 
-def _settle_betas(n2, beta, fx, fy, tol):
-    """``_stretch_shear``'s checks of beta on arrays, in place: NaN in n2 and beta where it raises.
-
-    The rare rows whose |Fs|^2 overflowed take ``math.hypot``, the scalar's own.
-    """
-    over = beta == math.inf
-    if over.any():
-        beta[over] = [math.hypot(x, y) for x, y in zip(fx[over].tolist(), fy[over].tolist())]
-    degenerate = (beta < tol) | (beta == 0.0)
-    n2[degenerate] = beta[degenerate] = math.nan
+def _settle_betas(fx, fy, n2):
+    """``length`` on numpy arrays of rows: ``math.hypot`` on each row whose square is
+    not a normal float, and NaN in n2 and beta where Fs = 0, on which the scalar raises."""
+    import numpy as np  # only the batch path calls this
+    beta = np.sqrt(n2)
+    odd = (n2 < sys.float_info.min) | (n2 == math.inf)
+    if odd.any():
+        beta[odd] = [math.hypot(x, y) for x, y in zip(fx[odd].tolist(), fy[odd].tolist())]
+        zero = beta == 0.0
+        n2[zero] = beta[zero] = math.nan
     return beta
 
 
-def _stretch_shear(fx, fy, gx, gy, tol, sqrt=math.sqrt, settle=None):
+def _stretch_shear(fx, fy, gx, gy, length=length):
     """``(n2, beta, gamma, rx, ry)`` from f = Fs and g = F perp(s): n2 = |f|^2,
     beta = |f|, gamma = g . f / beta.
 
-    The one home of (beta, gamma).  On floats it serves ``stretch_shear``;
-    with ``np.sqrt`` and ``_settle_betas`` it runs on numpy arrays of rows,
-    each of which gets the bits its floats would, or NaN where they raise.
+    The one home of (beta, gamma).  On floats it serves ``stretch_shear``; with
+    ``_settle_betas`` for ``length`` it runs on numpy arrays of rows, each of which
+    gets the bits its floats would, or NaN where they raise ``DegenerateBeta`` (f = 0).
     """
     n2 = fx * fx + fy * fy
-    beta = sqrt(n2)
-    if settle is not None:
-        beta = settle(n2, beta, fx, fy, tol)
-    elif beta == math.inf:  # |f|^2 overflowed; hypot scales, and finite squares keep their bits
-        beta = math.hypot(fx, fy)
-    elif beta < tol or beta == 0.0:  # at tol = 0, a square that underflows
-        raise DegenerateBeta(f"|Fs| = {beta!r} too short to decompose")
-    rx, ry = fx / beta, fy / beta
+    beta = length(fx, fy, n2)
+    try:
+        rx, ry = fx / beta, fy / beta
+    except ZeroDivisionError:
+        raise DegenerateBeta("Fs = 0 has no stretch to decompose") from None
     return n2, beta, gx * rx + gy * ry, rx, ry
 
 
-def stretch_shear(F: Mat2, sx, sy, tol: float = DEFAULT_TOL):
+def stretch_shear(F: Mat2, sx, sy):
     """``(n2, beta, gamma, rx, ry)``: |Fs|^2 and ``decompose(F, (sx, sy))`` as plain scalars.
 
     (rx, ry) = Fs / beta is the rotated slip direction.  Builds no objects
@@ -370,4 +373,4 @@ def stretch_shear(F: Mat2, sx, sy, tol: float = DEFAULT_TOL):
     """
     # g = F perp(s), perp(s) = (-sy, sx)
     return _stretch_shear(F.a11 * sx + F.a12 * sy, F.a21 * sx + F.a22 * sy,
-                          F.a11 * -sy + F.a12 * sx, F.a21 * -sy + F.a22 * sx, tol)
+                          F.a11 * -sy + F.a12 * sx, F.a21 * -sy + F.a22 * sx)

@@ -21,9 +21,9 @@ of the triviality test (also for the Monte Carlo kernel of
 bit for bit.  The (beta, gamma) frame of a matrix has its one home in
 ``mat2._stretch_shear``, and its stretch test, on |F e1|^2 as in
 ``slip.in_N``/``in_M``, in ``mat2.norm2_at_most_one`` and ``norm2_is_one``;
-so the bound of a single crystal is its relaxed set.  (``shear_interval``,
-for ``in_lambda`` and the lambda-plot raster, and ``gamma_bounds`` test
-beta <= 1 + tol on the coordinate beta.)
+so the bound of a single crystal is its relaxed set at every tol (only F e1 = 0,
+possible at tol >= 1, has no frame).  (``shear_interval``, for ``in_lambda``
+and the lambda-plot raster, and ``gamma_bounds`` test beta <= 1 + tol on beta.)
 """
 
 from __future__ import annotations
@@ -42,9 +42,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 HALF_PI = math.pi / 2
-
-#: gamma_bounds is undefined at theta in {0, pi}; stay this far away.
-THETA_MIN = 1e-8
 
 #: Rows per block of ``taylor_member_batch``: each temporary of a block is
 #: 128 KiB, so the whole block's working set stays in cache.
@@ -136,10 +133,10 @@ def _window(theta: float, beta, sqrt=math.sqrt, maximum=max, ones=None):
 def gamma_bounds(theta: float, beta: float, tol: float = DEFAULT_TOL) -> tuple[float, float]:
     """Admissible shear interval [gamma_-, gamma_+] at stretch beta.
 
-    Requires theta in (0, pi) and beta in [sin(theta), 1] up to tol.  At
-    beta = 1 one end is exactly 0 and the other is -2/tan(theta).
+    Requires theta in (0, pi), sin(theta)^2 normal (``_window``), and beta in
+    [sin(theta), 1] up to tol.  At beta = 1 one end is exactly 0, the other -2/tan(theta).
     """
-    if not THETA_MIN < theta < math.pi - THETA_MIN:
+    if not 0.0 < theta < math.pi:
         raise DomainError(f"theta = {theta!r} outside (0, pi)")
     st = math.sin(theta)
     if not st - tol <= beta <= 1 + tol:
@@ -171,7 +168,7 @@ def _frame_e1(F: Mat2, tol: float):
     """(|F e1|^2, beta, gamma): the square of ``(F @ E1).norm2()`` and the frame of
     ``decompose(F, E1, tol)``, bit for bit, without building either."""
     require_sl2(F, tol)
-    n2, beta, gamma, _, _ = stretch_shear(F, 1.0, 0.0, tol)
+    n2, beta, gamma, _, _ = stretch_shear(F, 1.0, 0.0)
     return n2, beta, gamma
 
 
@@ -242,7 +239,7 @@ def taylor_member_batch(F: np.ndarray, angles: AngleSet, tol: float = DEFAULT_TO
     at s = e1 and the decision ``TaylorBound._admits`` itself.
     It walks the rows in blocks of ``_BLOCK_ROWS``, so its temporaries stay
     in cache whatever n is.  Raises ``NotSL2`` if any row fails the det test;
-    a row on which the scalar raises ``DegenerateBeta`` is False.
+    a row on which the scalar raises ``DegenerateBeta`` (F e1 = 0) is False.
     """
     import numpy as np  # only the batch path needs numpy; scalar callers skip it
     F = np.asarray(F, dtype=float)
@@ -257,8 +254,8 @@ def taylor_member_batch(F: np.ndarray, angles: AngleSet, tol: float = DEFAULT_TO
                 raise NotSL2("batch contains matrices with det != 1")
             # stretch_shear at s = e1, whose Fs and F perp(s) are the columns; its
             # products by 1 and 0 change no value, at most the sign of a zero
-            n2, beta, gamma, _, _ = _stretch_shear(rows.a11, rows.a21, rows.a12, rows.a22, tol,
-                                                   np.sqrt, _settle_betas)
+            n2, beta, gamma, _, _ = _stretch_shear(rows.a11, rows.a21, rows.a12, rows.a22,
+                                                   _settle_betas)
             ones = np.flatnonzero(beta == 1.0)  # the rows whose window takes its exact ends
             out[i:i + _BLOCK_ROWS] = bound._admits(n2, beta, gamma, tol, np.sqrt, np.maximum, ones)
     return out

@@ -411,16 +411,16 @@ _UNDERFLOWS = ["--matrix", "1e-170,0,0,1e170", "--tol", "0"]  # |F e1|^2 underfl
 
 @pytest.mark.parametrize("argv", [
     ["laminate", "--matrix", "2,0,0,0.5", "--slip", "1,0", "--slip2", "1,1e-200", "--tol", "0"],
-    ["member", "--angles", "0,1", *_UNDERFLOWS],
-    ["member", "--angles", "0,1", "--space", "M", *_UNDERFLOWS],
     ["compat", "--slip", "1,0", "--normal", "0.6,0.8", *_UNDERFLOWS],
     ["member", "--angles", "0,1e-200", "--matrix", "1,0,0,1", "--tol", "0"],
     # (c beta)^2 overflows in the compatibility inequality (was an OverflowError)
     ["compat", "--matrix", "1e150,0,0,1e-150", "--slip", "1,0", "--normal", "1e-5,1"],
     # |Fs|^2 overflows, so beta = inf (was exit 0 with NaN in the connection)
     ["compat", "--matrix", "1e160,0,0,1e-160", "--slip", "1,0", "--normal", "0.6,0.8"],
-], ids=["laminate-q2", "member", "member-M", "compat", "member-theta",
-        "compat-inequality-overflows", "compat-stretch-overflows"])
+    # the laminate's endpoints overflow (was exit 0 with Infinity in F_plus and F_minus)
+    ["laminate", "--matrix", "1e300,0,0,1e-300", "--slip", "1,0", "--slip2", "1,1e-8"],
+], ids=["laminate-q2", "compat", "member-theta", "compat-inequality-overflows",
+        "compat-stretch-overflows", "laminate-endpoints-overflow"])
 def test_float_degenerate_input_is_domain_error(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "quadrant.json").write_text(json.dumps(polycrystal_to_dict(quadrant_disk())))
@@ -429,6 +429,39 @@ def test_float_degenerate_input_is_domain_error(capsys, tmp_path, monkeypatch, a
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert len(captured.err.splitlines()) == 1
+
+
+_IDENTITY_AT_TOL_1_5 = ["--angles", "0,0.6", "--matrix", "1,0,0,1", "--tol", "1.5"]
+
+
+@pytest.mark.parametrize("argv, member", [
+    (["--angles", "0,1", *_UNDERFLOWS], False),
+    (["--angles", "0,1", "--space", "M", *_UNDERFLOWS], False),
+    (_IDENTITY_AT_TOL_1_5, True),
+    ([*_IDENTITY_AT_TOL_1_5, "--space", "M"], True),
+], ids=["member", "member-M", "tol-above-one", "tol-above-one-M"])
+def test_member_decides_what_a_stretch_floor_refused(capsys, argv, member):
+    # each once raised DegenerateBeta: |F e1|^2 underflowed at tol 0, or |F e1| = 1 < tol
+    payload, _ = _run_json(capsys, ["member", *argv])
+    assert payload["member"] is member
+
+
+def test_laminate_above_tol_one_splits_trivially(capsys):
+    # |s x s'| = 1 <= tol once refused every slip pair; F lies in the relaxed set of s at 1.5
+    payload, _ = _run_json(capsys, ["laminate", "--matrix", "2,0,0,0.5", "--slip", "1,0",
+                                    "--slip2", "0,1", "--tol", "1.5"])
+    assert payload == {"F_minus": [[2.0, 0.0], [0.0, 0.5]], "F_plus": [[2.0, 0.0], [0.0, 0.5]],
+                       "lambda": 1.0, "t_minus": 0.0, "t_plus": 0.0}
+
+
+def test_lambda_plot_of_a_tiny_angle(capsys):
+    # theta = 1e-9 was refused by a floor of 1e-8; only an underflowing sin(theta)^2 is
+    payload, _ = _run_json(capsys, ["lambda-plot", "--thetas", "1e-9", "--grid", "4"])
+    assert payload["cells_filled"] == [16]
+    assert run(["lambda-plot", "--thetas", "1e-200", "--grid", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: theta = 1e-200: sin(theta)^2 underflows\n"
 
 
 def test_outer_decides_a_stretch_whose_square_underflows(capsys, tmp_path):

@@ -158,6 +158,7 @@ def in_polycrystal_dir(tmp_path_factory):
 @example(argv=["laminate", "--matrix=2,0,0,0.5", "--slip=1,0", "--slip2=1,1e-8"])
 @example(argv=["laminate", "--matrix=1e154,0,0,1e-154", "--slip=1,0", "--slip2=1,1e-5",
                "--tol=0"])
+@example(argv=["laminate", "--matrix=1e300,0,0,1e-300", "--slip=1,0", "--slip2=1,1e-8"])
 @example(argv=["outer", "--polycrystal=quadrant.json", "--matrix=-0.11291846531775036,"
                "-0.993604256352239,0.993604258339448,-0.11291846509191339"])
 @example(argv=["outer", "--polycrystal=quadrant.json", "--matrix=1,0,1.4901161193847656e-08,1",

@@ -351,6 +351,17 @@ def test_split_roots_straddle_zero_when_the_gap_rounds_up(capsys):
     _assert_split_valid_to_scale(split, F, _parse_unit("0,1"), _parse_unit(slip2))
 
 
+def test_split_of_slips_closer_than_tol(capsys):
+    # |s x s'| = 1e-10 <= tol once raised ParallelSlips; the closed form splits it
+    assert run(["laminate", "--matrix=2,0,0,0.5", "--slip=1,0", "--slip2=1,1e-10"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["t_minus"] < 0.0 < payload["t_plus"]
+    split = LaminateSplit(F_plus=Mat2(*sum(payload["F_plus"], [])),
+                          F_minus=Mat2(*sum(payload["F_minus"], [])), lam=payload["lambda"],
+                          t_plus=payload["t_plus"], t_minus=payload["t_minus"])
+    _assert_split_valid_to_scale(split, DIAG, E1, _parse_unit("1,1e-10"))
+
+
 def test_parallel_slips_rejected():
     with pytest.raises(ParallelSlips):
         laminate_split(DIAG, E1, Vec2(-1.0, 0.0))

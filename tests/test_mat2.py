@@ -82,9 +82,11 @@ def test_decompose_rejects_non_sl2():
 
 
 def test_decompose_rejects_degenerate():
-    eps = 1e-12
+    # only Fs = 0 has no frame, and det F = 1 within tol allows it only at tol >= 1;
+    # a tiny |Fs| such as 1e-12 decomposes
+    assert decompose(Mat2(1e-12, 0.0, 0.0, 1e12), E1).beta == 1e-12
     with pytest.raises(DegenerateBeta):
-        decompose(Mat2(eps, 0, 0, 1 / eps), E1)
+        decompose(Mat2(0.0, -1.0, 0.0, 0.0), E1, tol=1.0)
 
 
 def test_round_trip_ten_thousand_frames():

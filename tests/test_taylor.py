@@ -9,7 +9,7 @@ from helpers import (all_angle_taylor_M_member, brute_force_taylor, mat_of, rand
 from polyslip import taylor
 from polyslip.errors import DegenerateBeta, DomainError, EmptyInput, NotSL2
 from polyslip.mat2 import E1, Mat2, decompose, is_SO2, rotation
-from polyslip.slip import psi
+from polyslip.slip import in_N, psi
 from polyslip.taylor import (AngleSet, PAIR, SINGLE_CRYSTAL, TRIPLE, gamma_bounds,
                              in_lambda, is_trivial, normalize, reduce_angles,
                              shear_interval, taylor_M_member, taylor_member, taylor_member_batch)
@@ -282,7 +282,8 @@ def _scalar_answers(F, aset, tol):
     return [one(row) for row in F]
 
 
-# det exactly 1, |F e1| below 1e-9 or its square underflowing: the scalar raises DegenerateBeta
+# det exactly 1, |F e1| below 1e-9 or its square underflowing: members of N(e1), as no floor
+# refuses them
 _DEGENERATE_ROWS = np.array([[[2.0 ** -30, 0.0], [0.0, 2.0 ** 30]],
                              [[2.0 ** -600, 0.0], [0.0, 2.0 ** 600]],
                              [[0.0, -2.0 ** 600], [2.0 ** -600, 0.0]]])
@@ -295,7 +296,7 @@ def test_batch_equals_scalar_on_the_region_edge(angles, tol):
     # 20,000 rows on the gamma edges of the region span two blocks; before the
     # batch shared the scalar's (beta, gamma) arithmetic, hundreds of these rows
     # came out differently.  20,000 more lie on its stretch edge, and the
-    # degenerate rows must stay False where only the stretch test follows ({0}).
+    # tiny-stretch rows are members of the single crystal only, as of its relaxed set.
     # 2,000 rows at beta = 1 exactly, where the window takes its exact ends,
     # hold 500 rotations, members of every texture.
     aset = normalize(angles)
@@ -310,7 +311,7 @@ def test_batch_equals_scalar_on_the_region_edge(angles, tol):
         assert 1000 < sum(want[:20_000]) < 19_000
     assert all(want[-22_003:-21_503])
     assert 1000 < sum(want[-20_003:-3]) < 19_000
-    assert not any(want[-3:])
+    assert want[-3:] == [len(angles) == 1] * 3
     assert taylor_member_batch(F, aset, tol).tolist() == want
 
 
@@ -354,6 +355,44 @@ def test_batch_equals_scalar_at_large_tol(angles, tol):
         want = _scalar_answers(F, aset, tol)
         assert True in want and False in want
         assert taylor_member_batch(F, aset, tol).tolist() == want
+
+
+def _tiny_to_huge_stretch_rows():
+    """det-1 rows [[b, g], [0, 1/b]] and their quarter turns, |F e1| = b from 1e-200 to 1e200."""
+    b = np.concatenate([10.0 ** np.linspace(-200.0, 200.0, 401),
+                        2.0 ** np.arange(-664.0, 665.0, 8.0)])
+    b = b[b * (1.0 / b) == 1.0]
+    g = np.random.default_rng(41).uniform(-3.0, 3.0, len(b))
+    rows = np.zeros((len(b), 2, 2))
+    rows[:, 0, 0], rows[:, 0, 1], rows[:, 1, 1] = b, g, 1.0 / b
+    turned = np.stack([-rows[:, 1], rows[:, 0]], axis=1)  # rotation(pi/2) @ F, det exactly 1 too
+    return np.concatenate([rows, turned])
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9, 0.3, 1.5, 3.0])
+def test_single_crystal_bound_is_its_relaxed_set_at_every_stretch(tol):
+    # a stretch below tol, or whose square underflows at tol = 0, once raised DegenerateBeta
+    F = _tiny_to_huge_stretch_rows()
+    aset = normalize([0.0])
+    want = [in_N(mat_of(row), E1, tol) for row in F]
+    assert [taylor_member(mat_of(row), aset, tol) for row in F] == want
+    assert taylor_member_batch(F, aset, tol).tolist() == want
+    assert True in want and False in want
+
+
+@pytest.mark.parametrize("tol", [1.5, 3.0])
+@pytest.mark.parametrize("angles", [[0.0], [0.0, 0.6], [0.0, 0.6, 2.4]])
+def test_rotations_are_members_above_tol_one(angles, tol):
+    # |F e1| = 1 < tol once raised DegenerateBeta; only F e1 = 0 has no frame
+    aset = normalize(angles)
+    rho = np.random.default_rng(43).uniform(0.0, 2.0 * PI, 1000)
+    F = np.stack([np.cos(rho), -np.sin(rho), np.sin(rho), np.cos(rho)], axis=1).reshape(-1, 2, 2)
+    assert taylor_member_batch(F, aset, tol).all()
+    assert all(taylor_member(mat_of(row), aset, tol) for row in F[:50])
+    zero_column = np.array([[[0.0, -1.0], [0.0, 0.0]]])  # det 0, within tol of 1
+    assert not taylor_member_batch(zero_column, aset, tol).any()
+    with pytest.raises(DegenerateBeta):
+        taylor_member(mat_of(zero_column[0]), aset, tol)
 
 
 def test_scalar_member_reduces_the_texture_once(monkeypatch):

@@ -66,7 +66,7 @@ def _old_full_member(F, pc, tol=DEFAULT_TOL):
     analysis = analyze_boundary(pc)
     for gid in analysis.boundary_grains:
         theta = pc.grain_by_id(gid).theta
-        n2, beta, gamma, _, _ = stretch_shear(F, math.cos(theta), math.sin(theta), tol)
+        n2, beta, gamma, _, _ = stretch_shear(F, math.cos(theta), math.sin(theta))
         if gid in analysis.J and not norm2_at_most_one(n2, tol):
             return False
         window = _old_window(beta, gamma, tol)
