@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Optional, Union
 
@@ -363,42 +364,26 @@ def _textures_equal(a: float, b: float, tol: float = DEFAULT_TOL) -> bool:
     return d <= tol or abs(d - math.pi) <= tol
 
 
-def _equal_texture_pairs(thetas, tol: float = DEFAULT_TOL) -> list[tuple[int, int]]:
-    """Sorted index pairs (i, j), i < j, of angles in [0, pi) that ``_textures_equal``.
-
-    In ascending order the partners of an angle are a run of its successors
-    (difference <= tol) and a run down from the largest angle (difference
-    near pi, the wrap); float subtraction is monotone, so each run ends at
-    its first miss and the cost is O(n log n + pairs).
-    """
-    order = sorted(range(len(thetas)), key=thetas.__getitem__)
-    n = len(order)
-    pairs = set()
-    for a in range(n):
-        i = order[a]
-        for run in (range(a + 1, n), range(n - 1, a, -1)):
-            for b in run:
-                j = order[b]
-                if not _textures_equal(thetas[i], thetas[j], tol):
-                    break
-                pairs.add((min(i, j), max(i, j)))
-    return sorted(pairs)
+def _meets_equal_texture(t: float, ordered: list, below: int, above: int) -> bool:
+    """Whether t ``_textures_equal`` an angle of ``ordered`` (ascending, in [0, pi)) given
+    t's neighbours ordered[below] and ordered[above]: float subtraction is monotone, so an
+    equal angle makes the neighbour on its side, or across pi the end on its side, equal."""
+    n = len(ordered)
+    return any(_textures_equal(t, ordered[b]) for b in {below, above, 0, n - 1} if 0 <= b < n)
 
 
 def _adjacent_equal_texture_pairs(grains) -> list[tuple[int, int]]:
     """Sorted index pairs (i, j), i < j, of adjacent grains that ``_textures_equal``.
 
-    Only grains with an equal-texture partner get a bounding box: in ascending
-    angle order that partner is a neighbour, or the first or last angle (the wrap
-    at pi).  Equal textures whose boxes, widened by POS_TOL, meet (``_box_pairs``)
-    reach ``_grains_adjacent``."""
+    Only grains that ``_meets_equal_texture`` get a bounding box (an end of the
+    sorted angles may meet itself there).  Equal textures whose boxes, widened by
+    POS_TOL, meet (``_box_pairs``) reach ``_grains_adjacent``."""
     thetas = [g.theta for g in grains]
     order = sorted(range(len(thetas)), key=thetas.__getitem__)
-    n = len(order)
+    ordered = [thetas[i] for i in order]
     boxes = {}
     for a, i in enumerate(order):
-        if any(_textures_equal(thetas[i], thetas[order[b]])
-               for b in {a - 1, a + 1, 0, n - 1} - {a} if 0 <= b < n):
+        if _meets_equal_texture(thetas[i], ordered, a - 1, a + 1):
             x0s, y0s, x1s, y1s = zip(*map(_curve_box, grains[i].boundary))
             boxes[i] = (min(x0s), min(y0s), max(x1s), max(y1s))
     near = sorted((min(i, k), max(i, k)) for i, k in _box_pairs(boxes, 2.0 * POS_TOL)
@@ -698,15 +683,16 @@ def outer_bound_perp(pc: Polycrystal, angular_tol: float = ANGULAR_TOL) -> Outer
     Intersects the relaxed sets of the slip directions of grains in J (of
     ``analyze_boundary(pc, angular_tol)``); with J empty there is no
     constraint beyond det = 1 and the bound degenerates to SL(2)
-    (``trivial_flag``).
+    (``trivial_flag``).  A texture equal to an earlier kept one, in gid order,
+    changes no membership and is dropped (``_meets_equal_texture`` on the kept).
     """
-    analysis = analyze_boundary(pc, angular_tol)
-    thetas = [pc.grain_by_id(gid).theta for gid in sorted(analysis.J)]
-    dropped = set()
-    for i, j in _equal_texture_pairs(thetas):  # in (i, j) order: i's fate is settled
-        if i not in dropped:
-            dropped.add(j)  # an earlier kept texture equals it
-    directions = [slip_direction(t) for k, t in enumerate(thetas) if k not in dropped]
+    kept, directions = [], []
+    for gid in sorted(analyze_boundary(pc, angular_tol).J):
+        t = pc.grain_by_id(gid).theta
+        pos = bisect_left(kept, t)
+        if not _meets_equal_texture(t, kept, pos - 1, pos):
+            kept.insert(pos, t)
+            directions.append(slip_direction(t))
     return OuterBound(slip_directions=tuple(directions), trivial_flag=len(directions) == 0)
 
 

@@ -335,15 +335,13 @@ def decompose(F: Mat2, s: Vec2, tol: float = DEFAULT_TOL) -> ShearFrame:
 
 
 def _settle_betas(fx, fy, n2):
-    """``length`` on numpy arrays of rows: ``math.hypot`` on each row whose square is
-    not a normal float, and NaN in n2 and beta where Fs = 0, on which the scalar raises."""
+    """``length`` on numpy arrays of rows: ``math.hypot`` on each row whose square is not a
+    normal float; 0 where Fs = 0 (on which the scalar raises), so the shear 0/0 is NaN."""
     import numpy as np  # only the batch path calls this
     beta = np.sqrt(n2)
     odd = (n2 < sys.float_info.min) | (n2 == math.inf)
     if odd.any():
         beta[odd] = [math.hypot(x, y) for x, y in zip(fx[odd].tolist(), fy[odd].tolist())]
-        zero = beta == 0.0
-        n2[zero] = beta[zero] = math.nan
     return beta
 
 
@@ -353,7 +351,7 @@ def _stretch_shear(fx, fy, gx, gy, length=length):
 
     The one home of (beta, gamma).  On floats it serves ``stretch_shear``; with
     ``_settle_betas`` for ``length`` it runs on numpy arrays of rows, each of which
-    gets the bits its floats would, or NaN where they raise ``DegenerateBeta`` (f = 0).
+    gets the bits its floats would, or a NaN shear where they raise ``DegenerateBeta`` (f = 0).
     """
     n2 = fx * fx + fy * fy
     beta = length(fx, fy, n2)

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .mat2 import FrozenValue
+from .mat2 import FrozenValue, mod_pi
 from .taylor import HALF_PI, _straddles
 
 #: Angles per Monte Carlo block: bounded memory, 64 KiB arrays that stay in cache
@@ -102,21 +102,18 @@ def estimate_trivial_probability(cfg: McConfig) -> McResult:
     return McResult(estimate=est, std_error=se, analytic=trivial_probability(cfg.k))
 
 
-def _reduced_iterate(j: int, phi: float) -> float:
-    """Angle of the j-th power of a rotation by phi, reduced to [0, pi)."""
-    return j * phi - math.floor(j * phi / math.pi) * math.pi
-
-
 def find_kl(phi: float) -> tuple[int, int, float, float]:
     """Iterate indices (k, l) whose reduced angles certify triviality.
 
     For phi in (0, pi) returns indices and reduced angles theta_k <
     theta_l with pi/2 in [theta_k, theta_l] and theta_l - theta_k <=
     pi/2.  For phi < pi/2 the indices are floor(pi/(2 phi)) and its
-    successor; for phi in [(1 - 2^(1-m)) pi, (1 - 2^-m) pi) they are
-    2^(m-1) and 2^(m-2).  The single orientation pi/2 is already
-    orthogonal to 0, so phi = pi/2 returns the degenerate witness
-    (1, 1, pi/2, pi/2).
+    successor; for phi in ((1 - 2^(1-m)) pi, (1 - 2^-m) pi] they are
+    2^(m-1) and 2^(m-2).  There pi - phi, each power-of-two multiple of phi
+    and its reduction ``mod_pi`` are exact, so the certificate holds with
+    pi the float ``math.pi``, also where phi is an end of its interval.
+    The single orientation pi/2 is already orthogonal to 0, so phi = pi/2
+    returns the degenerate witness (1, 1, pi/2, pi/2).
     """
     if not 0.0 < phi < math.pi:
         raise DomainError(f"phi = {phi!r} outside (0, pi)")
@@ -125,15 +122,16 @@ def find_kl(phi: float) -> tuple[int, int, float, float]:
     if phi < HALF_PI:
         k = math.floor(math.pi / (2.0 * phi))
         # float guard: insist on theta_k <= pi/2 < theta_{k+1}
-        while k > 1 and _reduced_iterate(k, phi) > HALF_PI:
+        while k > 1 and mod_pi(k * phi) > HALF_PI:
             k -= 1
-        while _reduced_iterate(k + 1, phi) < HALF_PI:
+        while mod_pi((k + 1) * phi) < HALF_PI:
             k += 1
-        return (k, k + 1, _reduced_iterate(k, phi), _reduced_iterate(k + 1, phi))
-    m = math.floor(-math.log2(1.0 - phi / math.pi)) + 1
-    while phi < (1.0 - 2.0 ** (1 - m)) * math.pi:
+        return (k, k + 1, mod_pi(k * phi), mod_pi((k + 1) * phi))
+    eps = math.pi - phi  # exact, as phi > pi/2
+    m = math.floor(-math.log2(eps / math.pi)) + 1
+    while eps >= 2.0 ** (1 - m) * math.pi:
         m -= 1
-    while phi >= (1.0 - 2.0**-m) * math.pi:
+    while eps < 2.0**-m * math.pi:
         m += 1
-    l, k = 2 ** (m - 2), 2 ** (m - 1)
-    return (k, l, _reduced_iterate(k, phi), _reduced_iterate(l, phi))
+    k, l = 2 ** (m - 1), 2 ** (m - 2)
+    return (k, l, mod_pi(k * phi), mod_pi(l * phi))

@@ -21,9 +21,10 @@ of the triviality test (also for the Monte Carlo kernel of
 bit for bit.  The (beta, gamma) frame of a matrix has its one home in
 ``mat2._stretch_shear``, and its stretch test, on |F e1|^2 as in
 ``slip.in_N``/``in_M``, in ``mat2.norm2_at_most_one`` and ``norm2_is_one``;
-so the bound of a single crystal is its relaxed set at every tol (only F e1 = 0,
-possible at tol >= 1, has no frame).  (``shear_interval``, for ``in_lambda``
-and the lambda-plot raster, and ``gamma_bounds`` test beta <= 1 + tol on beta.)
+so the bound of a single crystal is its relaxed set at every tol, decided on
+|F e1|^2 alone, also at F e1 = 0 (possible at tol >= 1), where no frame exists.
+(``shear_interval``, for ``in_lambda`` and the lambda-plot raster, and
+``gamma_bounds`` test beta <= 1 + tol on beta.)
 """
 
 from __future__ import annotations
@@ -182,6 +183,10 @@ class TaylorBound(Value):
         self.angles = angles
 
     def member(self, F: Mat2, tol: float = DEFAULT_TOL) -> bool:
+        if len(self.angles) == 1:  # a single crystal reads |F e1|^2 only: no frame, so F e1 = 0 too
+            require_sl2(F, tol)
+            fx, fy = F.a11 * 1.0 + F.a12 * 0.0, F.a21 * 1.0 + F.a22 * 0.0  # the frame's f = F e1
+            return norm2_at_most_one(fx * fx + fy * fy, tol)
         n2, beta, gamma = _frame_e1(F, tol)  # unpacked: a *args call slows this hot path
         return self._admits(n2, beta, gamma, tol)
 
@@ -239,7 +244,8 @@ def taylor_member_batch(F: np.ndarray, angles: AngleSet, tol: float = DEFAULT_TO
     at s = e1 and the decision ``TaylorBound._admits`` itself.
     It walks the rows in blocks of ``_BLOCK_ROWS``, so its temporaries stay
     in cache whatever n is.  Raises ``NotSL2`` if any row fails the det test;
-    a row on which the scalar raises ``DegenerateBeta`` (F e1 = 0) is False.
+    a row on which the scalar raises ``DegenerateBeta`` (F e1 = 0 for a texture of
+    two or more angles) is False, as its shear is NaN.
     """
     import numpy as np  # only the batch path needs numpy; scalar callers skip it
     F = np.asarray(F, dtype=float)

@@ -1,12 +1,13 @@
 import json
 import math
+import re
 
 import pytest
 
 from helpers import FALSE_SAMPLED_MEMBERS
 from polyslip.cli import _parse_unit, emit_lambda_plot, run
-from polyslip.errors import DomainError
-from polyslip.geometry import (chord_disk, polycrystal_to_dict, quadrant_disk,
+from polyslip.errors import DomainError, InvalidPolycrystal
+from polyslip.geometry import (chord_disk, load_polycrystal, polycrystal_to_dict, quadrant_disk,
                                sheared_square_polycrystal)
 from polyslip.mat2 import Vec2
 
@@ -330,6 +331,40 @@ def test_overflowing_area_is_domain_error(capsys, tmp_path, vertices):
     assert captured.err.startswith("error: ")
 
 
+def _polycrystal_faults():
+    unit = ((0, 0), (1, 0), (0, 1))
+    clockwise = _triangle_polycrystal(*unit[::-1])
+    no_grains = dict(_triangle_polycrystal(*unit), grains=[])
+    # the unit square as two triangles with one id
+    halves = [_triangle_polycrystal((0, 0), (1, 0), (1, 1)),
+              _triangle_polycrystal((0, 0), (1, 1), (0, 1))]
+    repeated = dict(_triangle_polycrystal((0, 0), (1, 0), (1, 1), (0, 1)),
+                    grains=[h["grains"][0] for h in halves])
+    repeated["grains"][1]["theta"] = 1.0
+    # a grain whose area overflows inside a finite domain
+    inf_area = dict(_triangle_polycrystal(*unit),
+                    grains=_triangle_polycrystal((0, 0), (1e308, 0), (0, 1e308))["grains"])
+    theta = _triangle_polycrystal(*unit)
+    theta["grains"][0]["theta"] = math.pi
+    return [(clockwise, "domain loop must be counterclockwise"),
+            (no_grains, "polycrystal needs at least one grain"),
+            (repeated, "grain ids must be unique"),
+            (inf_area, "grain 1: area inf is not finite"),
+            (theta, "grain 1: theta outside [0, pi)")]
+
+
+@pytest.mark.parametrize("poly, message", _polycrystal_faults(),
+                         ids=["clockwise", "no-grains", "repeated-ids", "inf-area", "theta-pi"])
+def test_outer_rejects_an_invalid_polycrystal(capsys, tmp_path, poly, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(poly))
+    with pytest.raises(InvalidPolycrystal, match=f"^{re.escape(message)}$"):
+        load_polycrystal(path)
+    assert run(["outer", "--polycrystal", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("matrix", ["1e155,0,0,1e-155", "1e160,0,0,1e-160", "1e300,0,0,1e-300"])
 def test_outer_huge_strain_fails_a_normal_along_the_slip(capsys, tmp_path, matrix):
     # one grain with theta = 0 and no perpendicular point; the side x = 1 has
@@ -444,6 +479,17 @@ def test_member_decides_what_a_stretch_floor_refused(capsys, argv, member):
     # each once raised DegenerateBeta: |F e1|^2 underflowed at tol 0, or |F e1| = 1 < tol
     payload, _ = _run_json(capsys, ["member", *argv])
     assert payload["member"] is member
+
+
+def test_member_single_crystal_at_a_zero_column(capsys):
+    # F e1 = 0 has no frame: the single crystal reads |F e1|^2 = 0 alone, as its
+    # relaxed set does, while a pair of angles still needs the frame and refuses
+    zero_column = ["--matrix", "0,-1,0,0", "--tol", "1.5"]
+    payload, _ = _run_json(capsys, ["member", "--angles", "0", *zero_column])
+    assert payload["member"] is True
+    assert run(["member", "--angles", "0,1.5708", *zero_column]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: Fs = 0 has no stretch to decompose\n")
 
 
 def test_laminate_above_tol_one_splits_trivially(capsys):

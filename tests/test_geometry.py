@@ -1,6 +1,8 @@
 import json
 import math
 import pickle
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +14,6 @@ from polyslip import geometry
 from polyslip.compat import nu_compatible
 from polyslip.errors import DomainError, InvalidPolycrystal, NotSL2
 from polyslip.geometry import (POS_TOL, TAU, Arc, Grain, Polycrystal, Segment,
-                               _equal_texture_pairs,
                                _textures_equal, analyze_boundary, boundary_samples, chord_disk,
                                compatible_with_normals, curve_overlap_length,
                                equal_perp_full, halfdisk_bicrystal,
@@ -137,6 +138,12 @@ def test_curve_overlap():
     assert curve_overlap_length(a1, a2) == pytest.approx(PI / 4)
 
 
+def test_arcs_on_different_circles_share_no_length():
+    a = Arc(Vec2(0.0, 0.0), 1.0, 0.0, PI, True)
+    assert curve_overlap_length(a, Arc(Vec2(1e-3, 0.0), 1.0, 0.0, PI, True)) == 0.0
+    assert curve_overlap_length(a, Arc(Vec2(0.0, 0.0), 1.001, 0.0, PI, True)) == 0.0
+
+
 def test_segment_overlap_tests_both_ends_of_the_second_segment():
     # nearly parallel within POS_TOL * |db| and starting on a's line, but b
     # ends 19 above it and passes about 9.5 above a
@@ -162,6 +169,16 @@ def test_partition_area_mismatch_rejected():
     half = chord_disk([0.0], [0.0, 1.0]).grains[0]
     with pytest.raises(InvalidPolycrystal):
         Polycrystal(domain=(disk,), grains=(half,))
+
+
+@pytest.mark.parametrize("heights, thetas, message", [
+    ([0.5, -0.5], [0.0, 1.0, 2.0], "chord heights must be increasing and inside (-1, 1)"),
+    ([-0.5, 1.0], [0.0, 1.0, 2.0], "chord heights must be increasing and inside (-1, 1)"),
+    ([-0.5, 0.5], [0.0, 1.0], "need one texture angle per band"),
+])
+def test_chord_disk_rejects_bad_input(heights, thetas, message):
+    with pytest.raises(InvalidPolycrystal, match=f"^{re.escape(message)}$"):
+        chord_disk(heights, thetas)
 
 
 def test_adjacent_equal_textures_rejected():
@@ -492,7 +509,10 @@ def test_perp_bound_member_is_in_N_for_every_direction():
     assert seen == {True, False}
 
 
-def test_equal_texture_pairs_match_all_pairs():
+def test_perp_bound_scan_matches_greedy_oracle(monkeypatch):
+    # outer_bound_perp's scan against the brute-force greedy rule: in gid order a
+    # texture is kept unless an earlier kept texture equals it, near 0, near pi
+    # (the wrap) and along sub-tol chains whose ends differ
     tol = geometry.DEFAULT_TOL
     near_zero = [0.0, 1e-10, 4e-10, tol, 1.5e-9, 2.5e-9]
     near_pi = [math.nextafter(PI, 0.0), PI - 1e-10, PI - 6e-10, PI - tol, PI - 2e-9]
@@ -500,9 +520,14 @@ def test_equal_texture_pairs_match_all_pairs():
     rng = np.random.default_rng(51)
     for _ in range(300):
         thetas = [pool[k] for k in rng.integers(len(pool), size=int(rng.integers(1, 12)))]
-        want = [(i, j) for i in range(len(thetas)) for j in range(i + 1, len(thetas))
-                if _textures_equal(thetas[i], thetas[j])]
-        assert _equal_texture_pairs(thetas) == want
+        J = rng.permutation(len(thetas)).tolist()  # the scan must sort the gids
+        monkeypatch.setattr(geometry, "analyze_boundary", lambda pc, tol: SimpleNamespace(J=J))
+        pc = SimpleNamespace(grain_by_id=lambda gid: SimpleNamespace(theta=thetas[gid]))
+        kept = []
+        for t in thetas:
+            if not any(_textures_equal(t, k) for k in kept):
+                kept.append(t)
+        assert outer_bound_perp(pc).slip_directions == tuple(map(slip_direction, kept))
 
 
 def test_perp_bound_keeps_greedy_texture_order():

@@ -135,6 +135,11 @@ def test_matmul_and_outer():
     assert (R @ R.transpose() - Mat2.identity()).max_abs() < 1e-15
 
 
+def test_matmul_by_a_scalar_is_type_error():
+    with pytest.raises(TypeError, match=r"^unsupported operand type\(s\) for @: 'Mat2' and 'int'$"):
+        Mat2(1, 0, 0, 1) @ 2
+
+
 def test_sl2_check_rejects_nan_determinant():
     nan = float("nan")
     F = Mat2(nan, 0.0, 0.0, 1.0)

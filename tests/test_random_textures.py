@@ -226,6 +226,13 @@ def test_find_kl_obtuse_angle():
     assert tl == pytest.approx(0.6 * PI)
 
 
+def test_find_kl_float_guard_lowers_k():
+    # pi / (2 phi) is 65.0, but 65 phi rounds above pi/2
+    phi = 0.024166097335306103
+    assert 65 * phi > PI / 2
+    assert find_kl(phi) == (64, 65, 64 * phi, 65 * phi)
+
+
 def test_find_kl_right_angle_degenerate():
     assert find_kl(PI / 2) == (1, 1, PI / 2, PI / 2)
 
@@ -238,8 +245,11 @@ def test_find_kl_domain():
 
 def test_find_kl_certificate_random():
     rng = np.random.default_rng(51)
-    for _ in range(1000):
-        phi = float(rng.uniform(1e-4, PI - 1e-4))
+    # the floats (1 - 2^-m) pi, ends of the intervals of m: m = 4, 9, 19 were once
+    # answered by the pair of m + 1 with theta_k rounded up to pi, others a few ulps off
+    boundary = [2.945243112740431, 3.1354567304382504, 3.1415866614773402]
+    boundary += [(1.0 - 2.0**-m) * PI for m in range(2, 53)]
+    for phi in boundary + [float(x) for x in rng.uniform(1e-4, PI - 1e-4, 1000)]:
         if phi == PI / 2:
             continue
         k, l, tk, tl = find_kl(phi)

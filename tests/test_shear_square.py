@@ -37,6 +37,11 @@ def test_cell_gradients_half():
     assert b.map.cell("S").A == Mat2(Fraction(1), HALF, Fraction(0), Fraction(1))
 
 
+def test_unknown_cell_name_is_key_error():
+    with pytest.raises(KeyError, match=r"^'T9'$"):
+        build(HALF).map.cell("T9")
+
+
 def test_zero_shear_is_rotation():
     b = build(0)
     assert b.F_gamma == Mat2(Fraction(4, 5), Fraction(-3, 5), Fraction(3, 5), Fraction(4, 5))

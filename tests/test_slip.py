@@ -47,6 +47,11 @@ def test_energy_examples():
     assert energy(Mat2(2, 0, 0, 0.5), E1, p=2) == INFINITY
 
 
+def test_energy_exponent_below_one_is_domain_error():
+    with pytest.raises(DomainError, match=r"^p = 0\.5 must be >= 1$"):
+        energy(Mat2(1, 0, 0, 1), E1, p=0.5)
+
+
 def test_huge_tol_keeps_rotations_in_the_unrelaxed_set():
     # the lower stretch edge is max(1 - tol, 0)^2, not (1 - tol)^2 > 1
     identity = Mat2(1.0, 0.0, 0.0, 1.0)

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -65,6 +66,12 @@ def test_in_lambda_examples():
         assert in_lambda(theta, 1.0, 0.0)
     assert not in_lambda(PI / 2, 0.9, 0.0)
     assert not in_lambda(PI / 6, 0.4, 0.0)
+
+
+@pytest.mark.parametrize("theta", [0.0, PI, -0.5])
+def test_in_lambda_theta_outside_is_domain_error(theta):
+    with pytest.raises(DomainError, match=rf"^theta = {re.escape(repr(theta))} outside \(0, pi\)$"):
+        in_lambda(theta, 1.0, 0.0)
 
 
 def test_in_lambda_below_sin_theta_with_a_tiny_stretch():
@@ -383,13 +390,19 @@ def test_single_crystal_bound_is_its_relaxed_set_at_every_stretch(tol):
 @pytest.mark.parametrize("tol", [1.5, 3.0])
 @pytest.mark.parametrize("angles", [[0.0], [0.0, 0.6], [0.0, 0.6, 2.4]])
 def test_rotations_are_members_above_tol_one(angles, tol):
-    # |F e1| = 1 < tol once raised DegenerateBeta; only F e1 = 0 has no frame
+    # |F e1| = 1 < tol once raised DegenerateBeta; only F e1 = 0 has no frame, which
+    # a single crystal does not need: it reads |F e1|^2 only, as its relaxed set does
     aset = normalize(angles)
     rho = np.random.default_rng(43).uniform(0.0, 2.0 * PI, 1000)
     F = np.stack([np.cos(rho), -np.sin(rho), np.sin(rho), np.cos(rho)], axis=1).reshape(-1, 2, 2)
     assert taylor_member_batch(F, aset, tol).all()
     assert all(taylor_member(mat_of(row), aset, tol) for row in F[:50])
     zero_column = np.array([[[0.0, -1.0], [0.0, 0.0]]])  # det 0, within tol of 1
+    if len(angles) == 1:
+        assert in_N(mat_of(zero_column[0]), E1, tol)
+        assert taylor_member_batch(zero_column, aset, tol).all()
+        assert taylor_member(mat_of(zero_column[0]), aset, tol)
+        return
     assert not taylor_member_batch(zero_column, aset, tol).any()
     with pytest.raises(DegenerateBeta):
         taylor_member(mat_of(zero_column[0]), aset, tol)
@@ -548,6 +561,17 @@ def test_trivial_texture_scalar_matches_batch_at_tol_edge():
     for aset in (normalize([0.0, 1.2, 2.0]), normalize([0.0, PI / 2])):
         assert taylor_member(Mat2(b, 0.0, 0.0, 1.0 / b), aset)
         assert taylor_member_batch(np.array([[[b, 0.0], [0.0, 1.0 / b]]]), aset).all()
+
+
+def test_batch_row_off_sl2_raises():
+    rows = np.array([[[1.0, 0.0], [0.0, 1.0]], [[2.0, 0.0], [0.0, 1.0]]])
+    with pytest.raises(NotSL2, match=r"^batch contains matrices with det != 1$"):
+        taylor_member_batch(rows, normalize([0.0, 1.0]))
+
+
+def test_empty_angle_set_is_rejected():
+    with pytest.raises(EmptyInput, match=r"^angle set is empty$"):
+        AngleSet(())
 
 
 def test_trivial_texture_requires_sl2():
