@@ -38,9 +38,9 @@ which is 0 between a segment and an arc, however flat the arc).
 Arcs fix their sweep, endpoints and the (cos, sin) of both ends when they are
 built; the checks of a new polycrystal and the analysis then work on plain
 float coordinates.  Shared lengths are measured only between curves whose
-boxes meet (``_box_pairs``), and endpoints meet in grid cells of side 2
-POS_TOL (``_near``), so the analysis is linear in the boundary curves unless
-many curve boxes overlap along the sweep's axis.
+boxes meet (``_box_pairs``), and endpoints and perpendicular points meet in
+one grid of cells of side 2 POS_TOL (``_near``), so the analysis is linear in
+the boundary curves unless many curve boxes overlap along the sweep's axis.
 """
 
 from __future__ import annotations
@@ -359,36 +359,36 @@ class Polycrystal(FrozenValue):
         )
 
 
-def _textures_equal(a: float, b: float, tol: float = DEFAULT_TOL) -> bool:
+def _textures_equal(a: float, b: float) -> bool:
     d = abs(a - b)
-    return d <= tol or abs(d - math.pi) <= tol
-
-
-def _meets_equal_texture(t: float, ordered: list, below: int, above: int) -> bool:
-    """Whether t ``_textures_equal`` an angle of ``ordered`` (ascending, in [0, pi)) given
-    t's neighbours ordered[below] and ordered[above]: float subtraction is monotone, so an
-    equal angle makes the neighbour on its side, or across pi the end on its side, equal."""
-    n = len(ordered)
-    return any(_textures_equal(t, ordered[b]) for b in {below, above, 0, n - 1} if 0 <= b < n)
+    return d <= DEFAULT_TOL or abs(d - math.pi) <= DEFAULT_TOL
 
 
 def _adjacent_equal_texture_pairs(grains) -> list[tuple[int, int]]:
     """Sorted index pairs (i, j), i < j, of adjacent grains that ``_textures_equal``.
 
-    Only grains that ``_meets_equal_texture`` get a bounding box (an end of the
-    sorted angles may meet itself there).  Equal textures whose boxes, widened by
-    POS_TOL, meet (``_box_pairs``) reach ``_grains_adjacent``."""
+    Subtraction is monotone, so equal textures share a run of sorted angles whose neighbours
+    are equal (the first and last runs joined if the ends are equal across pi).  A run of two
+    or more grains sweeps its boxes, widened by POS_TOL, once (``_box_pairs``): its equal
+    textures whose boxes meet reach ``_grains_adjacent``."""
     thetas = [g.theta for g in grains]
-    order = sorted(range(len(thetas)), key=thetas.__getitem__)
-    ordered = [thetas[i] for i in order]
-    boxes = {}
-    for a, i in enumerate(order):
-        if _meets_equal_texture(thetas[i], ordered, a - 1, a + 1):
+    runs: list[list[int]] = []
+    for i in sorted(range(len(thetas)), key=thetas.__getitem__):
+        if runs and _textures_equal(thetas[runs[-1][-1]], thetas[i]):
+            runs[-1].append(i)
+        else:
+            runs.append([i])
+    if len(runs) > 1 and _textures_equal(thetas[runs[0][0]], thetas[runs[-1][-1]]):
+        runs[0] += runs.pop()
+    near = []
+    for run in (r for r in runs if len(r) > 1):
+        boxes = {}
+        for i in run:
             x0s, y0s, x1s, y1s = zip(*map(_curve_box, grains[i].boundary))
             boxes[i] = (min(x0s), min(y0s), max(x1s), max(y1s))
-    near = sorted((min(i, k), max(i, k)) for i, k in _box_pairs(boxes, 2.0 * POS_TOL)
-                  if _textures_equal(thetas[i], thetas[k]))
-    return [(i, j) for i, j in near if _grains_adjacent(grains[i], grains[j])]
+        near += [(min(i, k), max(i, k)) for i, k in _box_pairs(boxes, 2.0 * POS_TOL)
+                 if _textures_equal(thetas[i], thetas[k])]
+    return [(i, j) for i, j in sorted(near) if _grains_adjacent(grains[i], grains[j])]
 
 
 def _box_pairs(boxes: dict, gap: float, split: Optional[int] = None) -> list[tuple]:
@@ -404,7 +404,7 @@ def _box_pairs(boxes: dict, gap: float, split: Optional[int] = None) -> list[tup
     for i in sorted(boxes, key=lambda k: boxes[k][a]):
         b = boxes[i]
         mates = split is not None and i < split
-        active[mates] = [k for k in active[mates] if boxes[k][a + 2] >= b[a] - gap]
+        active[mates] = [k for k in active[mates] if boxes[k][a + 2] + gap >= b[a]]
         pairs += [(i, k) for k in active[mates]
                   if boxes[k][o] <= b[o + 2] + gap and b[o] <= boxes[k][o + 2] + gap]
         active[split is not None and i >= split].append(i)
@@ -534,7 +534,8 @@ def analyze_boundary(pc: Polycrystal, angular_tol: float = ANGULAR_TOL) -> Bound
     (``_outer_curves``).  Each distinct endpoint of them then gets its grid
     cell and its neighbours once (``_near``): it is a dual point when none of
     them is yet and they have two or more grains, so dual points keep the
-    order in which the endpoints first meet them.
+    order in which the endpoints first meet them.  A perpendicular point joins that
+    grid unless it lies next to a dual point or, on an arc, to a point of its grain.
     """
     if not 0.0 <= angular_tol < math.inf:
         raise DomainError(f"angular_tol must be finite and >= 0, got {angular_tol!r}")
@@ -554,7 +555,7 @@ def _analyze_boundary(pc: Polycrystal, angular_tol: float) -> BoundaryAnalysis:
     for _, gid, xy in endpoints:
         owners.setdefault(xy, set()).add(gid)
     keys = {xy: _cell(*xy) for xy in owners}
-    cells: dict[tuple, list] = {}
+    cells: dict[tuple, list] = {}  # the one grid: endpoints tagged (x, y), so never a grain id
     for xy, key in keys.items():
         cells.setdefault(key, []).append((*xy, xy))
     near = {xy: nb for xy, key in keys.items()  # where two grains meet: point -> neighbours
@@ -564,12 +565,8 @@ def _analyze_boundary(pc: Polycrystal, angular_tol: float) -> BoundaryAnalysis:
         if xy in near and flagged.isdisjoint(near[xy]):
             dual.append(p)
             flagged.add(xy)
-    duals: dict[tuple, list] = {}
-    for xy in flagged:
-        duals.setdefault(keys[xy], []).append((*xy, None))
 
-    perp: list[tuple[Vec2, int]] = []
-    perps: dict[tuple, list] = {}
+    perp: list[tuple[Vec2, int]] = []  # each joins cells, tagged by its grain id
     for gid in boundary_grains:
         s = pc.grain_by_id(gid).slip()
         s_angle = math.atan2(float(s.y), float(s.x))
@@ -581,12 +578,12 @@ def _analyze_boundary(pc: Polycrystal, angular_tol: float) -> BoundaryAnalysis:
                 found = [c.center + Vec2(math.cos(t), math.sin(t)) * c.radius
                          for t in (s_angle + math.pi / 2, s_angle - math.pi / 2)
                          if c.covers_angle(t, angular_tol)]
-            for pt in found:  # an arc's point is dropped next to one of its grain's too
+            for pt in found:  # dropped next to a dual point; an arc's also next to its grain's
                 (x, y), key = (pt.x, pt.y), _cell(pt.x, pt.y)
-                if not _near(duals, x, y, key) and (
-                        isinstance(c, Segment) or gid not in _near(perps, x, y, key)):
+                if flagged.isdisjoint(nb := _near(cells, x, y, key)) and (
+                        isinstance(c, Segment) or gid not in nb):
                     perp.append((pt, gid))
-                    perps.setdefault(key, []).append((x, y, gid))
+                    cells.setdefault(key, []).append((x, y, gid))
 
     j = frozenset(gid for _, gid in perp)
     j_prime = frozenset(gid for gid in boundary_grains
@@ -684,13 +681,14 @@ def outer_bound_perp(pc: Polycrystal, angular_tol: float = ANGULAR_TOL) -> Outer
     ``analyze_boundary(pc, angular_tol)``); with J empty there is no
     constraint beyond det = 1 and the bound degenerates to SL(2)
     (``trivial_flag``).  A texture equal to an earlier kept one, in gid order,
-    changes no membership and is dropped (``_meets_equal_texture`` on the kept).
+    changes no membership and is dropped.
     """
     kept, directions = [], []
     for gid in sorted(analyze_boundary(pc, angular_tol).J):
         t = pc.grain_by_id(gid).theta
-        pos = bisect_left(kept, t)
-        if not _meets_equal_texture(t, kept, pos - 1, pos):
+        pos, n = bisect_left(kept, t), len(kept)
+        # subtraction is monotone: if a kept angle equals t, a neighbour or (across pi) an end does
+        if not any(_textures_equal(t, kept[b]) for b in {pos - 1, pos, 0, n - 1} if 0 <= b < n):
             kept.insert(pos, t)
             directions.append(slip_direction(t))
     return OuterBound(slip_directions=tuple(directions), trivial_flag=len(directions) == 0)

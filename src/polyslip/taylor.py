@@ -21,8 +21,9 @@ of the triviality test (also for the Monte Carlo kernel of
 bit for bit.  The (beta, gamma) frame of a matrix has its one home in
 ``mat2._stretch_shear``, and its stretch test, on |F e1|^2 as in
 ``slip.in_N``/``in_M``, in ``mat2.norm2_at_most_one`` and ``norm2_is_one``;
-so the bound of a single crystal is its relaxed set at every tol, decided on
-|F e1|^2 alone, also at F e1 = 0 (possible at tol >= 1), where no frame exists.
+so a single crystal's bound is its relaxed set and its unrelaxed bound its
+unrelaxed set at every tol, each decided on |F e1|^2 alone, also at F e1 = 0
+(possible at tol >= 1), where no frame exists.
 (``shear_interval``, for ``in_lambda`` and the lambda-plot raster, and
 ``gamma_bounds`` test beta <= 1 + tol on beta.)
 """
@@ -295,7 +296,12 @@ def taylor_M_member(F: Mat2, angles: AngleSet, tol: float = DEFAULT_TOL) -> bool
 
     Membership forces the stretch to be 1 (``norm2_is_one``); the shear is then
     decided by ``TaylorBound``'s own test at beta = 1: rotations only for a
-    trivial texture, else the full-stretch intervals of the reduced bound.
+    trivial texture, else the full-stretch intervals of the reduced bound.  A
+    single crystal, as in ``TaylorBound.member``, reads |F e1|^2 alone, so F e1 = 0 too.
     """
+    if len(angles._bound.angles) == 1:  # its |F e1| = 1 within tol implies |F e1| <= 1 + tol
+        require_sl2(F, tol)
+        fx, fy = F.a11 * 1.0 + F.a12 * 0.0, F.a21 * 1.0 + F.a22 * 0.0  # the frame's f = F e1
+        return norm2_is_one(fx * fx + fy * fy, tol)
     n2, _, gamma = _frame_e1(F, tol)
     return norm2_is_one(n2, tol) and angles._bound._admits(n2, 1.0, gamma, tol)

@@ -485,11 +485,12 @@ def test_member_single_crystal_at_a_zero_column(capsys):
     # F e1 = 0 has no frame: the single crystal reads |F e1|^2 = 0 alone, as its
     # relaxed set does, while a pair of angles still needs the frame and refuses
     zero_column = ["--matrix", "0,-1,0,0", "--tol", "1.5"]
-    payload, _ = _run_json(capsys, ["member", "--angles", "0", *zero_column])
-    assert payload["member"] is True
-    assert run(["member", "--angles", "0,1.5708", *zero_column]) == 1
-    captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", "error: Fs = 0 has no stretch to decompose\n")
+    for space in ("N", "M"):  # |F e1| = 0 is 1 within tol 1.5, so M holds it too
+        payload, _ = _run_json(capsys, ["member", "--angles", "0", "--space", space, *zero_column])
+        assert payload["member"] is True
+        assert run(["member", "--angles", "0,1.5708", "--space", space, *zero_column]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: Fs = 0 has no stretch to decompose\n")
 
 
 def test_laminate_above_tol_one_splits_trivially(capsys):

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from helpers import (FALSE_SAMPLED_MEMBERS, brute_force_boundary_analysis, dense_full_member,
-                     loop_boundary_samples, mat_of, probe_outer_curves, rand_sl2,
-                     rotations_batch, sampled_full_member)
+                     loop_boundary_samples, mat_of, pairwise_adjacent_equal_textures,
+                     probe_outer_curves, rand_sl2, rotations_batch, sampled_full_member)
 from polyslip import geometry
 from polyslip.compat import nu_compatible
 from polyslip.errors import DomainError, InvalidPolycrystal, NotSL2
@@ -21,7 +21,7 @@ from polyslip.geometry import (POS_TOL, TAU, Arc, Grain, Polycrystal, Segment,
                                polycrystal_from_dict, polycrystal_to_dict,
                                quadrant_disk, random_chord_disk,
                                sheared_square_polycrystal)
-from polyslip.mat2 import E1, E2, Mat2, Vec2, is_sl2, is_SO2, rotation
+from polyslip.mat2 import E1, E2, Mat2, Vec2, is_sl2, is_SO2, mod_pi, rotation
 from polyslip.slip import psi, slip_direction
 from polyslip.taylor import normalize, taylor_member
 
@@ -608,6 +608,59 @@ def test_alternating_textures_test_few_grain_pairs(monkeypatch):
     alternating[250] = alternating[249]
     with pytest.raises(InvalidPolycrystal, match="^adjacent grains 250 and 251 share"):
         chord_disk(*_chord_inputs(np.random.default_rng(53), bands, alternating))
+
+
+def _facet_polygon(textures):
+    """(domain, grains): the regular polygon of len(textures) facets, cut into one
+    triangle per facet with apex at the centre, so every grain's box holds the centre."""
+    m = len(textures)
+    corners = [Vec2(math.cos(TAU * k / m), math.sin(TAU * k / m)) for k in range(m)]
+    facets = tuple(Segment(p, q) for p, q in zip(corners, corners[1:] + corners[:1]))
+    o = Vec2(0.0, 0.0)
+    return facets, tuple(Grain(k + 1, (Segment(o, f.p), f, Segment(f.q, o)), t)
+                         for k, (f, t) in enumerate(zip(facets, textures)))
+
+
+def test_equal_texture_check_sweeps_each_texture_apart(monkeypatch):
+    # each texture is the facet normal + pi/2, shared by the opposite facet only, and
+    # every box holds the centre: one sweep per texture meets m / 2 box pairs, one
+    # sweep over all candidate textures would meet about m^2 / 2
+    calls = [0]
+    equal = geometry._textures_equal
+
+    def counted(a, b):
+        calls[0] += 1
+        return equal(a, b)
+
+    monkeypatch.setattr(geometry, "_textures_equal", counted)
+    m = 400
+    pc = Polycrystal(*_facet_polygon([mod_pi(TAU * (k + 0.5) / m + PI / 2) for k in range(m)]))
+    assert len(outer_bound_perp(pc).slip_directions) == m // 2
+    calls[0] = 0
+    Polycrystal(pc.domain, pc.grains)
+    assert 0 < calls[0] <= 4 * m
+
+
+@pytest.mark.parametrize("jitter", [(0.0,), (0.0, 4e-10, -4e-10), (0.0, 9e-10, 1.8e-9),
+                                    (0.0, 1.1e-9, 0.0, 0.0, -1.1e-9),
+                                    (4e-10, 9e-10, 1.1e-9, -4e-10, -9e-10, -1.1e-9, 0.0)])
+@pytest.mark.parametrize("paired", [False, True], ids=["opposite", "paired"])
+def test_equal_texture_runs_match_all_pairs(paired, jitter):
+    # textures k pi / 32 (opposite facets) or (k // 2) pi / 16 (also each facet pair),
+    # so 0 and pi meet across the wrap; jitters of 4e-10 to 1.8e-9 make chains of
+    # equal neighbours whose ends differ, near 0, near pi and inside
+    m = 64
+    textures = [mod_pi((k // 2 * 2 if paired else k) * PI / 32 + jitter[k % len(jitter)])
+                for k in range(m)]
+    domain, grains = _facet_polygon(textures)
+    want = pairwise_adjacent_equal_textures(grains)
+    assert geometry._adjacent_equal_texture_pairs(grains) == want
+    if jitter == (0.0,):
+        assert len(want) == (m // 2 if paired else 0)
+    if want:
+        i, j = want[0]
+        with pytest.raises(InvalidPolycrystal, match=f"^adjacent grains {i + 1} and {j + 1} share"):
+            Polycrystal(domain, grains)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from helpers import (all_angle_taylor_M_member, brute_force_taylor, mat_of, rand
 from polyslip import taylor
 from polyslip.errors import DegenerateBeta, DomainError, EmptyInput, NotSL2
 from polyslip.mat2 import E1, Mat2, decompose, is_SO2, rotation
-from polyslip.slip import in_N, psi
+from polyslip.slip import in_M, in_N, psi
 from polyslip.taylor import (AngleSet, PAIR, SINGLE_CRYSTAL, TRIPLE, gamma_bounds,
                              in_lambda, is_trivial, normalize, reduce_angles,
                              shear_interval, taylor_M_member, taylor_member, taylor_member_batch)
@@ -402,6 +402,9 @@ def test_rotations_are_members_above_tol_one(angles, tol):
         assert in_N(mat_of(zero_column[0]), E1, tol)
         assert taylor_member_batch(zero_column, aset, tol).all()
         assert taylor_member(mat_of(zero_column[0]), aset, tol)
+        # |F e1| = 0 is also 1 within tol > 1: the unrelaxed set holds it, and so does M
+        assert in_M(mat_of(zero_column[0]), E1, tol)
+        assert taylor_M_member(mat_of(zero_column[0]), aset, tol)
         return
     assert not taylor_member_batch(zero_column, aset, tol).any()
     with pytest.raises(DegenerateBeta):
