@@ -17,8 +17,8 @@ from bisect import bisect_left, bisect_right
 
 from .errors import PolyslipError
 from .mat2 import ANGULAR_TOL, Mat2, Vec2
-from .taylor import (gamma_bounds, is_trivial, normalize, reduce_angles, shear_interval,
-                     taylor_M_member, taylor_member)
+from .taylor import (gamma_bounds, is_trivial, normalize, shear_interval, taylor_M_member,
+                     taylor_member)
 
 _PALETTE = ("#4477aa", "#ee6677", "#228833", "#ccbb44", "#66ccee", "#aa3377")
 
@@ -118,7 +118,7 @@ def emit_lambda_plot(thetas, grid: int):
 
 def _cmd_taylor(args) -> dict:
     aset = normalize(_angles_arg(args.angles, args.degrees), args.tol)
-    bound = reduce_angles(aset)
+    bound = aset._bound
     return {
         "angles": list(aset.thetas),
         "shift": aset.shift,
@@ -135,7 +135,7 @@ def _cmd_member(args) -> dict:
         member = taylor_M_member(F, aset, args.tol)
     else:
         member = taylor_member(F, aset, args.tol)
-    return {"member": member, "space": args.space, "reduced": list(reduce_angles(aset).angles)}
+    return {"member": member, "space": args.space, "reduced": list(aset._bound.angles)}
 
 
 def _cmd_compat(args) -> dict:

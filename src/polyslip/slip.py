@@ -67,7 +67,7 @@ def energy(F: Mat2, s: Vec2, p: float, tol: float = DEFAULT_TOL):
     |gamma|^p for the shear amount of ``decompose(F, s)``.  Stays exact
     for rational inputs when p is an even integer.
     """
-    if p < 1:
+    if not p >= 1:  # NaN too
         raise DomainError(f"p = {p!r} must be >= 1")
     if not in_M(F, s, tol):
         return INFINITY

@@ -15,10 +15,10 @@ results back.
 ``_window`` is the one home of gamma_pm, exact at beta = 1, ``_straddles``
 of the triviality test (also for the Monte Carlo kernel of
 ``random_textures``, on each row's pair bracketing pi/2), and
-``TaylorBound._admits`` of the decision:
-``taylor_member`` runs it on floats, ``taylor_M_member`` at beta = 1 and
-``taylor_member_batch`` on numpy arrays, so the batch repeats the scalar
-bit for bit.  The (beta, gamma) frame of a matrix has its one home in
+``TaylorBound._admits`` of the decision: ``taylor_member`` runs it on floats
+and ``taylor_member_batch`` on numpy arrays, so the batch repeats the scalar
+bit for bit; the unrelaxed ``taylor_M_member`` adds only the band |F e1| = 1.
+The (beta, gamma) frame of a matrix has its one home in
 ``mat2._stretch_shear``, and its stretch test, on |F e1|^2 as in
 ``slip.in_N``/``in_M``, in ``mat2.norm2_at_most_one`` and ``norm2_is_one``;
 so a single crystal's bound is its relaxed set and its unrelaxed bound its
@@ -294,14 +294,11 @@ def is_trivial(angles: AngleSet, tol: float = DEFAULT_TOL) -> bool:
 def taylor_M_member(F: Mat2, angles: AngleSet, tol: float = DEFAULT_TOL) -> bool:
     """Constant-strain attainability without relaxation.
 
-    Membership forces the stretch to be 1 (``norm2_is_one``); the shear is then
-    decided by ``TaylorBound``'s own test at beta = 1: rotations only for a
-    trivial texture, else the full-stretch intervals of the reduced bound.  A
-    single crystal, as in ``TaylorBound.member``, reads |F e1|^2 alone, so F e1 = 0 too.
+    The relaxed bound (``taylor_member``) with the grain at angle 0 pinned to its
+    unrelaxed set, |F e1| = 1 within tol, so each member is a relaxed member.  For
+    the raw texture of a nonzero ``angles.shift``, test ``F @ rotation(angles.shift)``.
     """
-    if len(angles._bound.angles) == 1:  # its |F e1| = 1 within tol implies |F e1| <= 1 + tol
-        require_sl2(F, tol)
-        fx, fy = F.a11 * 1.0 + F.a12 * 0.0, F.a21 * 1.0 + F.a22 * 0.0  # the frame's f = F e1
-        return norm2_is_one(fx * fx + fy * fy, tol)
-    n2, _, gamma = _frame_e1(F, tol)
-    return norm2_is_one(n2, tol) and angles._bound._admits(n2, 1.0, gamma, tol)
+    if not angles._bound.member(F, tol):  # raises as the relaxed bound does
+        return False
+    fx, fy = F.a11 * 1.0 + F.a12 * 0.0, F.a21 * 1.0 + F.a22 * 0.0  # the frame's f = F e1
+    return norm2_is_one(fx * fx + fy * fy, tol)

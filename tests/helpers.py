@@ -124,24 +124,38 @@ def stretch_edge_batch(rng, n, tol) -> np.ndarray:
 
 
 def all_angle_taylor_M_member(F: Mat2, angles, tol: float = DEFAULT_TOL) -> bool:
-    """Unrelaxed Taylor membership with the shear interval of every angle of the texture.
+    """Unrelaxed Taylor membership from its definition, with every angle of the texture.
 
-    The interval at stretch 1 is [-2 cot(theta), 0] below pi/2 and
-    [0, -2 cot(theta)] from pi/2 on, each widened by tol.  A trivial texture
+    The grain at angle 0 is pinned to its unrelaxed set, |F e1| = 1 within tol,
+    and every angle theta holds the frame's (beta, gamma) in its relaxed region:
+    beta >= sin(theta) - tol, and gamma in [gamma_-, gamma_+] widened by tol,
+    gamma_pm = -beta cot(theta) +- sqrt(sin(theta)^-2 - beta^-2) (the root is 0
+    for beta <= sin(theta)).  At beta == 1 the interval is [-2 cot(theta), 0]
+    below pi/2 and [0, -2 cot(theta)] from pi/2 on.  A trivial texture
     (``scan_trivial``) admits the rotations only, as the paper states: the
     intervals on the two sides of pi/2 meet only at 0.  Without that branch
     a texture holding fl(pi/2) would admit no rotation at tol 0: the angle is
     not below math.pi / 2, yet its cotangent is positive, so [0, -2 cot] is empty.
     """
     frame = decompose(F, E1, tol)
+    beta, gamma = frame.beta, frame.gamma
     if not (1 - tol) ** 2 <= (F @ E1).norm2() <= (1 + tol) ** 2:
         return False
     if scan_trivial(angles.thetas):
-        return abs(frame.gamma) <= tol
+        return abs(gamma) <= tol
     for theta in angles.thetas[1:]:
-        edge = -2.0 / math.tan(theta)
-        lo, hi = (edge, 0.0) if theta < math.pi / 2 else (0.0, edge)
-        if not lo - tol <= frame.gamma <= hi + tol:
+        st = math.sin(theta)
+        if beta == 1.0:
+            edge = -2.0 / math.tan(theta)
+            lo, hi = (edge, 0.0) if theta < math.pi / 2 else (0.0, edge)
+        elif beta < st - tol:
+            return False
+        else:
+            center = -beta * math.cos(theta) / st
+            b = max(beta, st)
+            root = math.sqrt(max(0.0, 1.0 / (st * st) - 1.0 / (b * b)))
+            lo, hi = center - root, center + root
+        if not lo - tol <= gamma <= hi + tol:
             return False
     return True
 

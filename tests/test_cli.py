@@ -493,6 +493,17 @@ def test_member_single_crystal_at_a_zero_column(capsys):
         assert (captured.out, captured.err) == ("", "error: Fs = 0 has no stretch to decompose\n")
 
 
+@pytest.mark.parametrize("space", ["N", "M"])
+def test_member_unrelaxed_answer_implies_relaxed(capsys, space):
+    # |F e1| = 1 - 5e-10 lies in the band of M at tol 1e-9, and the shear sits on the beta = 1
+    # interval's end; N refuses it at its own beta, so M, which is N plus the band, does too
+    # (M once read the beta = 1 interval and printed true)
+    matrix = "0.9999999995,0.05842395739988977,0,1.0000000005"
+    payload, _ = _run_json(capsys, ["member", "--matrix", matrix, "--angles", "0,1.6",
+                                    "--space", space])
+    assert payload == {"member": False, "space": space, "reduced": [0.0, 1.6]}
+
+
 def test_laminate_above_tol_one_splits_trivially(capsys):
     # |s x s'| = 1 <= tol once refused every slip pair; F lies in the relaxed set of s at 1.5
     payload, _ = _run_json(capsys, ["laminate", "--matrix", "2,0,0,0.5", "--slip", "1,0",

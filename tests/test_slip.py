@@ -48,8 +48,10 @@ def test_energy_examples():
 
 
 def test_energy_exponent_below_one_is_domain_error():
-    with pytest.raises(DomainError, match=r"^p = 0\.5 must be >= 1$"):
-        energy(Mat2(1, 0, 0, 1), E1, p=0.5)
+    # a NaN exponent is not >= 1 either: it once slipped past `p < 1` and returned nan
+    for p, text in ((0.5, r"0\.5"), (math.nan, "nan")):
+        with pytest.raises(DomainError, match=rf"^p = {text} must be >= 1$"):
+            energy(Mat2(1, 0.5, 0, 1), E1, p=p)
 
 
 def test_huge_tol_keeps_rotations_in_the_unrelaxed_set():
