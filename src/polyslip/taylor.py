@@ -26,6 +26,13 @@ unrelaxed set at every tol, each decided on |F e1|^2 alone, also at F e1 = 0
 (possible at tol >= 1), where no frame exists.
 (``shear_interval``, for ``in_lambda`` and the lambda-plot raster, and
 ``gamma_bounds`` test beta <= 1 + tol on beta.)
+
+A ``TaylorBound`` is built once per texture (``AngleSet._bound``) and keeps
+what its decisions read: (theta, sin theta, cos theta) of each decisive angle
+after 0, and the triviality of the last tol it decided, one entry.  So a
+membership test computes only its matrix's frame, from F's columns as the
+batch does.  An angle whose sin(theta)^2 underflows still raises
+``DomainError`` when a matrix is decided, never when the bound is built.
 """
 
 from __future__ import annotations
@@ -36,9 +43,8 @@ from bisect import bisect_left
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, EmptyInput, NotSL2
-from .mat2 import (DEFAULT_TOL, FrozenValue, Mat2, Value, _settle_betas, _stretch_shear,
-                   det_is_one, mod_pi, norm2_at_most_one, norm2_is_one, require_sl2,
-                   stretch_shear)
+from .mat2 import (DEFAULT_TOL, FrozenValue, Mat2, _settle_betas, _stretch_shear, det_is_one,
+                   mod_pi, norm2_at_most_one, norm2_is_one, require_sl2)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -110,15 +116,20 @@ def normalize(angles, tol: float = DEFAULT_TOL) -> AngleSet:
     return AngleSet(thetas=shifted, shift=shift)
 
 
-def _window(theta: float, beta, sqrt=math.sqrt, maximum=max, ones=None):
-    """(center, root) with gamma_pm = center -+ root.
+def _angle(theta: float) -> tuple[float, float, float]:
+    """What ``_window`` reads of an angle: (theta, sin theta, cos theta)."""
+    return theta, math.sin(theta), math.cos(theta)
+
+
+def _window(angle, beta, sqrt=math.sqrt, maximum=max, ones=None):
+    """(center, root) with gamma_pm = center -+ root, for angle = ``_angle(theta)``.
 
     At beta == 1, where the root sqrt(1/sin^2 - 1) is |cot theta| = |center|,
     both are taken from edge = -1/tan(theta): one end is exactly 0 and the
     other -2/tan(theta).  For an array beta pass numpy's ufuncs and ``ones``,
     the indices of its rows equal to 1, which take the float window's values.
     """
-    st = math.sin(theta)
+    theta, st, ct = angle
     if st * st < sys.float_info.min:
         raise DomainError(f"theta = {theta!r}: sin(theta)^2 underflows")
     if ones is None and beta == 1.0:
@@ -126,9 +137,9 @@ def _window(theta: float, beta, sqrt=math.sqrt, maximum=max, ones=None):
         return edge, abs(edge)
     b = maximum(beta, st)  # the root is 0 for beta <= sin(theta)
     root = sqrt(maximum(0.0, 1.0 / (st * st) - 1.0 / (b * b)))
-    center = -beta * math.cos(theta) / st
+    center = -beta * ct / st
     if ones is not None:
-        center[ones], root[ones] = _window(theta, 1.0)
+        center[ones], root[ones] = _window(angle, 1.0)
     return center, root
 
 
@@ -140,10 +151,10 @@ def gamma_bounds(theta: float, beta: float, tol: float = DEFAULT_TOL) -> tuple[f
     """
     if not 0.0 < theta < math.pi:
         raise DomainError(f"theta = {theta!r} outside (0, pi)")
-    st = math.sin(theta)
-    if not st - tol <= beta <= 1 + tol:
-        raise DomainError(f"beta = {beta!r} outside [sin(theta), 1] = [{st!r}, 1]")
-    center, root = _window(theta, beta)
+    angle = _angle(theta)
+    if not angle[1] - tol <= beta <= 1 + tol:
+        raise DomainError(f"beta = {beta!r} outside [sin(theta), 1] = [{angle[1]!r}, 1]")
+    center, root = _window(angle, beta)
     return (center - root, center + root)
 
 
@@ -154,7 +165,7 @@ def shear_interval(theta: float, beta: float, tol: float = DEFAULT_TOL) -> tuple
     """
     if beta <= 0.0 or not math.sin(theta) - tol <= beta <= 1.0 + tol:
         return math.inf, -math.inf
-    center, root = _window(theta, beta)
+    center, root = _window(_angle(theta), beta)
     return center - root - tol, center + root + tol
 
 
@@ -168,40 +179,50 @@ def in_lambda(theta: float, beta: float, gamma: float, tol: float = DEFAULT_TOL)
 
 def _frame_e1(F: Mat2, tol: float):
     """(|F e1|^2, beta, gamma): the square of ``(F @ E1).norm2()`` and the frame of
-    ``decompose(F, E1, tol)``, bit for bit, without building either."""
+    ``decompose(F, E1, tol)``, bit for bit up to the sign of a zero, without building
+    either: F e1 and F perp(e1) are F's columns, as in ``taylor_member_batch``."""
     require_sl2(F, tol)
-    n2, beta, gamma, _, _ = stretch_shear(F, 1.0, 0.0)
+    n2, beta, gamma, _, _ = _stretch_shear(F.a11, F.a21, F.a12, F.a22)
     return n2, beta, gamma
 
 
-class TaylorBound(Value):
-    """The at-most-three orientations of the Taylor bound, 0 first; immutable by contract."""
+class TaylorBound(FrozenValue):
+    """The at-most-three orientations of the Taylor bound, 0 first.
 
-    __slots__ = _fields = ("kind", "angles")
+    Caches, which neither compare nor print: ``_angles``, the ``_angle`` of each
+    orientation after 0, and ``_trivial_at``, (tol, triviality) of the last tol decided."""
+
+    __slots__ = ("kind", "angles", "_angles", "_trivial_at")
+    _fields = ("kind", "angles")
 
     def __init__(self, kind: str, angles: tuple[float, ...]):
-        self.kind = kind
-        self.angles = angles
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "angles", angles)
+        object.__setattr__(self, "_angles", tuple(map(_angle, angles[1:])))
+        object.__setattr__(self, "_trivial_at", (math.nan, False))  # NaN equals no tol
 
     def member(self, F: Mat2, tol: float = DEFAULT_TOL) -> bool:
         if len(self.angles) == 1:  # a single crystal reads |F e1|^2 only: no frame, so F e1 = 0 too
             require_sl2(F, tol)
-            fx, fy = F.a11 * 1.0 + F.a12 * 0.0, F.a21 * 1.0 + F.a22 * 0.0  # the frame's f = F e1
-            return norm2_at_most_one(fx * fx + fy * fy, tol)
+            return norm2_at_most_one(F.a11 * F.a11 + F.a21 * F.a21, tol)  # F e1: the first column
         n2, beta, gamma = _frame_e1(F, tol)  # unpacked: a *args call slows this hot path
         return self._admits(n2, beta, gamma, tol)
 
     def _admits(self, n2, beta, gamma, tol: float, sqrt=math.sqrt, maximum=max, ones=None):
         """The decision on the e1 frame: n2 = |F e1|^2, stretch beta, shear gamma; elementwise,
         given ``_window``'s ufuncs and ``ones`` on arrays.  Trivial: rotations only."""
-        if _trivial(self.angles, tol):
+        last, trivial = self._trivial_at
+        if last != tol:
+            trivial = _trivial(self.angles, tol)
+            object.__setattr__(self, "_trivial_at", (tol, trivial))
+        if trivial:
             return norm2_is_one(n2, tol) & (abs(gamma) <= tol)
         ok = norm2_at_most_one(n2, tol)
-        for a in self.angles[1:]:
-            ok &= beta >= math.sin(a) - tol
+        for angle in self._angles:
+            ok &= beta >= angle[1] - tol  # beta >= sin(theta) - tol
             if ok is False:  # a float stops at its first failed test; arrays run them all
                 return ok
-            center, root = _window(a, beta, sqrt, maximum, ones)
+            center, root = _window(angle, beta, sqrt, maximum, ones)
             ok &= (gamma >= center - root - tol) & (gamma <= center + root + tol)
         return ok
 
@@ -241,8 +262,8 @@ def taylor_member(F: Mat2, angles: AngleSet, tol: float = DEFAULT_TOL) -> bool:
 def taylor_member_batch(F: np.ndarray, angles: AngleSet, tol: float = DEFAULT_TOL) -> np.ndarray:
     """``taylor_member`` over an (n, 2, 2) array of matrices, row for row and bit for bit.
 
-    Runs the scalar's own code elementwise: the det test, ``stretch_shear``
-    at s = e1 and the decision ``TaylorBound._admits`` itself.
+    Runs the scalar's own code elementwise: the det test, ``_frame_e1``'s
+    frame on F's columns and the decision ``TaylorBound._admits`` itself.
     It walks the rows in blocks of ``_BLOCK_ROWS``, so its temporaries stay
     in cache whatever n is.  Raises ``NotSL2`` if any row fails the det test;
     a row on which the scalar raises ``DegenerateBeta`` (F e1 = 0 for a texture of
@@ -259,8 +280,7 @@ def taylor_member_batch(F: np.ndarray, angles: AngleSet, tol: float = DEFAULT_TO
             rows = Mat2(block[:, 0, 0], block[:, 0, 1], block[:, 1, 0], block[:, 1, 1])
             if not np.all(det_is_one(rows.det(), tol)):
                 raise NotSL2("batch contains matrices with det != 1")
-            # stretch_shear at s = e1, whose Fs and F perp(s) are the columns; its
-            # products by 1 and 0 change no value, at most the sign of a zero
+            # _frame_e1's frame on the columns: stretch_shear at e1 up to the sign of a zero
             n2, beta, gamma, _, _ = _stretch_shear(rows.a11, rows.a21, rows.a12, rows.a22,
                                                    _settle_betas)
             ones = np.flatnonzero(beta == 1.0)  # the rows whose window takes its exact ends
@@ -300,5 +320,4 @@ def taylor_M_member(F: Mat2, angles: AngleSet, tol: float = DEFAULT_TOL) -> bool
     """
     if not angles._bound.member(F, tol):  # raises as the relaxed bound does
         return False
-    fx, fy = F.a11 * 1.0 + F.a12 * 0.0, F.a21 * 1.0 + F.a22 * 0.0  # the frame's f = F e1
-    return norm2_is_one(fx * fx + fy * fy, tol)
+    return norm2_is_one(F.a11 * F.a11 + F.a21 * F.a21, tol)  # |F e1|^2 of the first column

@@ -1,13 +1,15 @@
 """The allocation-light scalar kernels agree bit for bit with the object paths they replace.
 
-* ``taylor._frame_e1`` (``require_sl2`` + ``stretch_shear``) against
+* ``taylor._frame_e1`` (``require_sl2`` + ``_stretch_shear`` on F's columns) against
   |F e1|^2 of ``(F @ E1).norm2()`` and the frame of ``decompose(F, E1)``,
-  inside ``TaylorBound.member`` and ``taylor_M_member``;
+  inside ``TaylorBound.member`` and ``taylor_M_member``, also where the two
+  differ in the sign of a zero;
 * ``slip.image_norm2`` against ``(F @ s).norm2()``;
 * ``OuterBound.member`` against ``in_N`` per direction;
 * the rows of ``BoundaryAnalysis.grain_rows`` against the grains and curves they stand for.
 """
 
+import itertools
 import math
 import struct
 from fractions import Fraction
@@ -22,7 +24,7 @@ from polyslip.geometry import (OuterBound, Segment, analyze_boundary, chord_disk
                                halfdisk_bicrystal, quadrant_disk, random_chord_disk,
                                sheared_square_polycrystal)
 from polyslip.mat2 import E1, Mat2, Vec2, decompose, is_sl2
-from polyslip.slip import image_norm2, in_N, slip_direction
+from polyslip.slip import image_norm2, in_M, in_N, slip_direction
 from polyslip.taylor import normalize, reduce_angles, taylor_M_member
 
 TOLS = (1e-9, 1e-6, 0.0)
@@ -90,6 +92,51 @@ def test_taylor_members_match_the_decompose_path(monkeypatch):
         want = decide()
     assert got == want
     assert all(type(r) in (bool, type) for pair in got for r in pair)
+    members = [r for pair in got for r in pair]
+    assert True in members and False in members
+
+
+def _signed_zero_matrices():
+    """The identity, half and quarter turns, shears and a stretch, with every sign of their zeros."""
+    bases = [(1.0, 0.0, 0.0, 1.0), (-1.0, 0.0, 0.0, -1.0), (0.0, -1.0, 1.0, 0.0),
+             (0.0, 1.0, -1.0, 0.0), (1.0, 0.5, 0.0, 1.0), (1.0, 0.0, 0.5, 1.0),
+             (-1.0, 2e-3, 0.0, -1.0), (2.0, 0.0, 0.0, 0.5)]
+    mats = []
+    for base in bases:
+        zeros = [i for i, x in enumerate(base) if x == 0.0]
+        for signs in itertools.product((0.0, -0.0), repeat=len(zeros)):
+            entries = list(base)
+            for i, zero in zip(zeros, signs):
+                entries[i] = zero
+            mats.append(Mat2(*entries))
+    return mats
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9])
+def test_signed_zeros_decide_as_the_decompose_frame(monkeypatch, tol):
+    # F's columns give stretch_shear's frame at e1 up to the sign of a zero, which no
+    # decision reads: [[1, -0.0], [-0.0, 1]] has the shear 0.0 there and -0.0 here
+    mats = _signed_zero_matrices()
+    assert any(tuple(map(_bits, taylor._frame_e1(F, tol)))
+               != tuple(map(_bits, _frame_via_decompose(F, tol))) for F in mats)
+    rows = np.array([[[F.a11, F.a12], [F.a21, F.a22]] for F in mats])
+    textures = [normalize(a) for a in ([0.0], [0.0, 0.6], [0.0, 0.6, 2.4], [0.0, math.pi / 2],
+                                       [0.0, 1.0, 2.0], [0.0, 3.0])]
+
+    def decide():
+        return [(a._bound.member(F, tol), taylor_M_member(F, a, tol))
+                for a in textures for F in mats]
+
+    got = decide()
+    with monkeypatch.context() as m:
+        m.setattr(taylor, "_frame_e1", _frame_via_decompose)
+        assert decide() == got
+    for a in textures:
+        scalar = [a._bound.member(F, tol) for F in mats]
+        assert taylor.taylor_member_batch(rows, a, tol).tolist() == scalar
+        if a.N == 1:  # a single crystal reads its column: its relaxed and unrelaxed sets
+            assert scalar == [in_N(F, E1, tol) for F in mats]
+            assert [taylor_M_member(F, a, tol) for F in mats] == [in_M(F, E1, tol) for F in mats]
     members = [r for pair in got for r in pair]
     assert True in members and False in members
 

@@ -92,6 +92,23 @@ def test_underflowing_sin_theta_is_domain_error():
         in_lambda(1e-200, 1.0, 0.0)
 
 
+def test_building_a_bound_never_raises():
+    # a bound keeps sin and cos of its angles, but an underflowing sin(theta)^2
+    # is refused only when a matrix is decided
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tiny = normalize([0.0, 5e-324], 0.0)
+        assert normalize([0.0, 1e-200], 0.0)._bound.angles == (0.0, 1e-200)
+    assert tiny._bound.angles == (0.0, 5e-324)
+    message = "theta = 5e-324: sin(theta)^2 underflows"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        taylor_member(Mat2.identity(), tiny, 0.0)
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        taylor_member_batch(np.eye(2)[None], tiny, 0.0)
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        in_lambda(5e-324, 0.5, 0.0, 0.0)
+
+
 def test_region_boundary_consistency():
     # points on the gamma curves satisfy |F R(theta) e1| = 1 exactly
     rng = np.random.default_rng(12)
@@ -429,6 +446,42 @@ def test_scalar_member_reduces_the_texture_once(monkeypatch):
     assert [taylor_member(F, aset) for F in mats] == want
     assert len(calls) == 1
     assert True in want and False in want
+
+
+def _decision(F, aset, tol):
+    """``taylor_member(F, aset, tol)``, or the type of the error it raises."""
+    try:
+        return taylor_member(F, aset, tol)
+    except NotSL2 as exc:
+        return type(exc)
+
+
+def test_one_bound_follows_tol_as_fresh_bounds_do():
+    # a bound keeps its triviality for the last tol only: {0, pi/2 + 5e-4} is trivial
+    # at tol 1e-3 but not at tol 0, so a kept answer for another tol decides wrongly
+    rng = np.random.default_rng(29)
+    crafted = np.array([[[1.0, 5e-4], [0.0, 1.0]],  # a member at tol 0 only
+                        [[1.0005, 0.02], [0.0, 1 / 1.0005]],  # at tol 1e-3 only while not trivial
+                        [[1.0005, 0.0], [0.0, 1 / 1.0005]]])  # at tol 1e-3 only
+    rows = np.concatenate([crafted, rand_sl2_batch(rng, 120, 0.998, 1.002, -2e-3, 2e-3),
+                           rotations_batch(rng, 20)])
+    mats = [mat_of(row) for row in rows]
+    dets = rows[:, 0, 0] * rows[:, 1, 1] - rows[:, 0, 1] * rows[:, 1, 0]
+    tols = (0.0, 1e-3, 0.0, 1e-9, 1e-3, 1e-3, 0.5, 0.0, 1.5, 1e-9, 0.0)
+    pair = normalize([0.0, PI / 2 + 5e-4], 0.0)
+    assert is_trivial(pair, 1e-3) and not is_trivial(pair, 0.0)
+    for angles in ([0.0, PI / 2 + 5e-4], [0.0, 0.6, 2.4], [0.0, PI / 2], [0.4, 1.9]):
+        kept = normalize(angles, 0.0)
+        answers = set()
+        for tol in tols:
+            fresh = normalize(angles, 0.0)
+            got = [_decision(F, kept, tol) for F in mats]
+            assert got == [_decision(F, fresh, tol) for F in mats]
+            answers.add(tuple(got))
+            sl2 = np.abs(dets - 1) <= tol
+            assert np.array_equal(taylor_member_batch(rows[sl2], kept, tol),
+                                  taylor_member_batch(rows[sl2], normalize(angles, 0.0), tol))
+        assert len(answers) > 2
 
 
 # ---------------------------------------------------------------------------

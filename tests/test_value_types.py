@@ -33,7 +33,7 @@ VALUES = {
     "AngleSet": (lambda: AngleSet(thetas=(0.0, 1.0), shift=0.25),
                  "AngleSet(thetas=(0.0, 1.0), shift=0.25)", ("thetas", "shift"), True),
     "TaylorBound": (lambda: TaylorBound(kind="pair", angles=(0.0, 1.0)),
-                    "TaylorBound(kind='pair', angles=(0.0, 1.0))", ("kind", "angles"), False),
+                    "TaylorBound(kind='pair', angles=(0.0, 1.0))", ("kind", "angles"), True),
     "SlipSystem": (lambda: SlipSystem(s=Vec2(1.0, 0.0)), "SlipSystem(s=Vec2(x=1.0, y=0.0))",
                    ("s",), True),
     "RankOneConnection": (
@@ -121,6 +121,11 @@ def test_cached_slots_neither_compare_nor_print():
     a, b = AngleSet((0.0, 1.0), 0.25), AngleSet((0.0, 1.0), 0.25)
     object.__setattr__(a, "_bound", None)
     assert a == b and hash(a) == hash(b) and "_bound" not in repr(a)
+    bound, fresh = TaylorBound("pair", (0.0, 1.0)), TaylorBound("pair", (0.0, 1.0))
+    assert bound.member(Mat2(1.0, 0.0, 0.0, 1.0), 0.0) and bound._trivial_at == (0.0, False)
+    object.__setattr__(bound, "_angles", ())
+    assert bound == fresh and hash(bound) == hash(fresh)
+    assert "_angles" not in repr(bound) and "_trivial_at" not in repr(bound)
     arc = Arc(O, 1.0, 0.0, math.pi)
     object.__setattr__(arc, "_sweep", 0.0)
     assert arc == Arc(O, 1.0, 0.0, math.pi) and "_sweep" not in repr(arc)
