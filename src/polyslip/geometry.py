@@ -417,12 +417,10 @@ def _curve_box(c: Curve) -> tuple[float, float, float, float]:
     xs, ys = [x0, x1], [y0, y1]
     if isinstance(c, Arc):  # the extreme points of the circle that the arc passes, or nearly
         cx, cy, r = float(c.center.x), float(c.center.y), c.radius
-        lo, sweep = c.ccw_span()
-        q = _wrap(lo, TAU) / (math.pi / 2)  # in quarter turns from +x
-        for k in range(math.ceil(q - 1e-6), math.floor(q + sweep / (math.pi / 2) + 1e-6) + 1):
-            dx, dy = ((1, 0), (0, 1), (-1, 0), (0, -1))[k % 4]
-            xs.append(cx + dx * r)
-            ys.append(cy + dy * r)
+        for k, (dx, dy) in enumerate(((1, 0), (0, 1), (-1, 0), (0, -1))):
+            if c.covers_angle(k * (math.pi / 2)):
+                xs.append(cx + dx * r)
+                ys.append(cy + dy * r)
     return min(xs), min(ys), max(xs), max(ys)
 
 

@@ -21,9 +21,10 @@ det F = 1; ``norm2_at_most_one`` and ``norm2_is_one`` for |v| <= 1 and
 ``repr`` and pickling over a class's ``_fields``, with no code generated at
 import.  ``Vec2``, ``Mat2``, ``ShearFrame``, ``RankOneConnection`` and
 ``LaminateSplit`` are immutable by contract, not enforced: their fields are
-plain slots, so construction is one store per field.  They compare and hash by value, so never assign to a field of one
-after it is built.  Every other value type derives from ``FrozenValue``,
-whose ``__setattr__`` raises ``AttributeError``: it is read-only.
+plain slots, so construction is one store per field.  They compare and hash
+by value, so never assign to a field of one after it is built.  Every other
+value type derives from ``FrozenValue``, whose ``__setattr__`` raises
+``AttributeError``: it is read-only.
 """
 
 from __future__ import annotations

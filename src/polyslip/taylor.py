@@ -12,10 +12,10 @@ for beta in [sin(theta), 1].  All angle sets are normalized to [0, pi)
 with first element 0; the applied shift is recorded so callers can rotate
 results back.
 
-``_window`` is the one home of gamma_pm, exact at beta = 1, ``_straddles``
-of the triviality test (also for the Monte Carlo kernel of
-``random_textures``, on each row's pair bracketing pi/2), and
-``TaylorBound._admits`` of the decision: ``taylor_member`` runs it on floats
+``_window`` is the one home of gamma_pm, exact at beta = 1, and of its tol band;
+``_straddles`` of the triviality test, decided on the reduced orientations (and by
+the Monte Carlo kernel of ``random_textures`` on each row's pair bracketing pi/2);
+and ``TaylorBound._admits`` of the decision: ``taylor_member`` runs it on floats
 and ``taylor_member_batch`` on numpy arrays, so the batch repeats the scalar
 bit for bit; the unrelaxed ``taylor_M_member`` adds only the band |F e1| = 1.
 The (beta, gamma) frame of a matrix has its one home in
@@ -121,26 +121,28 @@ def _angle(theta: float) -> tuple[float, float, float]:
     return theta, math.sin(theta), math.cos(theta)
 
 
-def _window(angle, beta, sqrt=math.sqrt, maximum=max, ones=None):
-    """(center, root) with gamma_pm = center -+ root, for angle = ``_angle(theta)``.
+def _window(angle, beta, tol, sqrt=math.sqrt, maximum=max, ones=None):
+    """(gamma_- - tol, gamma_+ + tol) at stretch beta, for angle = ``_angle(theta)``.
 
-    At beta == 1, where the root sqrt(1/sin^2 - 1) is |cot theta| = |center|,
-    both are taken from edge = -1/tan(theta): one end is exactly 0 and the
-    other -2/tan(theta).  For an array beta pass numpy's ufuncs and ``ones``,
-    the indices of its rows equal to 1, which take the float window's values.
+    gamma_pm = center -+ root.  At beta == 1, where the root sqrt(1/sin^2 - 1) is
+    |cot theta| = |center|, both come from center = -1/tan(theta): one end of gamma_pm
+    is exactly 0 and the other -2/tan(theta).  For an array beta pass numpy's ufuncs and
+    ``ones``, the indices of its rows equal to 1, which take the float window's values.
     """
     theta, st, ct = angle
     if st * st < sys.float_info.min:
         raise DomainError(f"theta = {theta!r}: sin(theta)^2 underflows")
     if ones is None and beta == 1.0:
-        edge = -1.0 / math.tan(theta)
-        return edge, abs(edge)
-    b = maximum(beta, st)  # the root is 0 for beta <= sin(theta)
-    root = sqrt(maximum(0.0, 1.0 / (st * st) - 1.0 / (b * b)))
-    center = -beta * ct / st
+        center = -1.0 / math.tan(theta)
+        root = abs(center)
+    else:
+        b = maximum(beta, st)  # the root is 0 for beta <= sin(theta)
+        root = sqrt(maximum(0.0, 1.0 / (st * st) - 1.0 / (b * b)))
+        center = -beta * ct / st
+    lo, hi = center - root - tol, center + root + tol
     if ones is not None:
-        center[ones], root[ones] = _window(angle, 1.0)
-    return center, root
+        lo[ones], hi[ones] = _window(angle, 1.0, tol)
+    return lo, hi
 
 
 def gamma_bounds(theta: float, beta: float, tol: float = DEFAULT_TOL) -> tuple[float, float]:
@@ -154,8 +156,7 @@ def gamma_bounds(theta: float, beta: float, tol: float = DEFAULT_TOL) -> tuple[f
     angle = _angle(theta)
     if not angle[1] - tol <= beta <= 1 + tol:
         raise DomainError(f"beta = {beta!r} outside [sin(theta), 1] = [{angle[1]!r}, 1]")
-    center, root = _window(angle, beta)
-    return (center - root, center + root)
+    return _window(angle, beta, 0.0)
 
 
 def shear_interval(theta: float, beta: float, tol: float = DEFAULT_TOL) -> tuple[float, float]:
@@ -163,10 +164,9 @@ def shear_interval(theta: float, beta: float, tol: float = DEFAULT_TOL) -> tuple
 
     Empty (lo > hi) when beta lies outside [sin(theta), 1] up to tol.
     """
-    if beta <= 0.0 or not math.sin(theta) - tol <= beta <= 1.0 + tol:
+    if beta <= 0.0 or not (angle := _angle(theta))[1] - tol <= beta <= 1.0 + tol:
         return math.inf, -math.inf
-    center, root = _window(_angle(theta), beta)
-    return center - root - tol, center + root + tol
+    return _window(angle, beta, tol)
 
 
 def in_lambda(theta: float, beta: float, gamma: float, tol: float = DEFAULT_TOL) -> bool:
@@ -222,8 +222,8 @@ class TaylorBound(FrozenValue):
             ok &= beta >= angle[1] - tol  # beta >= sin(theta) - tol
             if ok is False:  # a float stops at its first failed test; arrays run them all
                 return ok
-            center, root = _window(angle, beta, sqrt, maximum, ones)
-            ok &= (gamma >= center - root - tol) & (gamma <= center + root + tol)
+            lo, hi = _window(angle, beta, tol, sqrt, maximum, ones)
+            ok &= (gamma >= lo) & (gamma <= hi)
         return ok
 
 
@@ -293,22 +293,22 @@ def _straddles(a, b, tol):
     return (a <= HALF_PI + tol) & (b >= HALF_PI - tol) & (b - a <= HALF_PI + tol)
 
 
-def _trivial(thetas, tol: float) -> bool:
-    """Some consecutive pair of the sorted angles straddles pi/2 (``_straddles``);
-    bisection skips the pairs below pi/2 - tol, and the scan stops once the
-    lower angle passes pi/2 + tol, where no later pair can straddle."""
-    j = max(1, bisect_left(thetas, HALF_PI - tol))
-    while j < len(thetas) and thetas[j - 1] <= HALF_PI + tol:
-        if _straddles(thetas[j - 1], thetas[j], tol):
+def _trivial(angles, tol: float) -> bool:
+    """Some consecutive pair of the reduced angles (at most two pairs) straddles pi/2."""
+    for a, b in zip(angles, angles[1:]):
+        if _straddles(a, b, tol):
             return True
-        j += 1
     return False
 
 
 def is_trivial(angles: AngleSet, tol: float = DEFAULT_TOL) -> bool:
     """True iff the Taylor bound of the texture is exactly the rotations: some consecutive
-    pair of angles straddles pi/2 while at most pi/2 apart, each comparison within tol."""
-    return _trivial(angles.thetas, tol)
+    pair of angles straddles pi/2 while at most pi/2 apart, each comparison within tol.
+
+    Decided on the reduced angles (``reduce_angles``), as membership is: a straddling
+    pair of the full texture is the bracketing pair, or lies within tol of pi/2, where
+    (0, theta_n) or (theta_n, theta_n+1) straddles too."""
+    return _trivial(angles._bound.angles, tol)
 
 
 def taylor_M_member(F: Mat2, angles: AngleSet, tol: float = DEFAULT_TOL) -> bool:

@@ -160,12 +160,13 @@ def all_angle_taylor_M_member(F: Mat2, angles, tol: float = DEFAULT_TOL) -> bool
     return True
 
 
-def scan_trivial(thetas) -> bool:
-    """Direct consecutive-pair scan for a trivial bound (test-local copy)."""
+def scan_trivial(thetas, tol: float = 0.0) -> bool:
+    """Direct scan of every consecutive pair for a trivial bound (test-local copy): some
+    pair straddles pi/2 while at most pi/2 apart, each comparison within tol."""
     half = math.pi / 2
     ts = sorted(thetas)
     for i in range(len(ts) - 1):
-        if ts[i] <= half <= ts[i + 1] and ts[i + 1] - ts[i] <= half:
+        if ts[i] <= half + tol and ts[i + 1] >= half - tol and ts[i + 1] - ts[i] <= half + tol:
             return True
     return False
 

@@ -502,6 +502,26 @@ def test_triviality_matches_independent_scan():
         assert is_trivial(aset) == scan_trivial(aset.thetas)
 
 
+@pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.5, 1.5, 3.5])
+def test_triviality_on_the_reduced_angles_matches_the_full_scan(tol):
+    # is_trivial reads only the reduced angles; every consecutive pair of the full texture
+    # is scanned here, with angles within a few tol and one ulp of pi/2 and near 0 and pi
+    rng = np.random.default_rng(30)
+    near = [PI / 2 + sign * k * tol for sign in (-1.0, 1.0) for k in (0.0, 0.5, 1.0, 2.0)]
+    near += [math.nextafter(t, side) for t in near for side in (0.0, PI)]
+    near += [5e-324, 1e-9, 1e-3, PI - 1e-3, math.nextafter(PI, 0.0)]
+    pool = sorted({t for t in near if 0.0 < t < PI})
+    answers = set()
+    for _ in range(500):
+        picked = [float(rng.choice(pool)) if rng.random() < 0.8 else float(rng.uniform(0.0, PI))
+                  for _ in range(int(rng.integers(0, 7)))]
+        aset = AngleSet(tuple(sorted({0.0, *picked})))
+        want = scan_trivial(aset.thetas, tol)
+        assert is_trivial(aset, tol) == want, (aset.thetas, tol)
+        answers.add(want)
+    assert answers == {True, False}
+
+
 def test_trivial_sets_reject_non_rotations():
     rng = np.random.default_rng(17)
     aset = normalize([0.0, 1.2, 1.9])
