@@ -59,7 +59,10 @@ def _parse_gamma(text: str):
     try:
         return Fraction(text)
     except ValueError:
-        return float(text)
+        gamma = float(text)
+        if not math.isfinite(gamma):
+            raise ValueError(f"gamma {text!r} is not finite") from None
+        return gamma
     except ZeroDivisionError:
         raise ValueError(f"gamma {text!r} has a zero denominator") from None
 

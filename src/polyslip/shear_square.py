@@ -15,23 +15,25 @@ range exhibits an attainable boundary strain outside that bound.
 
 The cell gradients and F_gamma are affine in gamma, written once in
 ``_AFFINE``.  With rational gamma = p/q, and a rational pre-rotation if
-any, the map is rational: ``build`` forms the gradients as ints in p and q
-and assembles the map on ints.  Each build's map is lifted once to ints
-over one common denominator D, the least common multiple of the
-denominators of every cell's A and b and of F_gamma, read off the built
-map alone.  ``verify`` checks continuity, incompressibility, membership,
-boundary trace and the jump conditions on that lift as identities between
-ints: zero arithmetic error.  ``average_gradient`` sums the same lift, and
-``mesh_dict`` and ``render_svg`` evaluate each vertex on it, each float
-the one nearest the exact value.  Float and mixed builds take the same
-steps on their own entries (D = 1) and keep the tolerance semantics, as
-does any tol > 0; a tol that is not None, finite and >= 0 is a
-``DomainError``.  One scalar helper, ``_apply``, evaluates every cell,
-A v + k b on its row (a11, a12, a21, a22, bx, by), for ``verify``, the
-translation walk of ``build`` and the mesh.  The cell layout does not
-depend on gamma: its interfaces, areas, the translation walk and the one
-cell owning each domain edge (where the boundary trace is probed) are
-derived once at import.
+any, the map is rational: the range test reads p and q as ints, and
+``build`` forms the gradients as ints in p and q and assembles the map on
+ints.  Each build's map is lifted once to ints over one common denominator
+D, the least common multiple of the denominators of every cell's A and b
+and of F_gamma, read off the built map alone, one integer ratio per entry.
+``Fraction``s are made only for the values handed to callers: the cells'
+A and b, F_gamma and the mean of ``average_gradient``.  ``verify`` checks
+continuity, incompressibility, membership, boundary trace and the jump
+conditions on that lift as identities between ints: zero arithmetic
+error.  ``average_gradient`` sums the same lift, and ``mesh_dict`` and
+``render_svg`` evaluate each vertex on it, each float the one nearest the
+exact value.  Float and mixed builds take the same steps on their own
+entries (D = 1) and keep the tolerance semantics, as does any tol > 0; a
+tol that is not None, finite and >= 0 is a ``DomainError``.  One scalar
+helper, ``_apply``, evaluates every cell, A v + k b on its row (a11, a12,
+a21, a22, bx, by), for ``verify``, the translation walk of ``build`` and
+the mesh.  The cell layout does not depend on gamma: its interfaces,
+areas, the translation walk and the one cell owning each domain edge
+(where the boundary trace is probed) are derived once at import.
 """
 
 from __future__ import annotations
@@ -207,13 +209,22 @@ def _lifted(build_: ShearSquareBuild) -> tuple:
 
 
 def _checked_gamma(gamma):
-    """gamma with integral floats made int; GammaOutOfRange beyond sqrt(3) - 1."""
+    """gamma with integral floats made int; GammaOutOfRange beyond sqrt(3) - 1.
+
+    A rational gamma = p/q, q > 0, read as ``_affine`` reads it, is in range
+    when (q + |p|)^2 <= 3 q^2, decided on ints; a float when
+    (1 + |gamma|)^2 <= 3 (1 + 1e-12).
+    """
     if isinstance(gamma, float) and gamma.is_integer():
         gamma = int(gamma)
-    g = abs(gamma)
-    slack = 1e-12 if isinstance(gamma, float) else 0
-    if not (1 + g) ** 2 <= 3 * (1 + slack):
-        size = float(g) if g <= sys.float_info.max else math.inf
+    if isinstance(gamma, float):
+        ok = (1 + abs(gamma)) ** 2 <= 3 * (1 + 1e-12)
+    else:
+        p, q = gamma.numerator, gamma.denominator
+        ok = (q + abs(p)) ** 2 <= 3 * q * q
+    if not ok:
+        g = abs(gamma)
+        size = math.inf if g > sys.float_info.max else float(g)
         raise GammaOutOfRange(f"|gamma| = {size!r} exceeds sqrt(3) - 1")
     return gamma
 
@@ -303,8 +314,9 @@ def _one_denominator(xs: list) -> Optional[tuple[int, list]]:
     products as ints; None unless every x is an int or a ``Fraction``."""
     if not all(isinstance(x, (int, Fraction)) for x in xs):
         return None
-    d = math.lcm(*[x.denominator for x in xs])
-    return d, [x.numerator * (d // x.denominator) for x in xs]
+    ratios = [x.as_integer_ratio() for x in xs]
+    d = math.lcm(*[q for _, q in ratios])
+    return d, [p * (d // q) for p, q in ratios]
 
 
 _CHECKS = ("continuity", "determinant", "membership", "boundary_trace", "rank_one_jumps")
@@ -367,9 +379,10 @@ def verify(build_: ShearSquareBuild, tol: Optional[float] = None) -> Verificatio
 
     for n1, n2, p, q in _INTERFACES:
         r1, r2 = rows[n1], rows[n2]
-        if not all(_within(_apply(r1, v, 1), _apply(r2, v, 1), tol) for v in (p, q)):
+        if not (_within(_apply(r1, p, 1), _apply(r2, p, 1), tol)
+                and _within(_apply(r1, q, 1), _apply(r2, q, 1), tol)):
             failed.append(("continuity", f"continuity: {n1}|{n2}"))
-        jump = [x - y for x, y in zip(r1[:4], r2[:4])]
+        jump = (r1[0] - r2[0], r1[1] - r2[1], r1[2] - r2[2], r1[3] - r2[3])
         if not _within(_apply(jump, (q[0] - p[0], q[1] - p[1])), (0, 0), tol):
             failed.append(("rank_one_jumps", f"jump: {n1}|{n2}"))
 
@@ -382,8 +395,9 @@ def verify(build_: ShearSquareBuild, tol: Optional[float] = None) -> Verificatio
         if not (det_ok and x * x + y * y <= unit2):
             failed.append(("membership", f"membership: {name}"))
 
+    F = entries[-4:]
     for owner, q in _TRACE_POINTS:
-        if not _within(_apply(rows[owner], q, 3), _apply(entries[-4:], q), 3 * tol):
+        if not _within(_apply(rows[owner], q, 3), _apply(F, q), 3 * tol):
             failed.append(("boundary_trace", f"boundary trace at {(q[0] / 3, q[1] / 3)}"))
 
     failing = {check for check, _ in failed}

@@ -423,6 +423,9 @@ def test_invalid_argument_is_parse_error(capsys, argv):
     ["taylor", "--angles", "0,1", "--tol", "nan"],
     ["taylor", "--angles", "0,1", "--tol", "inf"],
     ["member", "--angles", "0,1", "--matrix", "1,0,0,1", "--tol", "-1"],
+    ["shear", "--gamma", "nan"],
+    ["shear", "--gamma", "inf"],
+    ["shear", "--gamma=-inf"],
 ])
 def test_non_finite_input_is_parse_error(capsys, argv):
     assert run(argv) == 2

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import pickle
+import sys
 from fractions import Fraction
 
 import pytest
@@ -56,6 +57,55 @@ def test_gamma_out_of_range():
         build(Fraction(-9, 10))
     with pytest.raises(GammaOutOfRange):
         conclusion(0.75)
+
+
+def _convergents(limit: int) -> list[Fraction]:
+    """The continued-fraction convergents of sqrt(3) - 1 = [0; 1, 2, 1, 2, ...] with
+    denominators up to ``limit``: 0, 1, 2/3, 3/4, 8/11, ..., on alternate sides of it."""
+    (p0, q0), (p, q), out = (1, 0), (0, 1), []
+    while q <= limit:
+        out.append(Fraction(p, q))
+        a = 1 if len(out) % 2 else 2
+        (p0, q0), (p, q) = (p, q), (a * p + p0, a * q + q0)
+    return out
+
+
+def _range_message(g) -> str:
+    """The ``GammaOutOfRange`` text for a rational gamma: |gamma| as the nearest float, or inf."""
+    size = math.inf if abs(g) > sys.float_info.max else float(abs(g))
+    return f"|gamma| = {size!r} exceeds sqrt(3) - 1"
+
+
+def test_exact_range_is_decided_exactly_at_its_edge():
+    edge = _convergents(10 ** 40)
+    # huge numerators a hair to either side of the last convergents
+    nudged = [Fraction(c.numerator * 10 ** 60 + k, c.denominator * 10 ** 60)
+              for c in edge[-4:] for k in (-1, 1)]
+    wide = [Fraction(10 ** 400 + 1, 10 ** 400), Fraction(10 ** 400, 3), Fraction(3, 10 ** 400),
+            1, 10 ** 3, 10 ** 20, 10 ** 400]
+    accepted = rejected = 0
+    for g in [sign * x for x in edge + nudged + wide for sign in (1, -1)]:
+        if (1 + abs(Fraction(g))) ** 2 <= 3:
+            built = build(g)
+            assert built.gamma == g and verify(built).all_passed
+            assert conclusion(g)["separates"] is (g != 0)
+            accepted += 1
+        else:
+            for step in (build, conclusion):
+                with pytest.raises(GammaOutOfRange) as info:
+                    step(g)
+                assert str(info.value) == _range_message(g)
+            rejected += 1
+    assert accepted > 80 and rejected > 80
+
+
+@pytest.mark.parametrize("gamma, size", [(math.nan, "nan"), (math.inf, "inf"),
+                                         (-math.inf, "inf")], ids=["nan", "inf", "-inf"])
+def test_non_finite_gamma_is_named_in_the_range_error(gamma, size):
+    for step in (build, conclusion):
+        with pytest.raises(GammaOutOfRange) as info:
+            step(gamma)
+        assert str(info.value) == f"|gamma| = {size} exceeds sqrt(3) - 1"
 
 
 def test_twelve_internal_interfaces():

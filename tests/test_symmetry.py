@@ -5,7 +5,9 @@ F -> QF for every rotation Q (frame indifference), and the mirror P =
 diag(1, -1) maps the set of s(theta) onto that of s(-theta) by F -> PFP.
 The Taylor bounds, the outer bounds and rank-one compatibility are built
 from these sets, so each inherits the laws: the answer for F and for its
-image agree.  A draw whose answer changes between tol - BAND and tol + BAND
+image agree.  The outer bounds read only the shape of a polycrystal, so
+translating it moves its dual and perpendicular points with it and changes
+no answer.  A draw whose answer changes between tol - BAND and tol + BAND
 lies within rounding of an edge of the region, where the two answers may
 part, and is skipped.  The laws that fail today are marked
 ``xfail(strict=True)`` with the ROADMAP item that mends them.
@@ -18,7 +20,7 @@ import pytest
 
 from helpers import rand_sl2, rand_sl2_batch, rand_unit, rotations_batch
 from polyslip.compat import find_connection, laminate_split, nu_compatible
-from polyslip.geometry import (Grain, Polycrystal, Segment, analyze_boundary, chord_disk,
+from polyslip.geometry import (Arc, Grain, Polycrystal, Segment, analyze_boundary, chord_disk,
                                halfdisk_bicrystal, outer_bound_full_member, outer_bound_perp,
                                quadrant_disk, sheared_square_polycrystal)
 from polyslip.mat2 import Mat2, Vec2, rotation
@@ -116,20 +118,58 @@ def _stock():
             chord_disk([-0.3, 0.4], [0.2, 1.4, 2.6])]
 
 
+def _outer_matrices(rng):
+    """Near rotations, members of every bound, and strong strains, which the tilted
+    square's full bound refuses only far from the identity."""
+    return (_matrices(rng, 60)
+            + [rand_sl2(rng, 1.0 - 2e-7, 1.0, -2e-7, 2e-7) for _ in range(20)]
+            + [rand_sl2(rng, 0.05, 20.0, -20.0, 20.0) for _ in range(60)])
+
+
 def test_outer_bounds_are_frame_indifferent():
     rng = np.random.default_rng(304)
     for pc in _stock():
         perp = outer_bound_perp(pc)
-        # near rotations, members of every bound, and strong strains, which the tilted
-        # square's full bound refuses only far from the identity
-        mats = (_matrices(rng, 60)
-                + [rand_sl2(rng, 1.0 - 2e-7, 1.0, -2e-7, 2e-7) for _ in range(20)]
-                + [rand_sl2(rng, 0.05, 20.0, -20.0, 20.0) for _ in range(60)])
-        pairs = [(F, rotation(rng.uniform(0.0, 2.0 * PI)) @ F) for F in mats]
+        pairs = [(F, rotation(rng.uniform(0.0, 2.0 * PI)) @ F) for F in _outer_matrices(rng)]
         _assert_decided(_law_answers(lambda F, tol: outer_bound_full_member(F, pc, tol), pairs),
                         len(pairs))
         if not perp.trivial_flag:
             _assert_decided(_law_answers(perp.member, pairs), len(pairs))
+
+
+def _translated(pc: Polycrystal, t: Vec2) -> Polycrystal:
+    """pc with every segment end and arc centre moved by t; radii and arc angles kept."""
+    def move(c):
+        if isinstance(c, Segment):
+            return Segment(c.p + t, c.q + t)
+        return Arc(c.center + t, c.radius, c.from_angle, c.to_angle, c.ccw)
+
+    return Polycrystal(tuple(map(move, pc.domain)),
+                       tuple(Grain(g.id, tuple(map(move, g.boundary)), g.theta) for g in pc.grains))
+
+
+@pytest.mark.parametrize("t", [Vec2(1e3, -1e3), Vec2(1e6, 3e5)], ids=["1e3", "1e6"])
+def test_boundary_analysis_and_outer_bounds_follow_a_translation(t):
+    rng = np.random.default_rng(306)
+    # with a strain the tilted square's full bound refuses, which this draw lacks
+    pairs = [(F, F) for F in _outer_matrices(rng) + [Mat2(2.0, 6.0, 0.0, 0.5)]]
+    slack = 1e-9 * t.norm()
+    for pc in _stock():
+        moved = _translated(pc, t)
+        a, b = analyze_boundary(pc), analyze_boundary(moved)
+        assert (b.boundary_grains, b.J, b.J_prime) == (a.boundary_grains, a.J, a.J_prime)
+        assert len(b.dual_points) == len(a.dual_points)
+        assert all((q - (p + t)).norm() <= slack for p, q in zip(a.dual_points, b.dual_points))
+        assert [gid for _, gid in b.perp_points] == [gid for _, gid in a.perp_points]
+        assert all((q - (p + t)).norm() <= slack
+                   for (p, _), (q, _) in zip(a.perp_points, b.perp_points))
+        _assert_decided(_law_answers(lambda F, tol: outer_bound_full_member(F, pc, tol), pairs,
+                                     lambda G, tol: outer_bound_full_member(G, moved, tol)),
+                        len(pairs))
+        perp, perp_moved = outer_bound_perp(pc), outer_bound_perp(moved)
+        assert perp_moved.trivial_flag == perp.trivial_flag
+        if not perp.trivial_flag:
+            _assert_decided(_law_answers(perp.member, pairs, perp_moved.member), len(pairs))
 
 
 def test_compatibility_is_frame_indifferent():
