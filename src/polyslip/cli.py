@@ -17,8 +17,6 @@ from bisect import bisect_left, bisect_right
 
 from .errors import PolyslipError
 from .mat2 import ANGULAR_TOL, Mat2, Vec2
-from .taylor import (gamma_bounds, is_trivial, normalize, shear_interval, taylor_M_member,
-                     taylor_member)
 
 _PALETTE = ("#4477aa", "#ee6677", "#228833", "#ccbb44", "#66ccee", "#aa3377")
 
@@ -83,6 +81,7 @@ def emit_lambda_plot(thetas, grid: int):
     counts the cells of a grid x grid raster whose centers lie in it.
     """
     from .svg import SvgCanvas
+    from .taylor import gamma_bounds, shear_interval
 
     gmax = 0.0
     for t in thetas:
@@ -120,6 +119,8 @@ def emit_lambda_plot(thetas, grid: int):
 
 
 def _cmd_taylor(args) -> dict:
+    from .taylor import is_trivial, normalize
+
     aset = normalize(_angles_arg(args.angles, args.degrees), args.tol)
     bound = aset._bound
     return {
@@ -132,6 +133,8 @@ def _cmd_taylor(args) -> dict:
 
 
 def _cmd_member(args) -> dict:
+    from .taylor import normalize, taylor_M_member, taylor_member
+
     aset = normalize(_angles_arg(args.angles, args.degrees), args.tol)
     F = _parse_matrix(args.matrix)
     if args.space == "M":
@@ -308,11 +311,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg", help="output SVG path")
     p.add_argument("--csv", help="output CSV path for boundary curves")
 
-    for p in sub.choices.values():  # options every subcommand takes, listed last
-        p.add_argument("--tol", type=float, default=1e-9,
-                       help="floating-point tolerance (default 1e-9)")
-        p.add_argument("--degrees", action="store_true",
-                       help="interpret input angles as degrees")
+    for name, p in sub.choices.items():  # shared options, each only where it is read, listed last
+        if name in ("taylor", "member", "compat", "laminate", "outer"):
+            p.add_argument("--tol", type=float, default=1e-9,
+                           help="floating-point tolerance (default 1e-9)")
+        if name in ("taylor", "member", "lambda-plot"):
+            p.add_argument("--degrees", action="store_true",
+                           help="interpret input angles as degrees")
         p.add_argument("--format", choices=("json", "csv"), default="json",
                        help="stdout payload format")
     return parser
@@ -332,7 +337,7 @@ def run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if not 0.0 <= args.tol < math.inf:
+        if not 0.0 <= getattr(args, "tol", 0.0) < math.inf:
             raise ValueError(f"--tol must be finite and >= 0, got {args.tol!r}")
         payload = args.func(args)
     except PolyslipError as exc:

@@ -11,6 +11,7 @@ pi/2, certifying triviality of the generated texture.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -34,9 +35,12 @@ class McConfig(FrozenValue):
     __slots__ = _fields = ("k", "n_samples", "seed")
 
     def __init__(self, k: int, n_samples: int, seed: int):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "n_samples", n_samples)
-        object.__setattr__(self, "seed", seed)
+        # operator.index: any integer type becomes an int, so numpy ints do not wrap
+        for name, value in (("k", k), ("n_samples", n_samples), ("seed", seed)):
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise DomainError(f"{name} = {value!r} is not an integer") from None
         if not 1 <= self.k <= MAX_K:
             raise DomainError(f"k = {self.k!r} outside [1, {MAX_K}]")
         if not 1 <= self.n_samples <= MAX_SAMPLES:

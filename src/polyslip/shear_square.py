@@ -39,6 +39,8 @@ areas, the translation walk and the one cell owning each domain edge
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -209,12 +211,25 @@ def _lifted(build_: ShearSquareBuild) -> tuple:
 
 
 def _checked_gamma(gamma):
-    """gamma with integral floats made int; GammaOutOfRange beyond sqrt(3) - 1.
+    """gamma as a Python number, integral floats made int; GammaOutOfRange
+    beyond sqrt(3) - 1.
 
+    An integer of any type becomes an int, any other rational a ``Fraction``
+    of ints and any other real (a numpy float) a float, so no numpy
+    arithmetic wraps below; another type is a ``DomainError``.
     A rational gamma = p/q, q > 0, read as ``_affine`` reads it, is in range
     when (q + |p|)^2 <= 3 q^2, decided on ints; a float when
     (1 + |gamma|)^2 <= 3 (1 + 1e-12).
     """
+    if type(gamma) is not Fraction and type(gamma) is not float:
+        if isinstance(gamma, numbers.Integral):
+            gamma = operator.index(gamma)
+        elif isinstance(gamma, numbers.Rational):
+            gamma = Fraction(operator.index(gamma.numerator), operator.index(gamma.denominator))
+        elif isinstance(gamma, numbers.Real):
+            gamma = float(gamma)
+        else:
+            raise DomainError(f"gamma of type {type(gamma).__name__} is not a real number")
     if isinstance(gamma, float) and gamma.is_integer():
         gamma = int(gamma)
     if isinstance(gamma, float):

@@ -97,8 +97,10 @@ def normalize(angles, tol: float = DEFAULT_TOL) -> AngleSet:
     Orientations are line-like (a slip direction and its negative act
     identically), hence the mod-pi reduction; duplicates are merged
     circularly so values just below pi collapse onto 0.  A NaN or infinite
-    angle raises ``DomainError``.
+    angle, or a tol that is not finite and >= 0, raises ``DomainError``.
     """
+    if not 0.0 <= tol < math.inf:
+        raise DomainError(f"tol must be finite and >= 0, got {tol!r}")
     values = [float(a) for a in angles]
     if not values:
         raise EmptyInput("no angles given")

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import re
@@ -5,7 +6,7 @@ import re
 import pytest
 
 from helpers import FALSE_SAMPLED_MEMBERS
-from polyslip.cli import _parse_unit, emit_lambda_plot, run
+from polyslip.cli import _parse_unit, build_parser, emit_lambda_plot, run
 from polyslip.errors import DomainError, InvalidPolycrystal
 from polyslip.geometry import (chord_disk, load_polycrystal, polycrystal_to_dict, quadrant_disk,
                                sheared_square_polycrystal)
@@ -694,3 +695,62 @@ def test_lambda_plot_draws_one_polygon_per_angle():
     expected = ([f"{float(r[2]):.6g},{float(r[1]):.6g}" for r in own_rows]
                 + [f"{float(r[3]):.6g},{float(r[1]):.6g}" for r in reversed(own_rows)])
     assert first == expected
+
+
+# Each subcommand's options in the order it lists them; the shared ones come last: --tol
+# where the subcommand decides with it, --degrees where it reads angles, --format on all.
+OPTIONS = {
+    "taylor": ["--angles", "--tol", "--degrees", "--format"],
+    "member": ["--angles", "--matrix", "--space", "--tol", "--degrees", "--format"],
+    "compat": ["--matrix", "--slip", "--normal", "--tol", "--format"],
+    "laminate": ["--matrix", "--slip", "--slip2", "--tol", "--format"],
+    "outer": ["--polycrystal", "--matrix", "--samples", "--angular-tol", "--tol", "--format"],
+    "mc": ["--k", "--n", "--seed", "--format"],
+    "shear": ["--gamma", "--verify", "--svg", "--mesh", "--format"],
+    "lambda-plot": ["--thetas", "--grid", "--svg", "--csv", "--degrees", "--format"],
+}
+# a valid argv of each subcommand; {tmp} is the quadrant disk's directory
+BASE_ARGV = {
+    "taylor": ["taylor", "--angles", "0,1"],
+    "member": ["member", "--angles", "0,1", "--matrix", "1,0,0,1"],
+    "compat": ["compat", "--matrix", "2,0,0,0.5", "--slip", "1,0", "--normal", "1,0"],
+    "laminate": ["laminate", "--matrix", "2,0,0,0.5", "--slip", "1,0", "--slip2", "1,1"],
+    "outer": ["outer", "--polycrystal", "{tmp}/quadrant.json", "--matrix", "1,0,0,1"],
+    "mc": ["mc", "--k", "3", "--n", "100", "--seed", "1"],
+    "shear": ["shear", "--gamma", "1/2", "--verify"],
+    "lambda-plot": ["lambda-plot", "--thetas", "0.5", "--grid", "8"],
+}
+SHARED = {"--tol": "--tol=1e-9", "--degrees": "--degrees", "--format": "--format=json"}
+
+
+def _base_argv(name, tmp_path):
+    (tmp_path / "quadrant.json").write_text(json.dumps(polycrystal_to_dict(quadrant_disk())))
+    return [a.format(tmp=tmp_path) for a in BASE_ARGV[name]]
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert {name: [s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")]
+            for name, p in sub.choices.items()} == OPTIONS
+
+
+@pytest.mark.parametrize("name, option", [(n, o) for n, opts in OPTIONS.items()
+                                          for o in SHARED if o in opts])
+def test_a_shared_option_is_accepted_where_it_is_read(capsys, tmp_path, name, option):
+    argv = _base_argv(name, tmp_path)
+    assert run(argv) == 0
+    plain = capsys.readouterr().out
+    assert run(argv + [SHARED[option]]) == 0
+    if option != "--degrees":  # the default value prints the same bytes
+        assert capsys.readouterr().out == plain
+
+
+@pytest.mark.parametrize("name, option", [(n, o) for n, opts in OPTIONS.items()
+                                          for o in SHARED if o not in opts])
+def test_a_shared_option_is_a_usage_error_where_it_is_not_read(capsys, tmp_path, name, option):
+    with pytest.raises(SystemExit) as exc:
+        run(_base_argv(name, tmp_path) + [SHARED[option]])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {SHARED[option]}" in captured.err

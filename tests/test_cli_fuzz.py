@@ -89,27 +89,27 @@ def _command(name, *parts):
 
 def _argv():
     tol = st.one_of(st.sampled_from(["1e-9", "0", "1e-6"]), NUMBER)
-    common = st.tuples(_opt("tol", tol), _flag("degrees"),
-                       _opt("format", st.sampled_from(["json", "csv"])))
-    commands = st.one_of(
-        _command("taylor", _required("angles", ANGLES)),
+    # each shared option only on the subcommands that read it, so draws reach success paths
+    tol_opt, degrees = _opt("tol", tol), _flag("degrees")
+    fmt = _opt("format", st.sampled_from(["json", "csv"]))
+    return st.one_of(
+        _command("taylor", _required("angles", ANGLES), tol_opt, degrees, fmt),
         _command("member", _required("angles", ANGLES), _required("matrix", MATRIX),
-                 _opt("space", st.sampled_from(["N", "M"]))),
+                 _opt("space", st.sampled_from(["N", "M"])), tol_opt, degrees, fmt),
         _command("compat", _required("matrix", MATRIX), _required("slip", VECTOR),
-                 _required("normal", VECTOR)),
+                 _required("normal", VECTOR), tol_opt, fmt),
         _command("laminate", _required("matrix", MATRIX), _required("slip", VECTOR),
-                 _required("slip2", VECTOR)),
+                 _required("slip2", VECTOR), tol_opt, fmt),
         _command("outer", _required("polycrystal", st.sampled_from(POLYCRYSTALS)),
                  _opt("matrix", MATRIX), _opt("samples", _count(1, 400, HUGE_COUNTS)),
-                 _opt("angular-tol", tol)),
+                 _opt("angular-tol", tol), tol_opt, fmt),
         _command("mc", _required("k", _count(1, 40, HUGE_COUNTS)),
                  _opt("n", _count(1, 2000, HUGE_COUNTS)),
-                 _opt("seed", st.one_of(_count(0, 100), st.just(str(10 ** 40))))),
-        _command("shear", _required("gamma", GAMMA), _flag("verify")),
+                 _opt("seed", st.one_of(_count(0, 100), st.just(str(10 ** 40)))), fmt),
+        _command("shear", _required("gamma", GAMMA), _flag("verify"), fmt),
         _command("lambda-plot", _required("thetas", ANGLES),
-                 _opt("grid", _count(1, 60, HUGE_COUNTS))),
+                 _opt("grid", _count(1, 60, HUGE_COUNTS)), degrees, fmt),
     )
-    return st.tuples(commands, common).map(lambda c: c[0] + [a for p in c[1] for a in p])
 
 
 _HUGE = [{"kind": "segment", "p": list(a), "q": list(b)}

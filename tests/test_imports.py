@@ -53,6 +53,15 @@ def test_taylor_subcommands_load_only_what_they_call(argv):
     assert _run_fresh(argv, unused) == {"status": 0, "loaded": []}
 
 
+def test_subcommands_that_call_no_taylor_function_do_not_load_it(tmp_path):
+    path = tmp_path / "quadrant.json"
+    path.write_text(json.dumps(polycrystal_to_dict(quadrant_disk())))
+    for argv in (["compat", "--matrix", "2,0,0,0.5", "--slip", "1,0", "--normal", "1,0"],
+                 ["laminate", "--matrix", "2,0,0,0.5", "--slip", "1,0", "--slip2", "1,1"],
+                 ["outer", "--polycrystal", str(path), "--matrix", "1,0,0,1"]):
+        assert _run_fresh(argv, ("polyslip.taylor",)) == {"status": 0, "loaded": []}, argv[0]
+
+
 def test_every_public_name_resolves():
     for name in polyslip.__all__:
         assert getattr(polyslip, name) is not None, name

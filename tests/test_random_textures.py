@@ -201,6 +201,20 @@ def test_invalid_config():
     McConfig(k=MAX_K, n_samples=MAX_SAMPLES, seed=0)  # the caps themselves are accepted
 
 
+def test_config_reads_integers_of_any_type():
+    cfg = McConfig(k=np.int64(3), n_samples=np.int32(100), seed=np.uint8(1))
+    assert cfg == McConfig(k=3, n_samples=100, seed=1)
+    assert all(type(getattr(cfg, name)) is int for name in ("k", "n_samples", "seed"))
+    assert estimate_trivial_probability(cfg) == estimate_trivial_probability(McConfig(3, 100, 1))
+
+
+@pytest.mark.parametrize("k, n, seed", [(3.5, 100, 1), (3.0, 100, 1), (3, 100.0, 1),
+                                        (3, 100, 1.5), (3, 100, None), (3, "100", 1)])
+def test_config_rejects_a_number_that_is_not_an_integer(k, n, seed):
+    with pytest.raises(DomainError, match="is not an integer"):
+        McConfig(k=k, n_samples=n, seed=seed)
+
+
 # ---------------------------------------------------------------------------
 # iterate witness
 # ---------------------------------------------------------------------------

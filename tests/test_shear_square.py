@@ -2,8 +2,10 @@ import hashlib
 import math
 import pickle
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from polyslip.errors import DomainError, GammaOutOfRange
@@ -106,6 +108,35 @@ def test_non_finite_gamma_is_named_in_the_range_error(gamma, size):
         with pytest.raises(GammaOutOfRange) as info:
             step(gamma)
         assert str(info.value) == f"|gamma| = {size} exceeds sqrt(3) - 1"
+
+
+def test_numpy_integers_enter_as_ints_and_do_not_wrap():
+    # int64 squares wrapped in the range test: 2**62 passed it and 3037000500 built
+    for g in (np.int64(2 ** 62), np.int64(3037000500), np.int64(-2 ** 62)):
+        for step in (build, conclusion):
+            with pytest.raises(GammaOutOfRange):
+                step(g)
+
+
+def test_other_number_types_enter_as_python_numbers():
+    cases = [(np.int64(0), 0), (np.uint8(0), 0), (False, 0), (np.float32(0.5), 0.5),
+             (np.float64(0.5), 0.5), (np.float64(-0.0), 0),
+             (np.float32(0.1), float(np.float32(0.1)))]
+    for g, python in cases:
+        built = build(g)
+        assert type(built.gamma) is type(python) and built.gamma == python
+        assert built == build(python) and verify(built).all_passed
+        flags = conclusion(g)
+        assert flags == conclusion(python)
+        assert all(type(v) is bool for v in flags.values())
+
+
+@pytest.mark.parametrize("gamma", [Decimal("0.5"), "1/2", 0.5j, None], ids=repr)
+def test_gamma_of_another_type_is_a_domain_error(gamma):
+    for step in (build, conclusion):
+        with pytest.raises(DomainError, match=f"gamma of type {type(gamma).__name__} ") as info:
+            step(gamma)
+        assert type(info.value) is DomainError
 
 
 def test_twelve_internal_interfaces():

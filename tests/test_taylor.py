@@ -157,6 +157,13 @@ def test_normalize_rejects_non_finite_angles(angles):
         normalize(angles)
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1e-9, math.inf], ids=["nan", "negative", "inf"])
+def test_normalize_rejects_a_tol_that_is_not_finite_and_non_negative(tol):
+    # nan merged every angle away, a negative tol kept duplicates and inf merged all into one
+    with pytest.raises(DomainError, match="tol must be finite and >= 0"):
+        normalize([0.0, 1.0, 1.0], tol)
+
+
 def test_normalize_empty():
     with pytest.raises(EmptyInput):
         normalize([])
