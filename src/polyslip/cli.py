@@ -213,6 +213,13 @@ def _cmd_mc(args) -> dict:
             "analytic": res.analytic}
 
 
+def _write(path: str, text: str) -> str:
+    """Write text to the file at path as UTF-8 (``--svg``, ``--csv``, ``--mesh``); return path."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return path
+
+
 def _cmd_shear(args) -> dict:
     from . import shear_square
 
@@ -228,14 +235,10 @@ def _cmd_shear(args) -> dict:
     if args.verify:
         payload["checks"] = shear_square.verify(build).as_dict()
     if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(shear_square.render_svg(build))
-        payload["svg"] = args.svg
+        payload["svg"] = _write(args.svg, shear_square.render_svg(build))
     if args.mesh:
-        with open(args.mesh, "w", encoding="utf-8") as fh:
-            json.dump(shear_square.mesh_dict(build), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        payload["mesh"] = args.mesh
+        mesh = shear_square.mesh_dict(build)
+        payload["mesh"] = _write(args.mesh, json.dumps(mesh, indent=2, sort_keys=True) + "\n")
     return payload
 
 
@@ -245,13 +248,9 @@ def _cmd_lambda_plot(args) -> dict:
     thetas = _angles_arg(args.thetas, args.degrees)
     svg_text, csv_text, summary = emit_lambda_plot(thetas, args.grid)
     if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(svg_text)
-        summary["svg"] = args.svg
+        summary["svg"] = _write(args.svg, svg_text)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
-        summary["csv"] = args.csv
+        summary["csv"] = _write(args.csv, csv_text)
     return summary
 
 

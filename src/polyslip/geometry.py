@@ -141,10 +141,8 @@ class Arc(FrozenValue):
         t0, t1 = self.angle_at(0.0), self.angle_at(1.0)
         c0, s0, c1, s1 = trig = (math.cos(t0), math.sin(t0), math.cos(t1), math.sin(t1))
         put(self, "_trig", trig)
-        # the float operations of point_at(0.0) and point_at(1.0), without their Vec2s
-        cx, cy = center.x, center.y
-        put(self, "_start", Vec2(cx + c0 * radius, cy + s0 * radius))
-        put(self, "_end", Vec2(cx + c1 * radius, cy + s1 * radius))
+        put(self, "_start", self._toward(c0, s0))
+        put(self, "_end", self._toward(c1, s1))
 
     def sweep(self) -> float:
         return self._sweep
@@ -158,7 +156,11 @@ class Arc(FrozenValue):
 
     def point_at(self, u: float) -> Vec2:
         t = self.angle_at(u)
-        return self.center + Vec2(math.cos(t), math.sin(t)) * self.radius
+        return self._toward(math.cos(t), math.sin(t))
+
+    def _toward(self, c: float, s: float) -> Vec2:
+        """center + radius (c, s): the point in the direction with cosine c and sine s."""
+        return Vec2(self.center.x + c * self.radius, self.center.y + s * self.radius)
 
     @property
     def start(self) -> Vec2:
@@ -573,7 +575,7 @@ def _analyze_boundary(pc: Polycrystal, angular_tol: float) -> BoundaryAnalysis:
                 normal = abs(float(c.normal_at(0.5).dot(s))) <= angular_tol
                 found = [c.point_at(0.5)] if normal else []
             else:
-                found = [c.center + Vec2(math.cos(t), math.sin(t)) * c.radius
+                found = [c._toward(math.cos(t), math.sin(t))
                          for t in (s_angle + math.pi / 2, s_angle - math.pi / 2)
                          if c.covers_angle(t, angular_tol)]
             for pt in found:  # dropped next to a dual point; an arc's also next to its grain's

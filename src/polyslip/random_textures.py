@@ -45,6 +45,8 @@ class McConfig(FrozenValue):
             raise DomainError(f"k = {self.k!r} outside [1, {MAX_K}]")
         if not 1 <= self.n_samples <= MAX_SAMPLES:
             raise DomainError(f"n_samples = {self.n_samples!r} outside [1, {MAX_SAMPLES}]")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise DomainError(f"seed = {self.seed!r} must be >= 0")
 
 
 class McResult(FrozenValue):

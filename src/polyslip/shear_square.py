@@ -14,12 +14,13 @@ while F_gamma is a rotation only at gamma = 0, every nonzero gamma in
 range exhibits an attainable boundary strain outside that bound.
 
 The cell gradients and F_gamma are affine in gamma, written once in
-``_AFFINE``.  With rational gamma = p/q, and a rational pre-rotation if
-any, the map is rational: the range test reads p and q as ints, and
-``build`` forms the gradients as ints in p and q and assembles the map on
-ints.  Each build's map is lifted once to ints over one common denominator
-D, the least common multiple of the denominators of every cell's A and b
-and of F_gamma, read off the built map alone, one integer ratio per entry.
+``_AFFINE``.  The range test reads any gamma, a float as the dyadic
+rational it stores, as p/q on ints.  With rational gamma and a rational
+pre-rotation, if any, the map is rational: ``build`` forms the gradients
+as ints in p and q and assembles the map on ints.  Each build's map is
+lifted once to ints over one common denominator D, the least common
+multiple of the denominators of every cell's A and b and of F_gamma, read
+off the built map alone, one integer ratio per entry.
 ``Fraction``s are made only for the values handed to callers: the cells'
 A and b, F_gamma and the mean of ``average_gradient``.  ``verify`` checks
 continuity, incompressibility, membership, boundary trace and the jump
@@ -46,7 +47,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import DomainError, GammaOutOfRange
-from .mat2 import FrozenValue, Mat2, Vec2, is_SO2
+from .mat2 import FrozenValue, Mat2, Vec2
 from .svg import SvgCanvas
 from .taylor import is_trivial, normalize
 
@@ -211,33 +212,31 @@ def _lifted(build_: ShearSquareBuild) -> tuple:
 
 
 def _checked_gamma(gamma):
-    """gamma as a Python number, integral floats made int; GammaOutOfRange
-    beyond sqrt(3) - 1.
+    """gamma as a Python number, +-0.0 made the int 0; GammaOutOfRange beyond
+    sqrt(3) - 1.
 
     An integer of any type becomes an int, any other rational a ``Fraction``
     of ints and any other real (a numpy float) a float, so no numpy
-    arithmetic wraps below; another type is a ``DomainError``.
-    A rational gamma = p/q, q > 0, read as ``_affine`` reads it, is in range
-    when (q + |p|)^2 <= 3 q^2, decided on ints; a float when
-    (1 + |gamma|)^2 <= 3 (1 + 1e-12).
+    arithmetic wraps below; another type is a ``DomainError``.  gamma = p/q,
+    q > 0, a float read as the dyadic rational it stores, is in range when
+    (q + |p|)^2 <= 3 q^2, decided on ints.  There |F_gamma e1|^2 - 1 =
+    (9 gamma^2 + 24 gamma)/25, so F_gamma is a rotation exactly when gamma = 0.
     """
-    if type(gamma) is not Fraction and type(gamma) is not float:
+    if type(gamma) is Fraction and type(gamma.numerator) is int and type(gamma.denominator) is int:
+        p, q = gamma.numerator, gamma.denominator
+    else:
         if isinstance(gamma, numbers.Integral):
             gamma = operator.index(gamma)
         elif isinstance(gamma, numbers.Rational):
             gamma = Fraction(operator.index(gamma.numerator), operator.index(gamma.denominator))
         elif isinstance(gamma, numbers.Real):
-            gamma = float(gamma)
+            gamma = float(gamma) or 0  # +-0.0, the one integral float in range, is exact
         else:
             raise DomainError(f"gamma of type {type(gamma).__name__} is not a real number")
-    if isinstance(gamma, float) and gamma.is_integer():
-        gamma = int(gamma)
-    if isinstance(gamma, float):
-        ok = (1 + abs(gamma)) ** 2 <= 3 * (1 + 1e-12)
-    else:
-        p, q = gamma.numerator, gamma.denominator
-        ok = (q + abs(p)) ** 2 <= 3 * q * q
-    if not ok:
+        # NaN and +-inf store no ratio; read as 1/0 they fail the test below
+        finite = not isinstance(gamma, float) or math.isfinite(gamma)
+        p, q = gamma.as_integer_ratio() if finite else (1, 0)
+    if (q + abs(p)) ** 2 > 3 * q * q:
         g = abs(gamma)
         size = math.inf if g > sys.float_info.max else float(g)
         raise GammaOutOfRange(f"|gamma| = {size!r} exceeds sqrt(3) - 1")
@@ -465,17 +464,13 @@ _TAYLOR_TRIVIAL = is_trivial(normalize([0.0, math.pi / 2]))
 
 
 def conclusion(gamma) -> dict:
-    """Summary flags: trivial bound, rotation boundary value, separation."""
-    gamma = _checked_gamma(gamma)
-    taylor_trivial = _TAYLOR_TRIVIAL
-    if isinstance(gamma, float):
-        f_in_so2 = is_SO2(boundary_matrix(gamma), 1e-12)
-    else:
-        f_in_so2 = gamma == 0
+    """Summary flags: trivial bound, rotation boundary value, separation.  F_in_SO2 is
+    gamma == 0, as |F_gamma e1|^2 - 1 = (9 gamma^2 + 24 gamma)/25 in range."""
+    f_in_so2 = _checked_gamma(gamma) == 0
     return {
-        "taylor_trivial": taylor_trivial,
+        "taylor_trivial": _TAYLOR_TRIVIAL,
         "F_in_SO2": f_in_so2,
-        "separates": taylor_trivial and not f_in_so2,
+        "separates": _TAYLOR_TRIVIAL and not f_in_so2,
     }
 
 

@@ -319,6 +319,12 @@ def test_mc_count_outside_its_range_is_domain_error(capsys, argv):
     assert len(captured.err.splitlines()) == 1
 
 
+def test_mc_negative_seed_is_a_domain_error_naming_the_seed(capsys):
+    # numpy rejects a negative seed with a ValueError that names no option (exit 2)
+    assert run(["mc", "--k", "3", "--n", "10", "--seed", "-1"]) == 1
+    assert capsys.readouterr() == ("", "error: seed = -1 must be >= 0\n")
+
+
 @pytest.mark.parametrize("vertices", [
     ((0, 0), (1e308, 0), (0, 1e308)),  # area overflows to inf; inf - inf = nan in the sum
     ((0, 0), (1e308, 1e308), (1.5e308, 1.5e308), (0, 1e308)),  # a cross product is inf - inf

@@ -215,6 +215,13 @@ def test_config_rejects_a_number_that_is_not_an_integer(k, n, seed):
         McConfig(k=k, n_samples=n, seed=seed)
 
 
+@pytest.mark.parametrize("seed", [-1, np.int64(-5), -(2 ** 70)], ids=repr)
+def test_config_rejects_a_negative_seed(seed):
+    with pytest.raises(DomainError, match=f"^seed = {int(seed)} must be >= 0$"):
+        McConfig(k=3, n_samples=10, seed=seed)
+    McConfig(k=3, n_samples=10, seed=0)  # zero is a seed
+
+
 # ---------------------------------------------------------------------------
 # iterate witness
 # ---------------------------------------------------------------------------

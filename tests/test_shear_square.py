@@ -2,6 +2,7 @@ import hashlib
 import math
 import pickle
 import sys
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 
@@ -9,13 +10,14 @@ import numpy as np
 import pytest
 
 from polyslip.errors import DomainError, GammaOutOfRange
+from polyslip.geometry import outer_bound_full_member, outer_bound_perp, sheared_square_polycrystal
 from polyslip.mat2 import E1, Mat2, Vec2, is_SO2, rotation
-from polyslip.shear_square import (_CELL_VERTICES, _EDGE_OWNERS, _INTERFACES, DOMAIN_CORNERS,
-                                   GAMMA_MAX, GRAIN_OF_CELL, PwAffineMap, ShearSquareBuild,
-                                   average_gradient, boundary_matrix, build,
-                                   conclusion, grain_components, mesh_dict,
-                                   render_svg, verify)
+from polyslip.shear_square import (_CELL_VERTICES, _EDGE_OWNERS, _INTERFACES, _TWICE_AREA,
+                                   DOMAIN_CORNERS, GAMMA_MAX, GRAIN_OF_CELL, PwAffineMap,
+                                   ShearSquareBuild, average_gradient, boundary_matrix, build,
+                                   conclusion, grain_components, mesh_dict, render_svg, verify)
 from polyslip.slip import in_N
+from polyslip.taylor import normalize, taylor_member
 
 HALF = Fraction(1, 2)
 
@@ -116,6 +118,54 @@ def test_numpy_integers_enter_as_ints_and_do_not_wrap():
         for step in (build, conclusion):
             with pytest.raises(GammaOutOfRange):
                 step(g)
+
+
+def test_a_fraction_of_numpy_integers_enters_as_a_fraction_of_ints():
+    # int64 parts would wrap in the range test and the build
+    big = Fraction(np.int64(3037000500), np.int64(2 ** 62))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        built = build(big)
+        flags = conclusion(Fraction(np.int64(1), np.int64(2)))
+    assert built == build(Fraction(3037000500, 2 ** 62)) and verify(built).all_passed
+    assert type(built.gamma.numerator) is int and type(built.gamma.denominator) is int
+    assert flags == conclusion(HALF) and all(type(v) is bool for v in flags.values())
+    with pytest.raises(GammaOutOfRange):
+        build(Fraction(np.int64(2 ** 62), np.int64(3)))
+
+
+def _value_not_type_floats() -> list[float]:
+    """Floats at the range edges and near 0, the 8,000 beyond each of +-GAMMA_MAX and
+    20,000 seeded draws on [-0.74, 0.74]: 36,012 in all."""
+    fixed = [1e-12, 2.0 ** -40, 5e-324, 0.0, GAMMA_MAX, 0.9]
+    out = [sign * x for x in fixed for sign in (1.0, -1.0)]
+    for edge in (GAMMA_MAX, -GAMMA_MAX):
+        g = edge
+        for _ in range(8000):
+            g = math.nextafter(g, math.copysign(math.inf, edge))
+            out.append(g)
+    return out + np.random.default_rng(33).uniform(-0.74, 0.74, 20000).tolist()
+
+
+def test_a_float_is_decided_as_the_rational_it_stores():
+    # a float and its Fraction are one value: the same range answer and the same flags,
+    # also in the 8,000 ulps beyond each edge and for 0 < |g| <= 1e-12
+    gammas = _value_not_type_floats()
+    assert len(gammas) == 36012
+    in_range = 0
+    for g in gammas:
+        outcomes = []
+        for value in (g, Fraction(g)):
+            try:
+                outcomes.append(build(value).gamma)
+            except GammaOutOfRange:
+                outcomes.append(None)
+        assert (outcomes[0] is None) is (outcomes[1] is None), g
+        if outcomes[0] is not None:
+            assert conclusion(g) == conclusion(Fraction(g)), g
+            in_range += 1
+    assert 19000 < in_range < 21000
+    assert not any(conclusion(g)["F_in_SO2"] for g in (1e-12, 2.0 ** -40, 5e-324, -5e-324))
 
 
 def test_other_number_types_enter_as_python_numbers():
@@ -498,6 +548,41 @@ def test_grain_components_match_construction():
     assert comps == [("e1", ("S", "T1", "T4", "T5", "T8")),
                      ("e2", ("T2", "T3")),
                      ("e2", ("T6", "T7"))]
+
+
+def test_the_polycrystal_is_the_one_the_cells_induce():
+    pc = sheared_square_polycrystal()
+    assert [seg.p.to_floats() for seg in pc.domain] == [(float(x), float(y))
+                                                        for x, y in DOMAIN_CORNERS]
+    comps = grain_components(build(HALF))
+    texture = {"e1": 0.0, "e2": math.pi / 2}
+    matched = []
+    for grain in pc.grains:
+        corners = {seg.p.to_floats() for seg in grain.boundary}
+        (i,) = [i for i, (slip, cells) in enumerate(comps)
+                if corners == {(float(x), float(y)) for c in cells for x, y in _CELL_VERTICES[c]}]
+        slip, cells = comps[i]
+        assert grain.theta == texture[slip]
+        assert grain.area() == sum(_TWICE_AREA[c] for c in cells) / 2
+        matched.append(i)
+    assert sorted(matched) == list(range(len(comps)))
+    assert sorted(grain.area() for grain in pc.grains) == [2.0, 2.0, 6.0]
+
+
+def test_the_boundary_strain_separates_the_bounds_on_their_own_deciders():
+    # F_gamma is attainable (outer_bound_full_member) but, for gamma != 0, outside the
+    # Taylor bound of the polycrystal's texture, while the perpendicular-point bound is SL(2)
+    pc = sheared_square_polycrystal()
+    texture = normalize([grain.theta for grain in pc.grains])
+    assert outer_bound_perp(pc).trivial_flag
+    rng = np.random.default_rng(47)
+    gammas = [Fraction(k, 100) for k in range(-73, 74)]
+    gammas += rng.uniform(-GAMMA_MAX, GAMMA_MAX, 500).tolist()
+    for g in gammas:
+        F = Mat2(*[x for row in boundary_matrix(g).to_rows() for x in row])
+        assert outer_bound_full_member(F, pc), g
+        assert taylor_member(F, texture) is (g == 0), g
+        assert conclusion(g)["separates"] is (g != 0), g
 
 
 def test_rotated_variant():
