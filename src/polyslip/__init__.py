@@ -18,7 +18,7 @@ _EXPORTS = {
                "InvalidPolycrystal", "NotSL2", "ParallelSlips", "PolyslipError"),
     "mat2": ("DEFAULT_TOL", "E1", "E2", "Mat2", "ShearFrame", "Vec2", "decompose",
              "det", "is_SO2", "rotation"),
-    "slip": ("SlipSystem", "energy", "in_M", "in_N", "psi", "slip_direction"),
+    "slip": ("energy", "in_M", "in_N", "psi", "slip_direction"),
     "taylor": ("AngleSet", "TaylorBound", "gamma_bounds", "in_lambda", "is_trivial",
                "normalize", "reduce_angles", "taylor_M_member", "taylor_member",
                "taylor_member_batch"),

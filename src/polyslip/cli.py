@@ -12,11 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from bisect import bisect_left, bisect_right
 
 from .errors import PolyslipError
-from .mat2 import ANGULAR_TOL, Mat2, Vec2
+from .mat2 import ANGULAR_TOL, DEFAULT_TOL, Mat2, Vec2
 
 _PALETTE = ("#4477aa", "#ee6677", "#228833", "#ccbb44", "#66ccee", "#aa3377")
 
@@ -53,14 +54,12 @@ def _parse_unit(text: str) -> Vec2:
 def _parse_gamma(text: str):
     from fractions import Fraction  # import on use: only shear parses a gamma
 
-    # "1/2" or "0.5" parse exactly; exact gamma keeps the build rational
+    # "1/2" or "0.5" parse exactly, so the build stays rational.  Fraction reads the PEP 515
+    # underscores, each between two digits, only from Python 3.11 on: they are dropped first
     try:
-        return Fraction(text)
-    except ValueError:
-        gamma = float(text)
-        if not math.isfinite(gamma):
-            raise ValueError(f"gamma {text!r} is not finite") from None
-        return gamma
+        return Fraction(re.sub(r"(?<=\d)_(?=\d)", "", text))
+    except ValueError:  # not a number, or nan or an infinity
+        raise ValueError(f"gamma {text!r} is not a finite number") from None
     except ZeroDivisionError:
         raise ValueError(f"gamma {text!r} has a zero denominator") from None
 
@@ -119,10 +118,10 @@ def emit_lambda_plot(thetas, grid: int):
 
 
 def _cmd_taylor(args) -> dict:
-    from .taylor import is_trivial, normalize
+    from .taylor import is_trivial, normalize, reduce_angles
 
     aset = normalize(_angles_arg(args.angles, args.degrees), args.tol)
-    bound = aset._bound
+    bound = reduce_angles(aset)
     return {
         "angles": list(aset.thetas),
         "shift": aset.shift,
@@ -133,7 +132,7 @@ def _cmd_taylor(args) -> dict:
 
 
 def _cmd_member(args) -> dict:
-    from .taylor import normalize, taylor_M_member, taylor_member
+    from .taylor import normalize, reduce_angles, taylor_M_member, taylor_member
 
     aset = normalize(_angles_arg(args.angles, args.degrees), args.tol)
     F = _parse_matrix(args.matrix)
@@ -141,7 +140,7 @@ def _cmd_member(args) -> dict:
         member = taylor_M_member(F, aset, args.tol)
     else:
         member = taylor_member(F, aset, args.tol)
-    return {"member": member, "space": args.space, "reduced": list(aset._bound.angles)}
+    return {"member": member, "space": args.space, "reduced": list(reduce_angles(aset).angles)}
 
 
 def _cmd_compat(args) -> dict:
@@ -312,8 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, p in sub.choices.items():  # shared options, each only where it is read, listed last
         if name in ("taylor", "member", "compat", "laminate", "outer"):
-            p.add_argument("--tol", type=float, default=1e-9,
-                           help="floating-point tolerance (default 1e-9)")
+            p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                           help=f"floating-point tolerance (default {DEFAULT_TOL})")
         if name in ("taylor", "member", "lambda-plot"):
             p.add_argument("--degrees", action="store_true",
                            help="interpret input angles as degrees")
@@ -342,7 +341,7 @@ def run(argv) -> int:
     except PolyslipError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

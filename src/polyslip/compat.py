@@ -25,8 +25,8 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError, ParallelSlips
-from .mat2 import DEFAULT_TOL, Mat2, Value, Vec2, norm2_at_most_one, require_sl2
-from .slip import image_norm2, in_M, in_N
+from .mat2 import DEFAULT_TOL, Mat2, Value, Vec2, norm2_at_most_one, norm2_is_one, require_sl2
+from .slip import image_norm2, in_N
 
 
 class RankOneConnection(Value):
@@ -95,7 +95,8 @@ def find_connection(F: Mat2, s: Vec2, nu: Vec2, tol: float = DEFAULT_TOL):
     if not nu_compatible(F, s, nu, tol):
         return None
     sn = s.dot(nu)
-    if abs(sn) <= tol or in_M(F, s, tol):
+    # nu_compatible checked det F = 1, so |Fs| = 1 alone puts F in the strain set of s
+    if abs(sn) <= tol or norm2_is_one(image_norm2(F, s), tol):
         return RankOneConnection(a=Vec2(0.0, 0.0), nu=nu, target=F)
     # The target G agrees with F on nu_perp, G nu_perp = v, and has det G = 1
     # and |Gs| = 1.  With s = sn nu + (s.nu_perp) nu_perp, u = Gs is then the

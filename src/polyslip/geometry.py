@@ -604,8 +604,9 @@ def _normal_lines(curves) -> tuple[tuple, tuple]:
     of a long segment), and it is exact short of the subnormals, so every
     comparison keeps its bits.
     ``arcs``: per arc ``(ax, ay, bx, by, wide)``, its end normals read
-    counterclockwise from a to b and whether it sweeps pi or more.  Only the
-    line of a normal counts, so a clockwise arc is stored by its radii.
+    counterclockwise from a to b (``Arc._trig``, swapped for a clockwise arc)
+    and whether it sweeps pi or more.  Only the line of a normal counts, so a
+    clockwise arc is stored by its radii.
     """
     lines, arcs = [], []
     for c in curves:
@@ -614,12 +615,10 @@ def _normal_lines(curves) -> tuple[tuple, tuple]:
             k = -math.frexp(max(abs(ex), abs(ey)))[1]
             lines.append((math.ldexp(ex, k), math.ldexp(ey, k)))
         else:
-            start, sweep = c.ccw_span()
-            t = start if c.ccw else start + sweep  # the other end is angle_at(1.0): _trig has it
-            a, b = (math.cos(t), math.sin(t)), c._trig[2:]
-            (ax, ay), (bx, by) = (a, b) if c.ccw else (b, a)
+            c0, s0, c1, s1 = c._trig
+            ax, ay, bx, by = (c0, s0, c1, s1) if c.ccw else (c1, s1, c0, s0)
             lines += [(-ay, ax), (-by, bx)]
-            arcs.append((ax, ay, bx, by, sweep >= math.pi))
+            arcs.append((ax, ay, bx, by, c.sweep() >= math.pi))
     return tuple(lines), tuple(arcs)
 
 

@@ -219,10 +219,6 @@ class Mat2(Value):
     def transpose(self) -> "Mat2":
         return Mat2(self.a11, self.a21, self.a12, self.a22)
 
-    def adjugate(self) -> "Mat2":
-        """det(A) * inverse(A), defined for singular matrices too."""
-        return Mat2(self.a22, -self.a12, -self.a21, self.a11)
-
     def max_abs(self) -> float:
         return max(abs(float(self.a11)), abs(float(self.a12)),
                    abs(float(self.a21)), abs(float(self.a22)))
@@ -326,7 +322,9 @@ def decompose(F: Mat2, s: Vec2, tol: float = DEFAULT_TOL) -> ShearFrame:
     ``DegenerateBeta`` if Fs = 0, which det F = 1 within tol allows only at tol >= 1.
     """
     require_sl2(F, tol)
-    _, beta, gamma, rx, ry = stretch_shear(F, s.x, s.y)
+    sx, sy = s.x, s.y  # f = Fs and g = F perp(s), perp(s) = (-sy, sx)
+    _, beta, gamma, rx, ry = _stretch_shear(F.a11 * sx + F.a12 * sy, F.a21 * sx + F.a22 * sy,
+                                            F.a11 * -sy + F.a12 * sx, F.a21 * -sy + F.a22 * sx)
     rs = Vec2(rx, ry)
     rho = math.atan2(s.cross(rs), s.dot(rs))
     if rho < 0.0:
@@ -349,9 +347,10 @@ def _stretch_shear(fx, fy, gx, gy, length=length):
     """``(n2, beta, gamma, rx, ry)`` from f = Fs and g = F perp(s): n2 = |f|^2,
     beta = |f|, gamma = g . f / beta.
 
-    The one home of (beta, gamma).  On floats it serves ``stretch_shear``; with
-    ``_settle_betas`` for ``length`` it runs on numpy arrays of rows, each of which
-    gets the bits its floats would, or a NaN shear where they raise ``DegenerateBeta`` (f = 0).
+    (rx, ry) = f / beta is the rotated slip direction.  The one home of (beta, gamma):
+    on floats it serves ``decompose`` and ``taylor._frame_e1``; with ``_settle_betas`` for
+    ``length`` it runs on numpy arrays of rows, each of which gets the bits its floats
+    would, or a NaN shear where they raise ``DegenerateBeta`` (f = 0).
     """
     n2 = fx * fx + fy * fy
     beta = length(fx, fy, n2)
@@ -361,14 +360,3 @@ def _stretch_shear(fx, fy, gx, gy, length=length):
         raise DegenerateBeta("Fs = 0 has no stretch to decompose") from None
     return n2, beta, gx * rx + gy * ry, rx, ry
 
-
-def stretch_shear(F: Mat2, sx, sy):
-    """``(n2, beta, gamma, rx, ry)``: |Fs|^2 and ``decompose(F, (sx, sy))`` as plain scalars.
-
-    (rx, ry) = Fs / beta is the rotated slip direction.  Builds no objects
-    and skips the SL(2) check, for callers that test many slip directions
-    against one checked matrix; raises ``DegenerateBeta`` as ``decompose`` does.
-    """
-    # g = F perp(s), perp(s) = (-sy, sx)
-    return _stretch_shear(F.a11 * sx + F.a12 * sy, F.a21 * sx + F.a22 * sy,
-                          F.a11 * -sy + F.a12 * sx, F.a21 * -sy + F.a22 * sx)

@@ -47,7 +47,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import DomainError, GammaOutOfRange
-from .mat2 import FrozenValue, Mat2, Vec2
+from .mat2 import DEFAULT_TOL, FrozenValue, Mat2, Vec2
 from .svg import SvgCanvas
 from .taylor import is_trivial, normalize
 
@@ -367,8 +367,8 @@ def verify(build_: ShearSquareBuild, tol: Optional[float] = None) -> Verificatio
     denominators, and each check is an identity between ints.  D is read off
     the built map, so the check stays independent of ``build``.  A float or
     mixed build, or any tol > 0, is checked on its own entries (D = 1), each
-    residual within tol (default 1e-9).  tol must be None or finite and >= 0
-    (``DomainError`` otherwise).
+    residual within tol (default ``mat2.DEFAULT_TOL``).  tol must be None or
+    finite and >= 0 (``DomainError`` otherwise).
 
     (a) continuity, D(A1 v + b1) = D(A2 v + b2) at both ends v of every
     internal interface; (b) det(DA) = D^2 on every cell; (c) strain-set
@@ -383,7 +383,7 @@ def verify(build_: ShearSquareBuild, tol: Optional[float] = None) -> Verificatio
         raise DomainError(f"tol must be None or finite and >= 0, got {tol!r}")
     entries, scaled = _lifted(build_)
     if tol is None:
-        tol = 0 if scaled else 1e-9
+        tol = 0 if scaled else DEFAULT_TOL
     d = 1
     if scaled and tol == 0:
         d, entries = scaled

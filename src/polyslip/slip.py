@@ -11,22 +11,9 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
-from .mat2 import DEFAULT_TOL, FrozenValue, Mat2, Vec2, is_sl2, norm2_at_most_one, norm2_is_one
+from .mat2 import DEFAULT_TOL, Mat2, Vec2, is_sl2, norm2_at_most_one, norm2_is_one
 
 INFINITY = math.inf
-
-
-class SlipSystem(FrozenValue):
-    """A slip direction and its glide-plane normal."""
-
-    __slots__ = _fields = ("s",)
-
-    def __init__(self, s: Vec2):
-        object.__setattr__(self, "s", s)
-
-    @property
-    def m(self) -> Vec2:
-        return self.s.perp()
 
 
 def slip_direction(theta: float) -> Vec2:

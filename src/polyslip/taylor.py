@@ -86,10 +86,6 @@ class AngleSet(FrozenValue):
             raise DomainError("angles must lie in [0, pi)")
         object.__setattr__(self, "_bound", reduce_angles(self))
 
-    @property
-    def N(self) -> int:
-        return len(self.thetas)
-
 
 def normalize(angles, tol: float = DEFAULT_TOL) -> AngleSet:
     """Reduce raw angles mod pi, sort, merge near-duplicates, shift to 0.
@@ -282,7 +278,7 @@ def taylor_member_batch(F: np.ndarray, angles: AngleSet, tol: float = DEFAULT_TO
             rows = Mat2(block[:, 0, 0], block[:, 0, 1], block[:, 1, 0], block[:, 1, 1])
             if not np.all(det_is_one(rows.det(), tol)):
                 raise NotSL2("batch contains matrices with det != 1")
-            # _frame_e1's frame on the columns: stretch_shear at e1 up to the sign of a zero
+            # _frame_e1's frame on the columns: decompose's at e1 up to the sign of a zero
             n2, beta, gamma, _, _ = _stretch_shear(rows.a11, rows.a21, rows.a12, rows.a22,
                                                    _settle_betas)
             ones = np.flatnonzero(beta == 1.0)  # the rows whose window takes its exact ends

@@ -188,7 +188,7 @@ def connector_search(F: Mat2, s: Vec2, nu: Vec2, tol: float = DEFAULT_TOL, span:
     feasibility; a root bracket then produces an explicit witness with
     |target s| = 1.  Returns the jump vector a, or None.
     """
-    w = (F.adjugate().transpose() @ nu).perp()
+    w = (Mat2(F.a22, -F.a21, -F.a12, F.a11) @ nu).perp()  # the cofactor matrix adj(F)^T
     sn = s.dot(nu)
     fs = F @ s
 

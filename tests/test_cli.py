@@ -2,11 +2,15 @@ import argparse
 import json
 import math
 import re
+import sys
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from helpers import FALSE_SAMPLED_MEMBERS
-from polyslip.cli import _parse_unit, build_parser, emit_lambda_plot, run
+from polyslip import cli
+from polyslip.cli import _parse_gamma, _parse_unit, build_parser, emit_lambda_plot, run
 from polyslip.errors import DomainError, InvalidPolycrystal
 from polyslip.geometry import (chord_disk, load_polycrystal, polycrystal_to_dict, quadrant_disk,
                                sheared_square_polycrystal)
@@ -448,6 +452,56 @@ def test_gamma_too_large_for_a_float_is_domain_error(capsys, gamma):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: |gamma| = inf exceeds sqrt(3) - 1\n"
+
+
+# (text, the Fraction Python 3.11 reads from it): PEP 515 underscores, one between two digits
+_UNDERSCORED = [("0.5_0", Fraction(1, 2)), ("1/2_0", Fraction(1, 20)),
+                ("-1_0/4_0", Fraction(-1, 4)), ("2_5e-0_2", Fraction(1, 4)),
+                (" .2_5 ", Fraction(1, 4)), ("0.7_320_508", Fraction(1830127, 2500000)),
+                ("\uff11_\uff10/\uff14", Fraction(5, 2))]
+# texts every Fraction rejects: an underscore elsewhere, or no finite number
+_NOT_FRACTIONS = ["_1/2", "1_/2", "1/_2", "1/2_", "0._5", "0_.5", "1__0/4", "5e_1", "5_e1", "1e-_1",
+                  "1_0x", "nan", "inf", "-inf", "1/2.5", ""]
+
+
+def _fraction_without_underscores(text):
+    """``Fraction`` as Python 3.10 builds it from text, rejecting every PEP 515 underscore."""
+    if "_" in text:
+        raise ValueError(f"Invalid literal for Fraction: {text!r}")
+    return Fraction(text)
+
+
+@pytest.mark.parametrize("python_3_10", [False, True], ids=["this-python", "python-3.10"])
+def test_gamma_reads_what_python_3_11_fraction_reads(capsys, monkeypatch, python_3_10):
+    if sys.version_info >= (3, 11):  # the tables are Python's own reading
+        assert [Fraction(text) for text, _ in _UNDERSCORED] == [want for _, want in _UNDERSCORED]
+        for text in _NOT_FRACTIONS:
+            with pytest.raises(ValueError):
+                Fraction(text)
+    _, half = _run_json(capsys, ["shear", "--gamma", "1/2"])  # imports the real Fraction first
+    if python_3_10:  # the module that ``from fractions import Fraction`` reads
+        monkeypatch.setitem(sys.modules, "fractions",
+                            SimpleNamespace(Fraction=_fraction_without_underscores))
+    for text, want in _UNDERSCORED:
+        gamma = _parse_gamma(text)
+        assert gamma == want and type(gamma) is Fraction, text
+    for text in _NOT_FRACTIONS:
+        with pytest.raises(ValueError, match=r"^gamma .* is not a finite number$"):
+            _parse_gamma(text)
+    assert _run_json(capsys, ["shear", "--gamma", "0.5_0"])[1] == half
+    assert run(["shear", "--gamma", "nan"]) == 2
+    assert capsys.readouterr().err == "parse error: gamma 'nan' is not a finite number\n"
+
+
+def test_a_key_error_in_a_subcommand_is_not_bad_input(capsys, monkeypatch):
+    # no subcommand raises KeyError on input; one that did has a bug, which run does not hide
+    def broken(args):
+        raise KeyError("angles")
+
+    monkeypatch.setattr(cli, "_cmd_taylor", broken)
+    with pytest.raises(KeyError, match="angles"):
+        run(["taylor", "--angles", "0,1"])
+    assert capsys.readouterr() == ("", "")
 
 
 # float-degenerate inputs: each is a domain error, never a ZeroDivisionError

@@ -124,14 +124,14 @@ def test_density_characterization():
 
 
 def test_compatibility_needs_no_shear_frame(monkeypatch):
-    # the image form needs no decompose and no stretch_shear: each answer
+    # the image form needs no decompose and no _stretch_shear: each answer
     # stands when both raise, and neither compat nor geometry imports them
     from polyslip import compat, geometry, mat2
 
     def refuse(*args, **kwargs):
         raise AssertionError("shear frame used")
 
-    for name in ("decompose", "stretch_shear", "_stretch_shear"):
+    for name in ("decompose", "_stretch_shear"):
         monkeypatch.setattr(mat2, name, refuse)
         assert not hasattr(compat, name) and not hasattr(geometry, name)
     # a built connection, the zero connection of a member of M, and no connection

@@ -120,6 +120,25 @@ def test_arc_area_keeps_its_bits(arc, area):
     assert (arc.start, arc.end) == (arc.point_at(0.0), arc.point_at(1.0))
 
 
+@pytest.mark.parametrize("ccw", [True, False], ids=["ccw", "cw"])
+def test_arc_rows_are_its_end_radii_read_counterclockwise(ccw):
+    # an arc's row in _normal_lines holds the (cos, sin) that built its endpoints, Arc._trig
+    # at angle_at(0.0) and angle_at(1.0), in the order of ccw_span: swapped for a cw arc
+    rng = np.random.default_rng(34)
+    ends = [(0.0, TAU), (-0.0, 1.0), (_PHI + TAU, _PHI), (PI / 3, -PI / 4), (2.5, -3.0)]
+    ends += rng.uniform(-2.0 * TAU, 2.0 * TAU, (200, 2)).tolist()
+    for a, b in ends:
+        arc = Arc(Vec2(0.5, -0.25), 2.0, a, b, ccw)
+        lines, arcs = geometry._normal_lines([arc])
+        c0, s0, c1, s1 = arc._trig
+        assert arcs == ((*((c0, s0, c1, s1) if ccw else (c1, s1, c0, s0)), arc.sweep() >= PI),)
+        ax, ay, bx, by, _ = arcs[0]
+        assert lines == ((-ay, ax), (-by, bx))
+        start, sweep = arc.ccw_span()
+        for (x, y), t in (((ax, ay), start), ((bx, by), start + sweep)):
+            assert math.hypot(x - math.cos(t), y - math.sin(t)) <= 1e-15 * max(1.0, abs(t))
+
+
 def test_segment_normal_of_a_tiny_segment():
     # the squared length underflows to 0 below about 1e-154
     for d in (1e-300, 5e-324):

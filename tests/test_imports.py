@@ -1,5 +1,6 @@
 """Import hygiene: the package loads lazily and the runtime never needs scipy."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -67,6 +68,14 @@ def test_every_public_name_resolves():
         assert getattr(polyslip, name) is not None, name
     assert "connector_search" not in polyslip.__all__
     assert polyslip.geometry.ANGULAR_TOL == polyslip.mat2.ANGULAR_TOL
+
+
+def test_every_submodule_resolves_by_attribute(monkeypatch):
+    for name in sorted(polyslip._SUBMODULES):
+        module = importlib.import_module(f"polyslip.{name}")
+        monkeypatch.delattr(polyslip, name, raising=False)  # unbound: the lookup takes __getattr__
+        assert getattr(polyslip, name) is module, name
+    assert set(dir(polyslip)) >= set(polyslip.__all__) | polyslip._SUBMODULES
 
 
 def test_star_import():

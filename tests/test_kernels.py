@@ -114,7 +114,7 @@ def _signed_zero_matrices():
 
 @pytest.mark.parametrize("tol", [0.0, 1e-9])
 def test_signed_zeros_decide_as_the_decompose_frame(monkeypatch, tol):
-    # F's columns give stretch_shear's frame at e1 up to the sign of a zero, which no
+    # F's columns give decompose's frame at e1 up to the sign of a zero, which no
     # decision reads: [[1, -0.0], [-0.0, 1]] has the shear 0.0 there and -0.0 here
     mats = _signed_zero_matrices()
     assert any(tuple(map(_bits, taylor._frame_e1(F, tol)))
@@ -134,7 +134,7 @@ def test_signed_zeros_decide_as_the_decompose_frame(monkeypatch, tol):
     for a in textures:
         scalar = [a._bound.member(F, tol) for F in mats]
         assert taylor.taylor_member_batch(rows, a, tol).tolist() == scalar
-        if a.N == 1:  # a single crystal reads its column: its relaxed and unrelaxed sets
+        if len(a.thetas) == 1:  # a single crystal reads its column: its relaxed and unrelaxed sets
             assert scalar == [in_N(F, E1, tol) for F in mats]
             assert [taylor_M_member(F, a, tol) for F in mats] == [in_M(F, E1, tol) for F in mats]
     members = [r for pair in got for r in pair]

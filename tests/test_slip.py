@@ -9,7 +9,7 @@ from polyslip.errors import DomainError
 from polyslip.geometry import (analyze_boundary, outer_bound_full_member, outer_bound_perp,
                                quadrant_disk, random_chord_disk)
 from polyslip.mat2 import E1, E2, Mat2, ShearFrame, Vec2, is_sl2, rotation
-from polyslip.slip import INFINITY, SlipSystem, energy, in_M, in_N, psi
+from polyslip.slip import INFINITY, energy, in_M, in_N, psi
 from polyslip.taylor import (gamma_bounds, normalize, taylor_M_member, taylor_member,
                              taylor_member_batch)
 
@@ -112,11 +112,6 @@ def test_rotation_covariance():
         theta = rng.uniform(0, 2 * math.pi)
         R = rotation(theta)
         assert in_N(F, s) == in_N(F @ R.transpose(), R @ s)
-
-
-def test_slip_system_normal():
-    sys = SlipSystem(Vec2(0.6, 0.8))
-    assert sys.m == Vec2(-0.8, 0.6)
 
 
 @pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-9, 1e-6])

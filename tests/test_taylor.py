@@ -146,7 +146,7 @@ def test_normalize_dedup():
 
 def test_normalize_circular_dedup():
     aset = normalize([1e-12, PI - 1e-12])
-    assert aset.N == 1
+    assert len(aset.thetas) == 1
 
 
 @pytest.mark.parametrize("angles", [[math.nan, 0.0, 1.0], [0.0, math.nan], [math.inf],

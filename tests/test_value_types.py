@@ -13,7 +13,6 @@ from polyslip.geometry import (Arc, BoundaryAnalysis, Grain, OuterBound, Polycry
 from polyslip.mat2 import Mat2, ShearFrame, Vec2
 from polyslip.random_textures import McConfig, McResult
 from polyslip.shear_square import Cell, PwAffineMap, ShearSquareBuild, VerificationReport
-from polyslip.slip import SlipSystem
 from polyslip.taylor import AngleSet, TaylorBound
 
 O = Vec2(0.0, 0.0)
@@ -34,8 +33,6 @@ VALUES = {
                  "AngleSet(thetas=(0.0, 1.0), shift=0.25)", ("thetas", "shift"), True),
     "TaylorBound": (lambda: TaylorBound(kind="pair", angles=(0.0, 1.0)),
                     "TaylorBound(kind='pair', angles=(0.0, 1.0))", ("kind", "angles"), True),
-    "SlipSystem": (lambda: SlipSystem(s=Vec2(1.0, 0.0)), "SlipSystem(s=Vec2(x=1.0, y=0.0))",
-                   ("s",), True),
     "RankOneConnection": (
         lambda: RankOneConnection(a=Vec2(0.0, 0.0), nu=Vec2(0.0, 1.0), target=I2),
         "RankOneConnection(a=Vec2(x=0.0, y=0.0), nu=Vec2(x=0.0, y=1.0), "

@@ -20,7 +20,7 @@ from polyslip.compat import nu_compatible
 from polyslip.geometry import (Segment, _wrap, analyze_boundary, chord_disk, halfdisk_bicrystal,
                                outer_bound_full_member, quadrant_disk, random_chord_disk,
                                sheared_square_polycrystal)
-from polyslip.mat2 import DEFAULT_TOL, Mat2, Vec2, decompose, norm2_at_most_one, stretch_shear
+from polyslip.mat2 import DEFAULT_TOL, Mat2, Vec2, decompose, norm2_at_most_one
 from polyslip.slip import image_norm2
 
 PI = math.pi
@@ -66,7 +66,9 @@ def _old_full_member(F, pc, tol=DEFAULT_TOL):
     analysis = analyze_boundary(pc)
     for gid in analysis.boundary_grains:
         theta = pc.grain_by_id(gid).theta
-        n2, beta, gamma, _, _ = stretch_shear(F, math.cos(theta), math.sin(theta))
+        s = Vec2(math.cos(theta), math.sin(theta))
+        n2, frame = image_norm2(F, s), decompose(F, s, tol)
+        beta, gamma = frame.beta, frame.gamma
         if gid in analysis.J and not norm2_at_most_one(n2, tol):
             return False
         window = _old_window(beta, gamma, tol)
